@@ -144,7 +144,6 @@ def main(argv=None):
                                  description="Exact roadmaps of real algebraic sets")
     ap.add_argument("--seed", type=int, default=0,
                     help="fixes all randomized choices (separating forms)")
-    ap.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c1 = sub.add_parser("components", help="count connected components")

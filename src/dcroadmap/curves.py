@@ -11,8 +11,9 @@ import functools
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, MPoly, resultant, subst_rational
+from .mpoly import ERING, QRING, MPoly, merge_vars, resultant, subst_rational
 from .points import (
+    BoundedCache,
     RealUnivRep,
     _ext_context_for,
     _linear_sign_at,
@@ -67,15 +68,6 @@ class CurvePiece:
     vertices: list  # RURs (isolated points and all endpoint targets)
 
 
-def _merge_vars(*seqs):
-    out = []
-    for s in seqs:
-        for v in s:
-            if v not in out:
-                out.append(v)
-    return tuple(out)
-
-
 def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed=0):
     """Decompose Bas(P(theta,.), Q(theta,.)), strongly of dimension <= 1,
     into curve segments and vertices over the parameter xvars[0].
@@ -123,7 +115,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             r = _resultant_safe(fi, fj_r, ui, budget)
             x = xvars[0]
             if r is not None and not r.is_zero() and r.degree(x) > 0:
-                rp = r.with_vars(_merge_vars(context.tvars, (x,)))
+                rp = r.with_vars(merge_vars(context.tvars, (x,)))
                 try:
                     cross.extend(thom_encodings(rp, x, context))
                 except (ValueError, ArithmeticError):
@@ -184,11 +176,11 @@ def _parametrize_fiber(V, context, xvars, budget, seed):
         if f is None:
             return None
         fu = f.subst({z: MPoly.var(ring, (uvar,), uvar)})
-        variables = _merge_vars(context.tvars, (x, uvar))
+        variables = merge_vars(context.tvars, (x, uvar))
         one = MPoly.const(ring, variables, 1)
         coords = (one, MPoly.var(ring, variables, uvar))
         must_vanish = [p for p in V if not (p == f)]
-        return fu.with_vars(_merge_vars(fu.vars, variables)), coords, uvar, must_vanish
+        return fu.with_vars(merge_vars(fu.vars, variables)), coords, uvar, must_vanish
     # two fiber variables: separating form over the parameter field
     func_ctx = _parameter_context(context, x, ring)
     for c in (1, 2, 3, 5, 7, 11, 13, 17):
@@ -241,11 +233,11 @@ def _shape_over_parameter(V, fibers, func_ctx, context, x, uvar, c, budget):
     except Exception:
         return None
     basis = [sympy.together(g.as_expr()) for g in gb.exprs]
-    variables = _merge_vars(context.tvars, (x, uvar))
+    variables = merge_vars(context.tvars, (x, uvar))
 
     def back(expr, extra=()):
         expr = sympy.fraction(sympy.together(expr))[0]
-        target = _merge_vars(variables, extra)
+        target = merge_vars(variables, extra)
         fvars = sorted(str(s) for s in expr.free_symbols)
         eta = [v for v in fvars if v not in target]
         from .solve import _from_sympy, _from_sympy_with_eta
@@ -341,7 +333,7 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
             crit_polys.append(r)
     out = []
     for cp in crit_polys:
-        cp = cp.with_vars(_merge_vars(context.tvars, (x,)))
+        cp = cp.with_vars(merge_vars(context.tvars, (x,)))
         try:
             out.extend(thom_encodings(cp, x, context))
         except (ValueError, ArithmeticError):
@@ -448,7 +440,7 @@ def _with_param_coordinate(u, tname, xvars, context):
     from .points import _collapse_last_level
 
     ring = u.f.ring
-    variables = _merge_vars(u.f.vars, (tname,))
+    variables = merge_vars(u.f.vars, (tname,))
     F = [u.F[0].with_vars(variables)]
     F.append(MPoly.var(ring, variables, tname) * u.F[0].with_vars(variables))
     for g in u.F[1:]:
@@ -490,8 +482,8 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
     fam.append(den_m)
     fam_kind.append(_KIND_DEN)
     try:
-        rows = signs_at_encodings(f_m.with_vars(_merge_vars(context.tvars, (uvar,))),
-                                  [g.with_vars(_merge_vars(context.tvars, (uvar,))) for g in fam],
+        rows = signs_at_encodings(f_m.with_vars(merge_vars(context.tvars, (uvar,))),
+                                  [g.with_vars(merge_vars(context.tvars, (uvar,))) for g in fam],
                                   uvar, context)
     except (ValueError, ArithmeticError):
         return []
@@ -518,7 +510,7 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
     return out
 
 
-_ENDPOINT_CACHE = {}
+_ENDPOINT_CACHE = BoundedCache()
 
 
 def _endpoint_limit(seg, enc, direction, context, budget):
@@ -537,13 +529,13 @@ def _endpoint_limit(seg, enc, direction, context, budget):
     ring = ERING
     lvl = enc.poly.to_ering().subst({enc.var: MPoly.var(ERING, (tname,), tname)}) \
         if enc.poly.ring is QRING else enc.poly.subst({enc.var: MPoly.var(ERING, (tname,), tname)})
-    key = (hash(seg.f), hash(enc.poly), enc.signs, direction,
-           tuple(hash(g) for g in seg.coords), context.key())
+    key = (context.ring.name, context.key(), x, seg.uvar, seg.f, seg.coords,
+           enc.var, enc.poly, enc.signs, direction)
     cached = _ENDPOINT_CACHE.get(key)
-    if cached is not None and cached[0] == (seg.f, enc.poly):
-        e_ctx, shift, f_shift, coords_shift, encs = cached[1]
+    if cached is not None:
+        e_ctx, shift, f_shift, coords_shift, encs = cached
     else:
-        e_ctx = _to_ering_context(context).extend(tname, lvl, enc.signs)
+        e_ctx = context.to_ering().extend(tname, lvl, enc.signs)
         shift = MPoly.const(ERING, (tname,), 0) + MPoly.var(ERING, (tname,), tname) \
             + MPoly.const(ERING, (tname,), InfElem.sym(mu) * direction)
         f_e = seg.f.to_ering() if seg.f.ring is QRING else seg.f
@@ -551,11 +543,11 @@ def _endpoint_limit(seg, enc, direction, context, budget):
         coords_e = [g.to_ering() if g.ring is QRING else g for g in seg.coords]
         coords_shift = [g.subst({x: shift}) if x in g.vars else g for g in coords_e]
         try:
-            encs = thom_encodings(f_shift.with_vars(_merge_vars(e_ctx.tvars, (seg.uvar,))),
+            encs = thom_encodings(f_shift.with_vars(merge_vars(e_ctx.tvars, (seg.uvar,))),
                                   seg.uvar, e_ctx)
         except (ValueError, ArithmeticError):
             return None
-        _ENDPOINT_CACHE[key] = ((seg.f, enc.poly), (e_ctx, shift, f_shift, coords_shift, encs))
+        _ENDPOINT_CACHE.put(key, (e_ctx, shift, f_shift, coords_shift, encs))
     target = None
     for cand in encs:
         L = max(len(cand.signs), len(seg.rho))
@@ -566,7 +558,7 @@ def _endpoint_limit(seg, enc, direction, context, budget):
             break
     if target is None:
         return None
-    variables = _merge_vars(e_ctx.tvars, (seg.uvar,))
+    variables = merge_vars(e_ctx.tvars, (seg.uvar,))
     den = coords_shift[0].with_vars(variables)
     F = [den, shift.with_vars(variables) * den]
     for g in coords_shift[1:]:
@@ -577,15 +569,6 @@ def _endpoint_limit(seg, enc, direction, context, budget):
     except (ValueError, ArithmeticError):
         return None
     return lim
-
-
-def _to_ering_context(ctx):
-    if ctx.ring is ERING:
-        return ctx
-    out = TriangularContext(ERING)
-    for v, p, s in ctx.levels:
-        out = out.extend(v, p.to_ering(), s)
-    return out
 
 
 def limit_curve(pieces: CurvePiece, drop_from: int, budget=DEFAULT_BUDGET):

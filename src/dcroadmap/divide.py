@@ -84,7 +84,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
     from .critloci import tilde_system
 
     Ptilde, Qtilde = tilde_system(inp.P, inp.Q, p, level, inp.xvars, d=d)
-    e_base = _to_ering_ctx(inp.base)
+    e_base = inp.base.to_ering()
 
     # Step 2: the finite G-critical set of Bas(P~, Q~), by subsets of Q~
     M_tilde = []
@@ -217,15 +217,6 @@ def _divide(inp: DivideInput) -> DivideOutput:
 
     return DivideOutput(Ptilde, Qtilde, Atilde, N, B, chart_out, G, level,
                         M_tilde, D0, M0)
-
-
-def _to_ering_ctx(ctx):
-    if ctx.ring is ERING:
-        return ctx
-    out = TriangularContext(ERING)
-    for v, p, s in ctx.levels:
-        out = out.extend(v, p.to_ering(), s)
-    return out
 
 
 def _rur_to_ering(u, e_base):

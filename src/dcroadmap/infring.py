@@ -254,8 +254,10 @@ class InfElem:
         return self.terms == other.terms
 
     def __hash__(self):
+        # an eta-free element equals its rational value, so hashes like it
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash(self.rational_value() if self.is_rational()
+                              else frozenset(self.terms.items()))
         return self._hash
 
     # -- ordering operators ------------------------------------------------

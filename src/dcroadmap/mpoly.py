@@ -106,6 +106,11 @@ QRING = QRing()
 ERING = ERing()
 
 
+def merge_vars(*seqs):
+    """Ordered union of variable sequences (first occurrence wins)."""
+    return tuple(dict.fromkeys(v for seq in seqs for v in seq))
+
+
 class MPoly:
     """Immutable sparse polynomial; exponent keys are dense tuples aligned
     with the declared variable tuple."""
@@ -298,13 +303,13 @@ class MPoly:
         return p.terms == q.terms
 
     def __hash__(self):
+        # like __eq__, independent of the ring and of the variable order
         if self._hash is None:
-            used = sorted(self.used_vars())
             items = []
             for m, c in self.terms.items():
                 sparse = tuple((v, e) for v, e in zip(self.vars, m) if e)
                 items.append((tuple(sorted(sparse)), c))
-            self._hash = hash((self.ring.name, frozenset(items)))
+            self._hash = hash(frozenset(items))
         return self._hash
 
     def _coerce(self, other):

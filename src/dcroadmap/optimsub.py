@@ -10,7 +10,7 @@ from itertools import combinations, product
 from .critloci import GoodRankMatrix, crit_minor_system
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor
+from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor, merge_vars
 from .points import (
     RealUnivRep,
     _collapse_last_level,
@@ -60,7 +60,7 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
     xvars = tuple(req.xvars)
     k = len(xvars)
     s = len(fam)
-    base = _ering_context(req.base)
+    base = req.base.to_ering()
     gidx = req.gamma_index
     if gidx is None:
         gidx = max(max_symbol_index(base), max_symbol_index(fam), max_symbol_index(G), 0) + 1
@@ -78,9 +78,9 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
                     Hi = req.B.h_poly(i + 1, xvars, d, ring=ERING)
                     pert.append(fam[i] + Hi.with_vars(fam[i].vars).scale(gam * sigma[pos]))
                 system = crit_minor_system(pert, G, 0, xvars)
-                zpoly = MPoly.var(ERING, _mv(G.vars, (zvar,)), zvar)
-                system = [p.with_vars(_mv(p.vars, (zvar,))) for p in system]
-                system.append(G.with_vars(_mv(G.vars, (zvar,))) - zpoly)
+                zpoly = MPoly.var(ERING, merge_vars(G.vars, (zvar,)), zvar)
+                system = [p.with_vars(merge_vars(p.vars, (zvar,))) for p in system]
+                system.append(G.with_vars(merge_vars(G.vars, (zvar,))) - zpoly)
                 try:
                     elims = eliminate_to(system, {zvar} | set(base.tvars),
                                          list(xvars) + [zvar], req.budget,
@@ -119,19 +119,6 @@ def _root_sort_key(roots):
     return functools.cmp_to_key(cmp)
 
 
-def _mv(a, b):
-    return tuple(dict.fromkeys(list(a) + list(b)))
-
-
-def _ering_context(ctx):
-    if ctx.ring is ERING:
-        return ctx
-    out = TriangularContext(ERING)
-    for v, p, s in ctx.levels:
-        out = out.extend(v, p.to_ering(), s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closest point / closest pairs
 
@@ -156,7 +143,7 @@ def _distance_first_order(system_eqs, grad_subst, xvars):
         allv = mat[0][0].vars
         for row in mat:
             for x in row:
-                allv = _mv(allv, x.vars)
+                allv = merge_vars(allv, x.vars)
         for row in mat:
             aligned.append([x.with_vars(allv) for x in row])
         mv = determinant(aligned)
@@ -196,13 +183,13 @@ def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
     for i, v in enumerate(xvars, start=1):
         # gradient of F: 2(x_i - g_i/g0) -> column entry g0*X_i - g_i
         gi = u.F[i]
-        col = MPoly.var(g0.ring, _mv(g0.vars, xvars), v) * g0.with_vars(_mv(g0.vars, xvars)) \
-            - gi.with_vars(_mv(gi.vars, xvars))
+        col = MPoly.var(g0.ring, merge_vars(g0.vars, xvars), v) * g0.with_vars(merge_vars(g0.vars, xvars)) \
+            - gi.with_vars(merge_vars(gi.vars, xvars))
         grads.append(col)
     for qsize in range(len(Q) + 1):
         for qsel in combinations(range(len(Q)), qsize):
-            eqs = [p.with_vars(_mv(p.vars, xvars)) for p in P] + \
-                  [Q[i].with_vars(_mv(Q[i].vars, xvars)) for i in qsel]
+            eqs = [p.with_vars(merge_vars(p.vars, xvars)) for p in P] + \
+                  [Q[i].with_vars(merge_vars(Q[i].vars, xvars)) for i in qsel]
             system = _distance_first_order(eqs, grads, xvars)
             pts = _robust_points(system, xvars, ctx_plus, budget, seed)
             for w in pts:
@@ -263,8 +250,8 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
         dd = MPoly.var(ring, satv, xvars[i]) - MPoly.var(ring, satv, yvars[i])
         dist2 = dist2 + dd * dd
     saturation = MPoly.var(ring, satv, wvar) * dist2 - MPoly.const(ring, satv, 1)
-    x_branches = split_branches([p.with_vars(_mv(p.vars, allv)) for p in P1], budget) if P1 else [[]]
-    y_branches = split_branches([p.with_vars(_mv(p.vars, allv)) for p in P2r], budget) if P2r else [[]]
+    x_branches = split_branches([p.with_vars(merge_vars(p.vars, allv)) for p in P1], budget) if P1 else [[]]
+    y_branches = split_branches([p.with_vars(merge_vars(p.vars, allv)) for p in P2r], budget) if P2r else [[]]
 
     def unrename(p):
         back = {w: MPoly.var(p.ring, xvars, v) for v, w in zip(xvars, yvars) if w in p.vars}
@@ -286,17 +273,17 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                             # minimizer lies on the diagonal, sampled below
                             continue
                         eqs = list(bx) + \
-                            [Q1[i].with_vars(_mv(Q1[i].vars, allv)) for i in q1sel] + \
+                            [Q1[i].with_vars(merge_vars(Q1[i].vars, allv)) for i in q1sel] + \
                             list(by) + \
-                            [Q2r[i].with_vars(_mv(Q2r[i].vars, allv)) for i in q2sel]
+                            [Q2r[i].with_vars(merge_vars(Q2r[i].vars, allv)) for i in q2sel]
                         system = _distance_first_order(eqs, grads, list(xvars) + list(yvars))
-                        system = [p.with_vars(_mv(p.vars, satv)) for p in system] + [saturation]
+                        system = [p.with_vars(merge_vars(p.vars, satv)) for p in system] + [saturation]
                         pts = _robust_points(system, satv, base, budget, seed,
                                              allow_sampling=False)
                         for w in pts:
-                            ok1 = all(rur_sign(w, Q1[i].with_vars(_mv(Q1[i].vars, allv))) >= 0
+                            ok1 = all(rur_sign(w, Q1[i].with_vars(merge_vars(Q1[i].vars, allv))) >= 0
                                       for i in range(len(Q1)))
-                            ok2 = all(rur_sign(w, rename(Q2[i]).with_vars(_mv(rename(Q2[i]).vars, allv))) >= 0
+                            ok2 = all(rur_sign(w, rename(Q2[i]).with_vars(merge_vars(rename(Q2[i]).vars, allv))) >= 0
                                       for i in range(len(Q2)))
                             if ok1 and ok2:
                                 pi1 = RealUnivRep(w.base, w.uvar, w.f, w.sigma,

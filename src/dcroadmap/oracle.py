@@ -1,6 +1,5 @@
-"""Independent brute-force ground truth for tests: mesh-based connectivity,
-slice components, a numeric Lagrange critical-point enumerator, and exact
-interval-based real-root isolation (test oracle only; never a primary path)."""
+"""Independent brute-force ground truth for tests: mesh-based connectivity
+(test oracle only; never a primary path)."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 
 from .infring import QQ
-from .mpoly import MPoly, QRING
 
 
 @dataclass
@@ -111,179 +109,3 @@ def grid_components(P, cfg: MeshConfig = None):
         pt = tuple(float(centers_f[cell[i]]) for i in range(k))
         cloud.append((pt, roots[r]))
     return len(roots), cloud
-
-
-def fiber_components(P, coord_var, value, cfg: MeshConfig = None):
-    """grid_components of the slice P(coord = value)."""
-    sliced = P.subst({coord_var: QQ(value)})
-    if sliced.is_zero():
-        raise ValueError("slice polynomial is identically zero")
-    return grid_components(sliced, cfg)[0]
-
-
-def lagrange_brute(system, G, n_starts=400, box=3.0, seed=0, tol=1e-12):
-    """Numeric corroboration of critical points: multi-start damped Newton on
-    the square Lagrange system (lambda-scale eliminated), deduplicated."""
-    variables = list(G.vars)
-    k = len(variables)
-    m = len(system)
-    rng = np.random.default_rng(seed)
-
-    def fload(p):
-        return _poly_to_numpy_eval_point(p, variables + [f"lam{j}" for j in range(m + 1)])
-
-    from .critloci import crit_system
-
-    eqs, lam_vars = crit_system(system, G, 0, variables)
-    allv = variables + list(lam_vars)
-    fns = [_poly_to_numpy_eval_point(e.with_vars(tuple(allv)), allv) for e in eqs]
-    grads = [[_poly_to_numpy_eval_point(e.with_vars(tuple(allv)).deriv(v), allv) for v in allv]
-             for e in eqs]
-    n = len(allv)
-    found = []
-    for _ in range(n_starts):
-        x = rng.uniform(-box, box, size=n)
-        lam_norm = np.linalg.norm(x[k:])
-        if lam_norm > 0:
-            x[k:] /= lam_norm
-        converged = False
-        for _it in range(80):
-            F = np.array([f(x) for f in fns])
-            if not np.all(np.isfinite(F)):
-                break
-            if np.linalg.norm(F) < tol:
-                converged = True
-                break
-            J = np.array([[g(x) for g in row] for row in grads])
-            try:
-                step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            t = 1.0
-            base = np.linalg.norm(F)
-            while t > 1e-6:
-                xn = x + t * step
-                Fn = np.array([f(xn) for f in fns])
-                if np.all(np.isfinite(Fn)) and np.linalg.norm(Fn) < base:
-                    break
-                t /= 2
-            else:
-                break
-            x = x + t * step
-        if converged:
-            pt = tuple(x[:k])
-            if not any(np.linalg.norm(np.array(pt) - np.array(q)) < 1e-6 for q in found):
-                found.append(pt)
-    return sorted(found)
-
-
-def _poly_to_numpy_eval_point(P, variables):
-    terms = [(m, float(Fraction(int(c.numerator), int(c.denominator))))
-             for m, c in P.terms.items()]
-    pos = [variables.index(v) for v in P.vars]
-
-    def ev(x):
-        acc = 0.0
-        for m, c in terms:
-            t = c
-            for i, e in enumerate(m):
-                if e:
-                    t *= x[pos[i]] ** e
-            acc += t
-        return acc
-
-    return ev
-
-
-# ---------------------------------------------------------------------------
-# exact interval root isolation (independent cross-check for tests)
-
-
-def isolate_real_roots(coeffs):
-    """Isolating rational intervals for the distinct real roots of the
-    univariate polynomial with rational coefficient list (index = degree),
-    via Sturm sequences and exact bisection."""
-    cs = [QQ(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs or len(cs) == 1:
-        return []
-    # squarefree reduction over QQ
-    import sympy
-
-    x = sympy.Symbol("x")
-    p = sympy.Poly(sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x ** i
-                       for i, c in enumerate(cs)), x)
-    p = p.quo(p.gcd(p.diff(x)))
-    cs = [QQ(0)] * (p.degree() + 1)
-    for (e,), c in p.terms():
-        cs[e] = QQ(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-
-    def poly_eval(v):
-        acc = QQ(0)
-        for c in reversed(cs):
-            acc = acc * v + c
-        return acc
-
-    chain = [cs[:], [QQ(i) * cs[i] for i in range(1, len(cs))]]
-    while True:
-        a, b = chain[-2], chain[-1]
-        if not any(c != 0 for c in b):
-            chain.pop()
-            break
-        # remainder of a by b
-        r = a[:]
-        while len(r) >= len(b) and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            f = r[-1] / b[-1]
-            off = len(r) - len(b)
-            for i in range(len(b)):
-                r[off + i] -= f * b[i]
-            r.pop()
-        chain.append([-c for c in r] if r else [QQ(0)])
-
-    def variations(v):
-        signs = []
-        for c in chain:
-            while c and c[-1] == 0:
-                c = c[:-1]
-            if not c:
-                continue
-            acc = QQ(0)
-            for q in reversed(c):
-                acc = acc * v + q
-            if acc != 0:
-                signs.append(1 if acc > 0 else -1)
-        out = 0
-        for i in range(1, len(signs)):
-            if signs[i] != signs[i - 1]:
-                out += 1
-        return out
-
-    bound = QQ(1) + max(abs(c) / abs(cs[-1]) for c in cs)
-    roots = []
-    stack = [(-bound, bound)]
-    while stack:
-        a, b = stack.pop()
-        n = variations(a) - variations(b)
-        if n == 0:
-            continue
-        if n == 1:
-            # refine until the interval contains no root of the derivative
-            # chain conflicts; an isolating interval for a simple root
-            roots.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if poly_eval(mid) == 0:
-            roots.append((mid, mid))
-            eps = (b - a) / (4 * n)
-            stack.append((a, mid - eps))
-            stack.append((mid + eps, b))
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
-    roots.sort()
-    return roots

@@ -4,6 +4,7 @@ algorithms that remove infinitesimals from point descriptions."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import ResourceBudgetError
@@ -89,20 +90,47 @@ def rur_sign(u: RealUnivRep, poly: MPoly) -> int:
 # rational separators and limits
 
 
-_EXT_CTX_CACHE = {}
+CACHE_BOUND = 1024
+
+
+class BoundedCache:
+    """Least-recently-used map holding at most CACHE_BOUND entries.
+
+    Keys are values (rings by name, contexts by key(), polynomials, signs and
+    variable names), so equal inputs built afresh hit the same entry."""
+
+    def __init__(self):
+        self._data = OrderedDict()
+
+    def get(self, key):
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        self._data[key] = value
+        self._data.move_to_end(key)
+        if len(self._data) > CACHE_BOUND:
+            self._data.popitem(last=False)
+
+    def __len__(self):
+        return len(self._data)
+
+
+_EXT_CTX_CACHE = BoundedCache()
 
 
 def _ext_context_for(enc: ThomEncoding):
     """Extension context of an encoding, cached so repeated point queries
-    reuse the underlying sign-determination state.  The context object is
-    pinned in the cache entry so its id cannot be recycled."""
-    key = (id(enc.context), enc.var, hash(enc.poly), enc.signs)
+    reuse the underlying sign-determination state."""
+    ctx = enc.context
+    key = (ctx.ring.name, ctx.key(), enc.var, enc.poly.ring.name, enc.poly, enc.signs)
     hit = _EXT_CTX_CACHE.get(key)
-    if hit is not None and hit[0] is enc.context:
-        return hit[1]
-    ctx = enc.context.extend(enc.var, enc.poly, enc.signs)
-    _EXT_CTX_CACHE[key] = (enc.context, ctx)
-    return ctx
+    if hit is None:
+        hit = ctx.extend(enc.var, enc.poly, enc.signs)
+        _EXT_CTX_CACHE.put(key, hit)
+    return hit
 
 
 def _linear_sign_at(enc: ThomEncoding, q) -> int:
@@ -433,7 +461,7 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET,
         return structured
 
     e_system = [p.to_ering() for p in system]
-    e_context = _context_to_ering(context)
+    e_context = context.to_ering()
     zeta_idx = max(max_symbol_index(e_context), max_symbol_index(e_system), 0) + 1
     zeta = extra_symbol(f"inf{zeta_idx}", zeta_idx)
     zq = MPoly.const(ERING, (), InfElem.sym(zeta))
@@ -515,15 +543,6 @@ def _sample_structured(system, context, xvars, budget, seed):
     return None
 
 
-def _context_to_ering(ctx):
-    if ctx.ring is ERING:
-        return ctx
-    out = TriangularContext(ERING)
-    for v, p, s in ctx.levels:
-        out = out.extend(v, p.to_ering(), s)
-    return out
-
-
 def _restore_ring(u: RealUnivRep, context: TriangularContext) -> RealUnivRep:
     """Map an eta-free ERING representation back onto the original context
     ring (QQ when the original context was rational)."""
@@ -537,18 +556,20 @@ def _restore_ring(u: RealUnivRep, context: TriangularContext) -> RealUnivRep:
     return RealUnivRep(base, u.uvar, conv(u.f), u.sigma, tuple(conv(g) for g in u.F), u.xvars)
 
 
-_COORD_CACHE = {}
+_COORD_CACHE = BoundedCache()
+
+
+def _rur_key(u: RealUnivRep):
+    """Value key of the data a point's coordinates depend on."""
+    return (u.base.ring.name, u.base.key(), u.uvar, u.f.ring.name, u.f, u.sigma, u.F)
 
 
 def coordinate_encoding_cached(u: RealUnivRep, i: int):
-    # the cached object is stored alongside the result so its id cannot be
-    # recycled while the cache entry lives
-    key = (id(u), i)
-    hit = _COORD_CACHE.get(key)
-    if hit is not None and hit[0] is u:
-        return hit[1]
-    enc = rur_coordinate_encoding(u, i)
-    _COORD_CACHE[key] = (u, enc)
+    key = (_rur_key(u), i)
+    enc = _COORD_CACHE.get(key)
+    if enc is None:
+        enc = rur_coordinate_encoding(u, i)
+        _COORD_CACHE.put(key, enc)
     return enc
 
 
@@ -574,8 +595,7 @@ def dedupe_points(points, semantic=True):
     seen = set()
     out = []
     for u in points:
-        key = (u.base.key() if u.base.nlevels else (), hash(u.f), u.sigma,
-               tuple(hash(g) for g in u.F))
+        key = _rur_key(u)
         if key not in seen:
             seen.add(key)
             out.append(u)

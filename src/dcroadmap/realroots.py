@@ -748,10 +748,16 @@ class TriangularContext:
     tvars[:i+1].  The empty context (t = 0) represents the base ring.  Also
     serves as the sign oracle for MPolys in the triangular variables."""
 
-    def __init__(self, ring, levels=()):
+    def __init__(self, ring, levels=(), parent=None):
         self.ring = ring
         self.levels = tuple(levels)  # (var, poly MPoly, signs tuple)
         self.tvars = tuple(lv[0] for lv in self.levels)
+        if parent is None and self.levels:
+            parent = TriangularContext(ring, self.levels[:-1])
+        # the context fixing all but the last level; prefixes walk up these
+        # links, so every descendant shares its ancestors' sign caches
+        self._parent = parent
+        self._key = None
         self._solver = None
         self._sign_cache = {}
 
@@ -760,21 +766,22 @@ class TriangularContext:
     def extend(self, var, poly, signs):
         if var in self.tvars:
             raise ValueError(f"variable {var} already fixed")
-        child = TriangularContext(self.ring, self.levels + ((var, poly, signs),))
-        child._prefixes = getattr(self, "_prefixes", {})
-        return child
+        return TriangularContext(self.ring, self.levels + ((var, poly, signs),), self)
 
     def prefix(self, n):
-        if n == self.nlevels:
+        ctx = self
+        while ctx.nlevels > n:
+            ctx = ctx._parent
+        return ctx
+
+    def to_ering(self):
+        """The same tower over the infinitesimal ring."""
+        if self.ring is ERING:
             return self
-        cache = getattr(self, "_prefixes", None)
-        if cache is None:
-            cache = {}
-            self._prefixes = cache
-        key = tuple((v, _mpoly_key(p), s) for v, p, s in self.levels[:n])
-        if key not in cache:
-            cache[key] = TriangularContext(self.ring, self.levels[:n])
-        return cache[key]
+        out = TriangularContext(ERING)
+        for v, p, s in self.levels:
+            out = out.extend(v, p.to_ering(), s)
+        return out
 
     @property
     def nlevels(self):
@@ -802,7 +809,7 @@ class TriangularContext:
             return 0
         if p.is_const():
             return self.ring.sign(p.const_value())
-        key = _mpoly_key(p)
+        key = (p.vars, _mpoly_key(p))
         if key in self._sign_cache:
             return self._sign_cache[key]
         var, fpoly, signs = self.levels[-1]
@@ -834,7 +841,10 @@ class TriangularContext:
         return "TriangularContext(" + "; ".join(parts) + ")"
 
     def key(self):
-        return tuple((v, _mpoly_key(p), s) for v, p, s in self.levels)
+        """Value key of the levels (the ring is not part of it)."""
+        if self._key is None:
+            self._key = tuple((v, p.vars, _mpoly_key(p), s) for v, p, s in self.levels)
+        return self._key
 
 
 def _forget_var(p, var, parent):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .curves import CurvePiece, CurveSegmentRep, curve_segments, limit_curve
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol, log_signs, zeta
-from .mpoly import ERING, QRING, MPoly
+from .mpoly import ERING, QRING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
     coordinate_encoding_cached,
@@ -258,13 +258,13 @@ def _lift_points(system, A, sph, allv, budget, seed):
     out = []
     newv = allv[-1]
     for a in A:
-        e_ctx = _ering_ctx(a.extended_context())
+        e_ctx = a.extended_context().to_ering()
         den2 = (a.F[0].to_ering() if a.F[0].ring is QRING else a.F[0])
         den2 = den2 * den2
-        num = MPoly.zero(ERING, _mv(den2.vars, (newv,)))
+        num = MPoly.zero(ERING, merge_vars(den2.vars, (newv,)))
         for i, v in enumerate(a.xvars, start=1):
             g = a.F[i].to_ering() if a.F[i].ring is QRING else a.F[i]
-            num = num + (g * g).with_vars(_mv(num.vars, g.vars))
+            num = num + (g * g).with_vars(merge_vars(num.vars, g.vars))
         num = num + MPoly.var(ERING, num.vars, newv) ** 2 * den2.with_vars(num.vars)
         eps2 = MPoly.const(ERING, num.vars, InfElem.sym(extra_symbol("e0", 0)) ** 2)
         eq = eps2 * num - den2.with_vars(num.vars)
@@ -284,7 +284,7 @@ def _combine_coords(a, lifted, allv):
     from .points import _collapse_last_level
 
     ring = ERING
-    variables = _mv(lifted.f.vars, a.F[0].vars)
+    variables = merge_vars(lifted.f.vars, a.F[0].vars)
     a_den = (a.F[0].to_ering() if a.F[0].ring is QRING else a.F[0]).with_vars(variables)
     l_den = lifted.F[0].with_vars(variables)
     F = [a_den * l_den]
@@ -298,24 +298,11 @@ def _combine_coords(a, lifted, allv):
     return u
 
 
-def _ering_ctx(ctx):
-    if ctx.ring is ERING:
-        return ctx
-    out = TriangularContext(ERING)
-    for v, p, s in ctx.levels:
-        out = out.extend(v, p.to_ering(), s)
-    return out
-
-
-def _mv(a, b):
-    return tuple(dict.fromkeys(list(a) + list(b)))
-
-
 def _sphere_boundary_vertices(graph, sph):
     out = []
     for vid, u in enumerate(graph.vertices):
         try:
-            if rur_sign(u, sph.with_vars(_mv(sph.vars, u.xvars))) == 0:
+            if rur_sign(u, sph.with_vars(merge_vars(sph.vars, u.xvars))) == 0:
                 out.append(vid)
         except (ValueError, ArithmeticError, ZeroDivisionError):
             continue

@@ -440,12 +440,8 @@ def _dedupe_solutions(sols, context):
     seen = set()
     out = []
     for s in sols:
-        key = (
-            tuple(sorted((str(v), hash(c)) for v, c in zip(s.xvars, s.coords))),
-            hash(s.eliminant),
-            s.signs,
-            hash(s.denom),
-        )
+        coords = tuple(sorted(zip(s.xvars, s.coords), key=lambda vc: vc[0]))
+        key = (coords, s.uvar, s.eliminant, s.signs, s.denom)
         if key not in seen:
             seen.add(key)
             out.append(s)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .divide import DivideInput, DivideOutput, divide, _fiber_var, _subst_block
 from .errors import ResourceBudgetError
-from .mpoly import ERING, QRING, MPoly
+from .mpoly import MPoly
 from .points import RealUnivRep, coordinate_encoding_cached, dedupe_points, project_rur
 from .realroots import TriangularContext, compare_roots
 from .solve import DEFAULT_BUDGET
@@ -107,7 +107,7 @@ def _expand(node: TreeNode, budget, seed):
         tvar = _fiber_var(w)
         ren = {w.uvar: MPoly.var(w.f.ring, (tvar,), tvar)}
         lvl_poly = w.f.subst(ren)
-        ctx_w = _ering(node.base).extend(tvar, lvl_poly, w.sigma)
+        ctx_w = node.base.to_ering().extend(tvar, lvl_poly, w.sigma)
         P_m = [q for q in (_subst_block(pp, block, w) for pp in out.Ptilde)
                if not q.is_zero()]
         Q_m = [_subst_block(qq, block, w) for qq in out.Qtilde]
@@ -118,15 +118,6 @@ def _expand(node: TreeNode, budget, seed):
         child = TreeNode(node.s + (1,), ctx_w, list(node.W) + [w], P_m, Q_m,
                          dedupe_points(A_m), rest, node.kprime)
         node.children.append(child)
-
-
-def _ering(ctx):
-    if ctx.ring is ERING:
-        return ctx
-    out = TriangularContext(ERING)
-    for v, p, s in ctx.levels:
-        out = out.extend(v, p.to_ering(), s)
-    return out
 
 
 def _proj_matches(a, w, ell):

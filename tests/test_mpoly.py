@@ -177,3 +177,10 @@ def test_ering_polynomials():
 def test_grlex_printing():
     p = P("X2 + X1^2*X2 + 1")
     assert repr(p) == "X1^2*X2 + X2 + 1"
+
+
+def test_hash_agrees_with_equality_across_rings():
+    p = parse_poly("x^2 - 3*x*y + 1/2", ("x", "y"))
+    assert p == p.to_ering()
+    assert hash(p) == hash(p.to_ering())
+    assert hash(p) == hash(p.with_vars(("y", "x")))

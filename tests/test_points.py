@@ -3,8 +3,12 @@ import pytest
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import ThomEncoding, TriangularContext, thom_encodings
+from dcroadmap import points
 from dcroadmap.points import (
+    BoundedCache,
     RealUnivRep,
+    _linear_sign_at,
+    coordinate_encoding_cached,
     dedupe_points,
     flatten_rur,
     limit_point,
@@ -214,3 +218,52 @@ def test_rur_coordinate_encoding():
         ctxp = cx.context.extend(cx.var, cx.poly, cx.signs)
         val = parse_poly("2*Y_^2 - 1", ("Y_",)).with_vars(ctxp.tvars)
         assert ctxp.sign_mpoly(val) == 0
+
+
+def _root_of(text):
+    """The root of a linear polynomial in t over the empty rational context."""
+    return ThomEncoding(TriangularContext(QRING), "t", parse_poly(text, ("t",)), (0, 1))
+
+
+def test_linear_sign_distinguishes_roots_with_equal_hashes():
+    # hash(-1) == hash(-2), so these two polynomials hash alike
+    e1, e2 = _root_of("t - 1"), _root_of("t - 2")
+    e2 = ThomEncoding(e1.context, e2.var, e2.poly, e2.signs)
+    assert _linear_sign_at(e1, QQ(3, 2)) == -1
+    assert _linear_sign_at(e2, QQ(3, 2)) == 1
+    q = rational_between(e1, e2)
+    assert 1 < q < 2
+
+
+def test_dedupe_points_keeps_points_with_equal_hashes():
+    def rur(text):
+        f = parse_poly(text, ("T",))
+        one = MPoly.const(QRING, ("T",), 1)
+        return RealUnivRep(TriangularContext(QRING), "T", f, (0, 1),
+                           (one, MPoly.var(QRING, ("T",), "T")), ("x",))
+
+    pts = [rur("T - 1"), rur("T - 2")]
+    assert len(dedupe_points(pts, semantic=False)) == 2
+    assert len(dedupe_points(pts)) == 2
+    assert len(dedupe_points([rur("T - 1"), rur("T - 1")], semantic=False)) == 1
+
+
+def test_coordinate_cache_hits_on_equal_fresh_point():
+    u = mk_rational_rur([QQ(7, 3), 5])
+    enc = coordinate_encoding_cached(u, 1)
+    size = len(points._COORD_CACHE)
+    again = coordinate_encoding_cached(mk_rational_rur([QQ(7, 3), 5]), 1)
+    assert again is enc
+    assert len(points._COORD_CACHE) == size
+
+
+def test_bounded_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(points, "CACHE_BOUND", 2)
+    cache = BoundedCache()
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a") == 1
+    cache.put("c", 3)
+    assert len(cache) == 2
+    assert cache.get("b") is None
+    assert (cache.get("a"), cache.get("c")) == (1, 3)

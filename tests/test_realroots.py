@@ -168,3 +168,12 @@ def test_guard_value_stability():
     fg = [parse_poly("X", X) + MPoly.const(QRING, X, guard)]
     rows_g = sign_determination(pg, fg, "X")
     assert rows_sym == rows_g
+
+
+def test_prefix_is_the_ancestor():
+    root = TriangularContext(QRING)
+    ctx1 = root.extend("X", P("X^2 - 2"), (0, 1, 1))
+    ctx2 = ctx1.extend("Y", parse_poly("Y^2 - X", ("X", "Y")), (0, 1, 1))
+    assert ctx2.prefix(1) is ctx1
+    assert ctx2.prefix(0) is root
+    assert ctx2.prefix(2) is ctx2

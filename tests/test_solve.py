@@ -1,3 +1,5 @@
+import pytest
+
 from dcroadmap.infring import QQ, InfElem, eps
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
@@ -85,3 +87,12 @@ def test_three_vars_zero_dim():
               parse_poly("z", v)]
     sols = solve_system(system, v)
     assert len(sols) == 2  # (+-1, 0, 0)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("(x - 1)*(x - 2)", 2),
+    ("(x - 1)*(x - 2)*(x - 3)", 3),
+])
+def test_distinct_rational_roots_are_kept(text, count):
+    # hash(-1) == hash(-2): the roots must not be merged by a hash key
+    assert len(solve_system([parse_poly(text, ("x",))], ("x",))) == count
