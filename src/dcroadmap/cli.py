@@ -9,12 +9,11 @@ import sys
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import MPoly, PolyParseError, QRING, parse_poly_file
+from .mpoly import PolyParseError, QRING, parse_poly_file
 from .points import RealUnivRep, rur_sign, sample_components
 from .realroots import TriangularContext
 from .roadmap import (
     connectivity,
-    graph_to_json,
     graph_to_json_str,
     roadmap_bounded,
     roadmap_general,

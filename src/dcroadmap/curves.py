@@ -4,7 +4,7 @@ endpoints through a transient innermost infinitesimal, and limits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import functools
@@ -15,8 +15,6 @@ from .mpoly import ERING, QRING, MPoly, merge_vars, resultant, subst_rational
 from .points import (
     BoundedCache,
     RealUnivRep,
-    _ext_context_for,
-    _linear_sign_at,
     dedupe_points,
     limit_point,
     max_symbol_index,
@@ -28,14 +26,12 @@ from .points import (
 from .realroots import (
     ThomEncoding,
     TriangularContext,
-    _from_upoly,
-    _to_upoly,
     compare_roots,
     signs_at_encodings,
     thom_encodings,
-    utrim,
 )
-from .solve import DEFAULT_BUDGET, _groebner_shape, reduce_mod_f, solve_system
+from .solve import DEFAULT_BUDGET, solve_system, split_branches
+from .symbridge import UNIT, shape_basis
 
 
 @dataclass(eq=False)
@@ -80,8 +76,6 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
     if len(xvars) > 3:
         raise ResourceBudgetError(
             f"curve extraction with {len(xvars) - 1} fiber variables exceeds the supported range")
-    from .solve import split_branches
-
     pieces = []
     point_sets = []
     for qsize in range(len(Q) + 1):
@@ -182,99 +176,34 @@ def _parametrize_fiber(V, context, xvars, budget, seed):
         must_vanish = [p for p in V if not (p == f)]
         return fu.with_vars(merge_vars(fu.vars, variables)), coords, uvar, must_vanish
     # two fiber variables: separating form over the parameter field
-    func_ctx = _parameter_context(context, x, ring)
     for c in (1, 2, 3, 5, 7, 11, 13, 17):
-        shape = _shape_over_parameter(V, fibers, func_ctx, context, x, uvar, c, budget)
+        shape = _shape_over_parameter(V, fibers, context, x, uvar, c)
         if shape == "empty":
             return None
         if shape is not None:
-            f, coords, uv = shape
-            return f, coords, uv, list(V)
+            f, coords = shape
+            return f, coords, uvar, list(V)
     raise SeparationError("no separating form for the fiber parametrization")
 
 
-def _parameter_context(context, x, ring):
-    return (context, x, ring)
-
-
-def _shape_over_parameter(V, fibers, func_ctx, context, x, uvar, c, budget):
-    """Groebner shape basis over QQ(eta..., x)."""
-    import sympy
-
-    context_, xv, ring = func_ctx
-    exprs = []
-    par_names = set()
-    from .solve import _to_sympy
-
-    for p in V:
-        e, _ = _to_sympy(p)
-        exprs.append(e)
-        for s in e.free_symbols:
-            if str(s) not in fibers:
-                par_names.add(str(s))
-    for _v, lp, _s in context.levels:
-        e, _ = _to_sympy(lp)
-        exprs.append(e)
-        for s in e.free_symbols:
-            if str(s) not in fibers:
-                par_names.add(str(s))
-    u = sympy.Symbol(uvar)
-    lin = u - sympy.Symbol(fibers[0]) - c * sympy.Symbol(fibers[1])
-    exprs.append(lin)
-    gens = [sympy.Symbol(v) for v in fibers] + [u]
-    try:
-        dom = sympy.QQ.frac_field(*[sympy.Symbol(n) for n in sorted(par_names)]) if par_names else sympy.QQ
-        gb = sympy.groebner(exprs, *gens, order="grevlex", domain=dom)
-        if 1 in gb:
-            return "empty"
-        if not gb.is_zero_dimensional:
-            return None
-        gb = gb.fglm("lex")
-    except Exception:
+def _shape_over_parameter(V, fibers, context, x, uvar, c):
+    """Shape parametrization for the separating form uvar = y + c*z of the
+    two fiber variables (y, z), over the field of the parameter x, the
+    context variables and the infinitesimals: the eliminant f(x, uvar) and
+    the coordinate functions (denominator, one numerator per fiber
+    variable).  Returns "empty" for the unit ideal and None when the basis
+    is not in shape position."""
+    ring = V[0].ring
+    gens = tuple(fibers) + (uvar,)
+    y, z, u = (MPoly.var(ring, gens, v) for v in gens)
+    polys = list(V) + [lp for _v, lp, _s in context.levels] + [u - y - z.scale(QQ(c))]
+    shape = shape_basis(polys, gens, uvar)
+    if shape == UNIT:
+        return "empty"
+    if shape is None or len(shape[1]) < len(fibers):
         return None
-    basis = [sympy.together(g.as_expr()) for g in gb.exprs]
+    f, rels = shape
     variables = merge_vars(context.tvars, (x, uvar))
-
-    def back(expr, extra=()):
-        expr = sympy.fraction(sympy.together(expr))[0]
-        target = merge_vars(variables, extra)
-        fvars = sorted(str(s) for s in expr.free_symbols)
-        eta = [v for v in fvars if v not in target]
-        from .solve import _from_sympy, _from_sympy_with_eta
-
-        if ring is ERING:
-            return _from_sympy_with_eta(sympy.expand(expr), target, eta)
-        if eta:
-            return None
-        return _from_sympy(sympy.expand(expr), target, ring, {})
-
-    f = None
-    for g in basis:
-        supp = {str(s) for s in g.free_symbols} & (set(fibers) | {uvar})
-        if supp <= {uvar}:
-            cand = back(g)
-            if cand is not None and cand.degree(uvar) > 0:
-                if f is None or cand.degree(uvar) < f.degree(uvar):
-                    f = cand
-    if f is None:
-        return None
-    rels = {}
-    for v in fibers:
-        got = None
-        for g in basis:
-            supp = {str(s) for s in g.free_symbols} & (set(fibers) | {uvar})
-            if v in supp and supp <= {v, uvar}:
-                import sympy as _s
-
-                pv = _s.Poly(g, _s.Symbol(v))
-                if pv.degree() == 1:
-                    cand = back(g, (v,))
-                    if cand is not None and cand.degree(v) == 1:
-                        got = cand
-                        break
-        if got is None:
-            return None
-        rels[v] = got
     denom = MPoly.const(ring, variables, 1)
     nums = []
     for v in fibers:
@@ -291,7 +220,7 @@ def _shape_over_parameter(V, fibers, func_ctx, context, x, uvar, c, budget):
             if j != i:
                 num = num * nums[j][0]
         coords.append(num)
-    return f, tuple(coords), uvar
+    return f.with_vars(variables), tuple(coords)
 
 
 def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,

@@ -9,19 +9,17 @@ from itertools import combinations
 
 from .critloci import GoodRankMatrix, charts, crit_minor_system, crit_system, sweep_poly
 from .errors import ResourceBudgetError, SeparationError
-from .infring import InfElem, gamma as gamma_sym
-from .mpoly import ERING, QRING, MPoly, subst_rational
+from .mpoly import ERING, MPoly, subst_rational
 from .optimsub import PseudoCriticalRequest, closest_pairs, closest_point, pseudo_critical_values
 from .points import (
     RealUnivRep,
-    coordinate_encoding_cached,
     dedupe_points,
     project_rur,
     rur_from_raw,
     rur_sign,
     sample_components,
 )
-from .realroots import TriangularContext, compare_roots
+from .realroots import TriangularContext
 from .solve import DEFAULT_BUDGET, solve_system
 
 

@@ -10,48 +10,8 @@ row-sum bound, which is rigorous."""
 from __future__ import annotations
 
 from .errors import ResourceBudgetError
-from .infring import QQ, InfElem
-from .mpoly import ERING, QRING, MPoly
-
-_ETA_PREFIX = "@eta_"
-
-
-def flatten_eta(p):
-    """ERING MPoly -> QRING MPoly with eta symbols as extra variables."""
-    if p.ring is QRING:
-        return p, ()
-    idxs = set()
-    for c in p.terms.values():
-        idxs |= c.support_indices()
-    idxs = tuple(sorted(idxs))
-    names = tuple(f"{_ETA_PREFIX}{i}" for i in idxs)
-    variables = tuple(p.vars) + names
-    out = {}
-    for m, c in p.terms.items():
-        for em, q in c.terms.items():
-            d = dict(em)
-            key = tuple(m) + tuple(d.get(i, 0) for i in idxs)
-            out[key] = out.get(key, QQ(0)) + q
-    return MPoly(QRING, variables, out), idxs
-
-
-def unflatten_eta(p, keep_vars):
-    """QRING MPoly with @eta_ variables -> ERING MPoly over keep_vars."""
-    eta_pos = {}
-    for i, v in enumerate(p.vars):
-        if v.startswith(_ETA_PREFIX):
-            eta_pos[i] = int(v[len(_ETA_PREFIX):])
-    keep_idx = [i for i, v in enumerate(p.vars) if i not in eta_pos]
-    keep_names = [p.vars[i] for i in keep_idx]
-    out = {}
-    for m, c in p.terms.items():
-        em = tuple(sorted((eta_pos[i], e) for i, e in enumerate(m) if e and i in eta_pos))
-        key = tuple(m[i] for i in keep_idx)
-        cur = out.get(key)
-        add = InfElem({em: c})
-        out[key] = add if cur is None else cur + add
-    res = MPoly(ERING, tuple(keep_names), out)
-    return res.with_vars(tuple(keep_vars)) if set(res.used_vars()) <= set(keep_vars) else res
+from .infring import QQ
+from .mpoly import QRING, MPoly, flatten_eta, unflatten_eta
 
 
 def _det_bareiss_qq(mat):
@@ -92,18 +52,16 @@ def sylvester_resultant_interp(p, q, var, budget_nodes=400000):
     (exact).  Inputs may be over either coefficient ring."""
     p, q = MPoly.align(p, q)
     ring = p.ring
-    pf, _ = flatten_eta(p)
-    qf, _ = flatten_eta(q)
-    pf, qf = MPoly.align(pf, qf)
+    (pf, qf), idxs = flatten_eta([p, q])
     dp, dq = pf.degree(var), qf.degree(var)
     if dp == 0 and dq == 0:
         raise ValueError("both polynomials constant in the variable")
     if pf.is_zero() or qf.is_zero():
         return MPoly.zero(ring, p.vars)
     if dp == 0:
-        return _unflatten_if(pf ** dq, ring, p.vars)
+        return unflatten_eta(pf ** dq, ring, idxs)
     if dq == 0:
-        return _unflatten_if(qf ** dp, ring, p.vars)
+        return unflatten_eta(qf ** dp, ring, idxs)
     others = [v for v in pf.vars
               if v != var and (pf.degree(v) > 0 or qf.degree(v) > 0)]
     bounds = {}
@@ -177,8 +135,7 @@ def sylvester_resultant_interp(p, q, var, budget_nodes=400000):
             for (w, e) in key:
                 exps[pf.vars.index(w)] = e
             out_terms[tuple(exps)] = c
-    flat = MPoly(QRING, pf.vars, out_terms)
-    return _unflatten_if(flat, ring, p.vars)
+    return unflatten_eta(MPoly(QRING, pf.vars, out_terms), ring, idxs)
 
 
 def _newton_scalar(xs, ys):
@@ -211,21 +168,13 @@ def _tree_to_dict(tree, prefix):
     return d
 
 
-def _unflatten_if(flat, ring, keep_vars):
-    if ring is QRING:
-        return flat.with_vars(keep_vars) if set(flat.used_vars()) <= set(keep_vars) else flat
-    return unflatten_eta(flat, keep_vars)
-
-
 def subresultant1_interp(p, q, var, budget_nodes=400000):
     """The index-1 signed subresultant S_1 = A*var + B of p and q, computed
     as two interpolated determinant polynomials.  S_1 lies in the ideal
     (p, q); when it is nonzero and linear it pins var rationally."""
     p, q = MPoly.align(p, q)
     ring = p.ring
-    pf, _ = flatten_eta(p)
-    qf, _ = flatten_eta(q)
-    pf, qf = MPoly.align(pf, qf)
+    (pf, qf), idxs = flatten_eta([p, q])
     m, n = pf.degree(var), qf.degree(var)
     if m < 2 or n < 2:
         raise ValueError("index-1 subresultant needs degrees >= 2")
@@ -307,7 +256,7 @@ def subresultant1_interp(p, q, var, budget_nodes=400000):
                     exps[pf.vars.index(w)] = e
                 terms[tuple(exps)] = c
         out_pair.append(MPoly(QRING, pf.vars, terms))
-    A = _unflatten_if(out_pair[0], ring, p.vars)
-    B = _unflatten_if(out_pair[1], ring, p.vars)
+    A = unflatten_eta(out_pair[0], ring, idxs)
+    B = unflatten_eta(out_pair[1], ring, idxs)
     xv = MPoly.var(ring, p.vars, var)
     return A * xv + B

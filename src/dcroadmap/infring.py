@@ -272,9 +272,6 @@ class InfElem:
                 best = m
         return best
 
-    def leading_coeff(self):
-        return self.terms[self.leading_support()]
-
     def sign(self):
         """Sign in the ordered field R<eta>: the sign of the coefficient of
         the largest monomial (0 for the zero element)."""
@@ -440,12 +437,7 @@ class InfElem:
         return s
 
 
-_NAME_REGISTRY = {}
-
-
 def _index_name(idx):
-    if idx in _NAME_REGISTRY:
-        return _NAME_REGISTRY[idx]
     if idx >= 1:
         level = (idx - 1) // 4 + 1
         rank = (idx - 1) % 4 + 1
@@ -453,10 +445,6 @@ def _index_name(idx):
             if r == rank:
                 return f"{_KIND_LETTER[kind]}{level}"
     return f"inf{idx}"
-
-
-def register_symbol_name(symbol):
-    _NAME_REGISTRY[symbol.global_index] = symbol.name
 
 
 @functools.cmp_to_key

@@ -49,14 +49,6 @@ class QRing:
     def from_rational(q):
         return QQ(q)
 
-    @staticmethod
-    def to_rational(a):
-        return a
-
-    @staticmethod
-    def is_rational(a):
-        return True
-
 
 class ERing:
     """Polynomials in the infinitesimal tower."""
@@ -93,14 +85,6 @@ class ERing:
     def from_rational(q):
         return InfElem.const(q)
 
-    @staticmethod
-    def to_rational(a):
-        return a.rational_value()
-
-    @staticmethod
-    def is_rational(a):
-        return a.is_rational()
-
 
 QRING = QRing()
 ERING = ERing()
@@ -109,6 +93,46 @@ ERING = ERing()
 def merge_vars(*seqs):
     """Ordered union of variable sequences (first occurrence wins)."""
     return tuple(dict.fromkeys(v for seq in seqs for v in seq))
+
+
+ETA_PREFIX = "@eta_"
+
+
+def flatten_eta(polys):
+    """QRING images of MPolys of either ring over one variable tuple: their
+    merged variables, then one variable "@eta_i" per infinitesimal index i
+    they use (a name parse_poly never produces).  Returns (flat polys,
+    indices), the indices in the order of their variables."""
+    variables = merge_vars(*(p.vars for p in polys))
+    idxs = sorted({i for p in polys if p.ring is ERING
+                   for c in p.terms.values() for i in c.support_indices()})
+    if not idxs:
+        return [p.with_vars(variables).to_qring() for p in polys], ()
+    flat_vars = variables + tuple(f"{ETA_PREFIX}{i}" for i in idxs)
+    out = []
+    for p in polys:
+        p = p.with_vars(variables).to_ering()
+        terms = {}
+        for m, c in p.terms.items():
+            for em, q in c.terms.items():
+                d = dict(em)
+                terms[m + tuple(d.get(i, 0) for i in idxs)] = q
+        out.append(MPoly(QRING, flat_vars, terms))
+    return out, tuple(idxs)
+
+
+def unflatten_eta(p, ring, idxs):
+    """Inverse of flatten_eta: the last len(idxs) variables of the QRING
+    MPoly p stand, by position, for the infinitesimals idxs.  Returns an
+    MPoly of ring over the other variables."""
+    if ring is QRING:
+        return p
+    n = len(p.vars) - len(idxs)
+    coeffs = {}
+    for m, c in p.terms.items():
+        em = tuple((i, e) for i, e in zip(idxs, m[n:]) if e)
+        coeffs.setdefault(m[:n], {})[em] = c
+    return MPoly(ERING, p.vars[:n], {m: InfElem(t) for m, t in coeffs.items()})
 
 
 class MPoly:
@@ -464,13 +488,6 @@ class JacobianSelector:
             raise ValueError("|J| must equal |J'|")
         self.rows = rows
         self.cols = cols
-
-
-def jacobian_matrix(G, system, variables):
-    """Matrix whose column 0 is grad G and column j is grad P_j, rows indexed
-    by the given variable names."""
-    cols = [G] + list(system)
-    return [[cols[j].deriv(v) for j in range(len(cols))] for v in variables]
 
 
 def determinant(mat):

@@ -4,13 +4,13 @@ via first-order systems for the squared-distance objective."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .critloci import GoodRankMatrix, crit_minor_system
 from .errors import ResourceBudgetError, SeparationError
-from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor, merge_vars
+from .infring import InfElem, extra_symbol
+from .mpoly import ERING, QRING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
     _collapse_last_level,
@@ -21,7 +21,7 @@ from .points import (
     rur_sign,
     sample_components,
 )
-from .realroots import ThomEncoding, TriangularContext, compare_roots, thom_encodings
+from .realroots import TriangularContext, compare_roots, thom_encodings
 from .solve import DEFAULT_BUDGET, eliminate_to, solve_system
 
 

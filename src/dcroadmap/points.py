@@ -7,20 +7,19 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .errors import ResourceBudgetError
+from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, MPoly, subst_rational
+from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor, resultant, subst_rational
 from .realroots import (
     ThomEncoding,
     TriangularContext,
     _from_upoly,
     _to_upoly,
     compare_roots,
-    sign_conditions,
     thom_encodings,
     utrim,
 )
-from .solve import DEFAULT_BUDGET, RawSolution, solve_system
+from .solve import DEFAULT_BUDGET, RawSolution, solve_system, split_branches
 
 
 @dataclass(eq=False)
@@ -40,9 +39,6 @@ class RealUnivRep:
     @property
     def k(self):
         return len(self.F) - 1
-
-    def root_encoding(self):
-        return ThomEncoding(self.base, self.uvar, self.f, self.sigma)
 
     def extended_context(self):
         return self.base.extend(self.uvar, self.f, self.sigma)
@@ -161,16 +157,6 @@ def rational_between(lo_enc, hi_enc, lo_bound=None, hi_bound=None):
             hi = mid
             continue
         return mid
-
-
-def _root_bound_rational(enc: ThomEncoding) -> QQ:
-    """A rational M with |root| < M, found by doubling and exact sign tests."""
-    m = QQ(1)
-    for _ in range(4096):
-        if _linear_sign_at(enc, m) < 0 and _linear_sign_at(enc, -m) > 0:
-            return m
-        m = m * 2
-    raise ResourceBudgetError("root bound search diverged (unbounded root?)")
 
 
 def separators_for(cands):
@@ -499,14 +485,11 @@ def _sample_structured(system, context, xvars, budget, seed):
     extrema of every coordinate, which satisfy the augmented critical
     system, so the union of its solutions meets every component; returns
     None when the shape does not apply."""
-    from .mpoly import JacobianSelector, jac_minor
-    from .solve import split_branches
-
-    from .errors import ResourceBudgetError as _RBE, SeparationError as _SE
-
     if len(xvars) == 2 and len(system) == 1:
         out = []
-        for factor in {f for br in split_branches(system, budget) for f in br}:
+        # in branch order, so the points come out in the same order in every
+        # process (set order would follow the variable names' string hashes)
+        for factor in dict.fromkeys(f for br in split_branches(system, budget) for f in br):
             for v in xvars:
                 d = factor.deriv(v)
                 if d.is_zero():
@@ -514,7 +497,7 @@ def _sample_structured(system, context, xvars, budget, seed):
                 try:
                     sols = solve_system([factor, d], xvars, context=context,
                                         budget=budget, seed=seed)
-                except (_RBE, _SE, ArithmeticError, ValueError):
+                except (ResourceBudgetError, SeparationError, ArithmeticError, ValueError):
                     return None
                 out.extend(rur_from_raw(s) for s in sols)
         return dedupe_points(out)
@@ -532,7 +515,7 @@ def _sample_structured(system, context, xvars, budget, seed):
                 try:
                     sols = solve_system(list(br) + [minor], xvars, context=context,
                                         budget=budget, seed=seed)
-                except (_RBE, _SE, ArithmeticError, ValueError):
+                except (ResourceBudgetError, SeparationError, ArithmeticError, ValueError):
                     continue
                 out.extend(rur_from_raw(s) for s in sols)
                 done = True
@@ -619,8 +602,6 @@ def dedupe_points(points, semantic=True):
 def rur_coordinate_encoding(u: RealUnivRep, i: int, yvar="Y_"):
     """The i-th coordinate (1-based) of u as a Thom encoding of a univariate
     polynomial over u.base (eliminating the RUR root)."""
-    from .mpoly import resultant
-
     ctx = u.base
     ring = u.f.ring
     variables = tuple(dict.fromkeys(list(u.f.vars) + [yvar]))

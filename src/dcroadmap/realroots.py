@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import EmptyEncodingError
 from .infring import QQ, InfElem
-from .mpoly import ERING, QRING, MPoly
+from .mpoly import ERING, QRING, MPoly, _exact_poly_div
+from .symbridge import gcd
 
 # ---------------------------------------------------------------------------
 # coefficient-operation bundles
@@ -44,55 +45,17 @@ class ScalarOps:
     def mul(self, a, b):
         return self.ring.mul(a, b)
 
+    def scale(self, a, q):
+        return self.ring.mul(a, self.ring.from_rational(q))
+
+    def exact_div(self, a, b):
+        return self.ring.exact_div(a, b)
+
     def from_int(self, n):
         return self.ring.from_rational(QQ(n))
 
     def ctx_sign(self, c):
         return self.ring.sign(c)
-
-    def content_strip(self, coeffs):
-        """Divide out a positive common factor (rational gcd and, for the
-        infinitesimal ring, the common eta-monomial, which is positive)."""
-        ring = self.ring
-        if ring is QRING:
-            nums = [c for c in coeffs if c != 0]
-            if not nums:
-                return coeffs
-            g = 0
-            lc = 1
-            for c in nums:
-                g = math.gcd(g, abs(int(c.numerator)))
-                lc = lc * int(c.denominator) // math.gcd(lc, int(c.denominator))
-            if g == 0:
-                return coeffs
-            factor = QQ(lc, g)
-            return [c * factor for c in coeffs]
-        if ring is ERING:
-            nz = [c for c in coeffs if not c.is_zero()]
-            if not nz:
-                return coeffs
-            mono = None
-            g = 0
-            lc = 1
-            for c in nz:
-                m = dict(c.monomial_content())
-                if mono is None:
-                    mono = m
-                else:
-                    mono = {i: min(e, m.get(i, 0)) for i, e in mono.items() if m.get(i, 0)}
-                for q in c.terms.values():
-                    g = math.gcd(g, abs(int(q.numerator)))
-                    lc = lc * int(q.denominator) // math.gcd(lc, int(q.denominator))
-            mono = tuple(sorted((i, e) for i, e in (mono or {}).items() if e))
-            factor = InfElem.const(QQ(lc, g if g else 1))
-            out = []
-            for c in coeffs:
-                if c.is_zero():
-                    out.append(c)
-                else:
-                    out.append(c.div_monomial(mono) * factor)
-            return _strip_infelem_poly_content(out)
-        return coeffs
 
 
 class PolyOps:
@@ -121,233 +84,57 @@ class PolyOps:
     def mul(self, a, b):
         return a * b
 
+    def scale(self, a, q):
+        return a.scale(q)
+
+    def exact_div(self, a, b):
+        return _exact_poly_div(a, b)
+
     def from_int(self, n):
         return MPoly.const(self.ring, self.context.tvars, QQ(n))
 
     def ctx_sign(self, c):
         return self.context.sign_mpoly(c)
 
-    def content_strip(self, coeffs):
-        ring = self.ring
-        g = 0
-        lc = 1
-        for p in coeffs:
-            for c in p.terms.values():
-                if ring is QRING:
-                    qs = [c]
-                else:
-                    qs = list(c.terms.values())
-                for q in qs:
-                    g = math.gcd(g, abs(int(q.numerator)))
-                    lc = lc * int(q.denominator) // math.gcd(lc, int(q.denominator))
-        if g == 0:
-            return coeffs
-        factor = QQ(lc, g)
-        out = [p.scale(factor) for p in coeffs]
-        return self._poly_gcd_strip(out)
 
-    def _poly_gcd_strip(self, coeffs):
-        """Common MPoly factor of all coefficients, sign-corrected at the
-        context point; engaged only when the chain elements are growing."""
-        nz = [p for p in coeffs if not p.is_zero()]
-        if len(nz) < 1:
-            return coeffs
-        size = sum(len(p.terms) for p in nz)
-        if size < 60:
-            return coeffs
-        used = set()
-        for p in nz:
-            used |= p.used_vars()
-        if len(used) == 1 and self.ring is QRING:
-            return self._uni_gcd_strip(coeffs, next(iter(used)))
-        try:
-            from .solve import _to_sympy
-            import sympy
-
-            g_expr = None
-            for p in nz:
-                e, _ = _to_sympy(p)
-                g_expr = e if g_expr is None else sympy.gcd(g_expr, e)
-                if g_expr == 1:
-                    return coeffs
-            variables = nz[0].vars
-            eta = [str(s) for s in g_expr.free_symbols if str(s) not in variables]
-            if self.ring is ERING:
-                from .solve import _from_sympy_with_eta
-
-                g = _from_sympy_with_eta(g_expr, variables, eta)
-            else:
-                if eta:
-                    return coeffs
-                from .solve import _from_sympy
-
-                g = _from_sympy(g_expr, variables, self.ring, {})
-            if g.is_const():
-                return coeffs
-            sg = self.ctx_sign(g)
-            if sg == 0:
-                return coeffs
-            if sg < 0:
-                g = -g
-            from .mpoly import _exact_poly_div
-
-            return [p if p.is_zero() else _exact_poly_div(p, g) for p in coeffs]
-        except Exception:
-            return coeffs
-
-    def _uni_gcd_strip(self, coeffs, var):
-        """Fast path: every coefficient univariate in one variable over QQ."""
-        def dense(p):
-            d = p.degree(var)
-            out = [QQ(0)] * (d + 1)
-            for m, c in p.terms.items():
-                out[m[p.vars.index(var)]] += c
-            return out
-
-        nz = [p for p in coeffs if not p.is_zero()]
-        g = dense(nz[0])
-        for p in nz[1:]:
-            g = _uni_gcd_qq(g, dense(p))
-            if len(g) == 1:
-                return coeffs
-        if len(g) == 1:
-            return coeffs
-        variables = self.context.tvars
-        gp = MPoly(QRING, variables,
-                   {tuple(e if w == var else 0 for w in variables): c
-                    for e, c in enumerate(g) if c != 0})
-        sg = self.ctx_sign(gp)
-        if sg == 0:
-            return coeffs
-        if sg < 0:
-            g = [-c for c in g]
-
-        def ddiv(num, den):
-            num = list(num)
-            q = [QQ(0)] * (len(num) - len(den) + 1)
-            lc = den[-1]
-            for i in range(len(num) - 1, len(den) - 2, -1):
-                cq = num[i] / lc
-                q[i - len(den) + 1] = cq
-                if cq != 0:
-                    for j in range(len(den)):
-                        num[i - len(den) + 1 + j] -= cq * den[j]
-            return q
-
-        out = []
-        for p in coeffs:
-            if p.is_zero():
-                out.append(p)
-                continue
-            dn = dense(p)
-            qd = ddiv(dn, g)
-            out.append(MPoly(QRING, variables,
-                             {tuple(e if w == var else 0 for w in variables): c
-                              for e, c in enumerate(qd) if c != 0}))
-        return out
+# MPoly coefficients take a gcd only from this many terms on, where chains
+# start to grow; below it their rational content alone is stripped.
+STRIP_MIN_TERMS = 60
 
 
-def _strip_infelem_poly_content(coeffs):
-    """Divide a chain element's InfElem coefficients by their common
-    polynomial factor in the infinitesimals, corrected to be positive in the
-    ordered ring so all sign-variation counts are unchanged.
-
-    Single-symbol supports use a fast univariate gcd; anything larger (and
-    large enough to matter) goes through sympy."""
-    nz = [c for c in coeffs if not c.is_zero()]
-    support = set()
-    for c in nz:
-        support |= c.support_indices()
-    if not support:
+def content_strip(ops, coeffs):
+    """Divide the coefficients of a chain element by a common factor that is
+    positive at the context point, so every sign count is kept: first their
+    rational content, then their gcd from the sympy bridge (which takes in
+    a common eta-monomial), made positive with ops.ctx_sign.  Rational
+    coefficients have only the content; MPoly coefficients take the gcd
+    only from STRIP_MIN_TERMS terms on."""
+    nz = [c for c in coeffs if not ops.is_lit_zero(c)]
+    if not nz:
         return coeffs
-    if len(support) == 1:
-        idx = next(iter(support))
-        dense = []
-        for c in nz:
-            d = c.degree_in(idx)
-            dense.append([c.coeff_of(idx, e).rational_value() for e in range(d + 1)])
-        g = dense[0]
-        for nxt in dense[1:]:
-            g = _uni_gcd_qq(g, nxt)
-            if len(g) == 1:
-                return coeffs
-        gel = InfElem({((idx, e),) if e else (): q for e, q in enumerate(g) if q != 0})
-        if gel.sign() < 0:
-            gel = -gel
-        if gel == InfElem.const(1):
-            return coeffs
-        return [c if c.is_zero() else c.exact_div(gel) for c in coeffs]
-    size = sum(len(c.terms) for c in nz)
-    if size < 60:
+    scalar = not isinstance(nz[0], MPoly)
+    polys = [MPoly.const(ops.ring, (), c) for c in nz] if scalar else nz
+    num, den = 0, 1
+    for p in polys:
+        for c in p.terms.values():
+            for q in (c.terms.values() if p.ring is ERING else (c,)):
+                num = math.gcd(num, int(q.numerator))
+                den = den * int(q.denominator) // math.gcd(den, int(q.denominator))
+    factor = QQ(den, num)
+    coeffs = [c if ops.is_lit_zero(c) else ops.scale(c, factor) for c in coeffs]
+    if (scalar and ops.ring is QRING) or (not scalar and sum(len(p.terms) for p in nz) < STRIP_MIN_TERMS):
         return coeffs
-    try:
-        import sympy
-
-        from .fastres import _ETA_PREFIX  # noqa: F401  (naming convention shared)
-
-        exprs = []
-        syms = {}
-
-        def sym(i):
-            if i not in syms:
-                syms[i] = sympy.Symbol(f"@g{i}")
-            return syms[i]
-
-        for c in nz:
-            e = sympy.Integer(0)
-            for m, q in c.terms.items():
-                t = sympy.Rational(int(q.numerator), int(q.denominator))
-                for i, ex in m:
-                    t *= sym(i) ** ex
-                e += t
-            exprs.append(e)
-        g = exprs[0]
-        for e in exprs[1:]:
-            g = sympy.gcd(g, e)
-            if g == 1:
-                return coeffs
-        gp = sympy.Poly(g, *sorted(syms.values(), key=str))
-        gel = InfElem()
-        names = {str(s): i for i, s in syms.items()}
-        gens = [str(x) for x in gp.gens]
-        for mono, coeff in gp.terms():
-            em = tuple(sorted((names[nm], e) for nm, e in zip(gens, mono) if e))
-            r = sympy.Rational(coeff)
-            gel = gel + InfElem({em: QQ(int(r.p), int(r.q))})
-        if gel.is_zero() or gel == InfElem.const(1):
-            return coeffs
-        if gel.sign() < 0:
-            gel = -gel
-        return [c if c.is_zero() else c.exact_div(gel) for c in coeffs]
-    except Exception:
+    g = gcd(polys)
+    if g is None:
         return coeffs
-
-
-def _uni_gcd_qq(a, b):
-    """Monic gcd of dense rational coefficient lists (sympy-backed: modular
-    and heuristic gcds avoid the rational-Euclid coefficient blowup)."""
-    from sympy.polys.domains import QQ as SQQ
-    from sympy.polys.euclidtools import dup_inner_gcd
-
-    def trim(v):
-        v = [SQQ.convert(int(x.numerator)) / SQQ.convert(int(x.denominator)) for x in v]
-        while v and not v[-1]:
-            v.pop()
-        return list(reversed(v))  # sympy dup format: highest degree first
-
-    da = trim([QQ(x) for x in a])
-    db = trim([QQ(x) for x in b])
-    if not da:
-        g = db
-    elif not db:
-        g = da
-    else:
-        g, _cfa, _cfb = dup_inner_gcd(da, db, SQQ)
-    if not g:
-        return [QQ(1)]
-    lc = g[0]
-    out = [QQ(int((c / lc).numerator), int((c / lc).denominator)) for c in reversed(g)]
-    return out
+    if scalar:
+        g = g.const_value()
+    sg = ops.ctx_sign(g)
+    if sg == 0:
+        return coeffs
+    if sg < 0:
+        g = ops.neg(g)
+    return [c if ops.is_lit_zero(c) else ops.exact_div(c, g) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +184,6 @@ def umul(ops, a, b):
     return utrim_literal(out)
 
 
-def uscale(ops, a, c):
-    return [ops.mul(x, c) for x in a]
-
-
 def _pos_prem(ops, A, B):
     """R = positive_constant * rem(A, B) computed with pseudo-divisions whose
     accumulated multiplier lc(B)^e has e even, so R is a positive multiple of
@@ -437,7 +220,7 @@ def sturm_chain(ops, P, Q):
             break
         R = _pos_prem(ops, A, B)
         R = [ops.neg(c) for c in R]
-        R = ops.content_strip(R)
+        R = content_strip(ops, R)
         R = utrim(ops, R)
         if uis_zero(ops, R):
             break
@@ -487,7 +270,7 @@ def pos_reduce(ops, A, P):
     if len(A) < len(P):
         return A
     r = _pos_prem(ops, A, P)
-    r = ops.content_strip(r)
+    r = content_strip(ops, r)
     return utrim(ops, r)
 
 
@@ -787,10 +570,6 @@ class TriangularContext:
     def nlevels(self):
         return len(self.levels)
 
-    def thom_of_level(self, i):
-        var, poly, signs = self.levels[i]
-        return ThomEncoding(self.prefix(i), var, poly, signs)
-
     def ops(self):
         """Coefficient ops for univariate work over this context."""
         if self.nlevels == 0:
@@ -821,13 +600,6 @@ class TriangularContext:
             s = self._level_solver().query(pv)
         self._sign_cache[key] = s
         return s
-
-    def is_zero_mpoly(self, p):
-        return self.sign_mpoly(p) == 0
-
-    def sign_inf(self, e):
-        """Sign of an InfElem / rational constant in the base ring."""
-        return self.ring.sign(e)
 
     def _level_solver(self):
         if self._solver is None:

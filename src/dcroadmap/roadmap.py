@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .curves import CurvePiece, CurveSegmentRep, curve_segments, limit_curve
+from .curves import CurveSegmentRep, curve_segments, limit_curve
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol, log_signs, zeta
 from .mpoly import ERING, QRING, MPoly, merge_vars
@@ -15,10 +15,8 @@ from .points import (
     coordinate_encoding_cached,
     dedupe_points,
     flatten_rur,
-    max_symbol_index,
     rur_from_raw,
     rur_sign,
-    sample_components,
 )
 from .realroots import TriangularContext, compare_roots
 from .solve import DEFAULT_BUDGET, solve_system

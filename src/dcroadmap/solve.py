@@ -1,34 +1,42 @@
 """Internal exact solver: finite solution sets of polynomial systems over a
 triangular context, reported as verified univariate-representation data.
 
-Pipeline per system: factor-split (sympy-backed) -> separating linear form ->
-iterated resultant cascade keeping one coordinate at a time -> squarefree
-eliminant -> Thom-encoded candidate roots -> linear coordinate relations from
-subresultant chains -> exact membership verification of every candidate.
-Verification makes the cascade heuristics harmless: only true solutions are
+Pipeline per system:
+- split into branches by the irreducible factors of every polynomial;
+- pick a separating linear form U = x_1 + c*x_2 + c^2*x_3 + ...;
+- take the eliminant in U and one relation linear in each coordinate from
+  a lex Groebner shape basis of the system with its context levels, or,
+  when that is out of budget or fails, from an iterated resultant cascade
+  keeping one coordinate at a time and subresultant chains;
+- make the eliminant squarefree at the context point and Thom-encode its
+  real roots;
+- verify every candidate point exactly.
+Verification makes the heuristics harmless: only true solutions are
 returned.  Completeness holds for zero-dimensional systems because resultants
-vanish on every projection of a common zero.
+vanish on every projection of a common zero.  Factoring, gcds and Groebner
+bases go through the sympy bridge, symbridge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from .errors import ResourceBudgetError, SeparationError
-from .infring import QQ, InfElem
-from .mpoly import ERING, QRING, MPoly, resultant, subresultant_prs, subst_rational
+from .infring import QQ
+from .mpoly import QRING, MPoly, _exact_poly_div, resultant, subresultant_prs, subst_rational
 from .realroots import (
     TriangularContext,
     _from_upoly,
+    _mpoly_key,
     _to_upoly,
+    content_strip,
     signs_at_encodings,
     sturm_chain,
     thom_encodings,
     uderiv,
     utrim,
 )
+from .symbridge import UNIT, factor, gcd, shape_basis
 
 
 @dataclass
@@ -67,58 +75,7 @@ class RawSolution:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge (factorization only)
-
-
-def _eta_name(idx):
-    from .infring import _index_name
-
-    return _index_name(idx)
-
-
-def _to_sympy(p):
-    syms = {}
-
-    def sym(name):
-        if name not in syms:
-            syms[name] = sympy.Symbol(name)
-        return syms[name]
-
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        if p.ring is QRING:
-            base = sympy.Rational(int(c.numerator), int(c.denominator))
-            extra = sympy.Integer(1)
-        else:
-            extra = sympy.Integer(0)
-            for em, q in c.terms.items():
-                t = sympy.Rational(int(q.numerator), int(q.denominator))
-                for idx, e in em:
-                    t *= sym(_eta_name(idx)) ** e
-                extra += t
-            base = sympy.Integer(1)
-        mono = sympy.Integer(1)
-        for i, e in enumerate(m):
-            if e:
-                mono *= sym(p.vars[i]) ** e
-        expr += base * extra * mono
-    return expr, syms
-
-
-def _from_sympy(expr, variables, ring, eta_names):
-    poly = sympy.Poly(sympy.expand(expr), *[sympy.Symbol(v) for v in variables] or [sympy.Symbol("_d")])
-    out = {}
-    gens = [str(g) for g in poly.gens]
-    for mono, coeff in poly.terms():
-        exps = [0] * len(variables)
-        cf = QQ(int(sympy.Rational(coeff).p), int(sympy.Rational(coeff).q))
-        for g, e in zip(gens, mono):
-            if e:
-                exps[variables.index(g)] = e
-        key = tuple(exps)
-        c = cf if ring is QRING else InfElem.const(cf)
-        out[key] = ring.add(out.get(key, ring.zero), c)
-    return MPoly(ring, variables, out)
+# factoring (through the sympy bridge)
 
 
 def factor_mpoly(p, budget=DEFAULT_BUDGET):
@@ -127,58 +84,7 @@ def factor_mpoly(p, budget=DEFAULT_BUDGET):
     to [(p, 1)] when over budget."""
     if len(p.terms) > 400 or p.total_degree() > 80:
         return [(p, 1)]
-    expr, syms = _to_sympy(p)
-    try:
-        _const, factors = sympy.factor_list(expr)
-    except Exception:
-        return [(p, 1)]
-    if not factors:
-        return []
-    eta_names = {}
-    out = []
-    for f, mult in factors:
-        fvars = sorted(str(s) for s in f.free_symbols)
-        target_vars = list(p.vars)
-        eta_in_f = [v for v in fvars if v not in target_vars]
-        if p.ring is ERING:
-            mp = _from_sympy_with_eta(f, p.vars, eta_in_f)
-        else:
-            if eta_in_f:
-                return [(p, 1)]
-            mp = _from_sympy(f, p.vars, p.ring, eta_names)
-        out.append((mp, int(mult)))
-    return out
-
-
-def _eta_index_by_name(name):
-    from .infring import _KIND_LETTER, _KIND_RANK
-
-    letter_to_kind = {v: k for k, v in _KIND_LETTER.items()}
-    if name[0] in letter_to_kind and name[1:].isdigit():
-        level = int(name[1:])
-        if level >= 1:
-            return 4 * (level - 1) + _KIND_RANK[letter_to_kind[name[0]]]
-        if name[0] == "e" and level == 0:
-            return 0
-    if name.startswith("inf") and name[3:].isdigit():
-        return int(name[3:])
-    raise KeyError(name)
-
-
-def _from_sympy_with_eta(f, variables, eta_in_f):
-    poly = sympy.Poly(sympy.expand(f), *[sympy.Symbol(v) for v in list(variables) + eta_in_f])
-    out = {}
-    for mono, coeff in poly.terms():
-        exps = list(mono[: len(variables)])
-        eta_part = mono[len(variables):]
-        cf = QQ(int(sympy.Rational(coeff).p), int(sympy.Rational(coeff).q))
-        em = tuple(
-            sorted((_eta_index_by_name(nm), e) for nm, e in zip(eta_in_f, eta_part) if e)
-        )
-        c = InfElem({em: cf})
-        key = tuple(exps)
-        out[key] = out.get(key, InfElem()) + c
-    return MPoly(ERING, variables, out)
+    return factor(p)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +124,6 @@ def split_branches(system, budget=DEFAULT_BUDGET):
 
 
 def _fingerprint(p):
-    from .realroots import _mpoly_key
-
     used = tuple(sorted(p.used_vars()))
     return (used, _mpoly_key(p.with_vars(used) if used else p))
 
@@ -233,7 +137,7 @@ def _sqfree_in_var(p, var):
     d = p.deriv(var)
     if d.is_zero():
         return p
-    g = _poly_gcd(p, d, var)
+    g = gcd([p, d])
     if g is None or g.degree(var) == 0:
         return p
     q = _exact_div_or_none(p, g)
@@ -283,7 +187,7 @@ def _pair_eliminate(polys, var, budget, what, route=0):
         r = resultant(base, q, var)
         budget.check_degree(r.total_degree(), what)
         if r.is_zero():
-            g = _poly_gcd(base, q, var)
+            g = gcd([base, q])
             if g is not None and g.degree(var) > 0:
                 raise _CommonFactor(g, base, q)
         out.append(r)
@@ -295,29 +199,6 @@ class _CommonFactor(Exception):
         self.gcd = gcd
         self.a = a
         self.b = b
-
-
-def _poly_gcd(a, b, var):
-    """gcd of a and b (sympy-backed for primitivity; PRS fallback)."""
-    try:
-        ea, _ = _to_sympy(a)
-        eb, _ = _to_sympy(b)
-        g = sympy.gcd(ea, eb)
-        if g == 1:
-            return None
-        variables = tuple(dict.fromkeys(list(a.vars) + list(b.vars)))
-        eta = [str(s) for s in g.free_symbols if str(s) not in variables]
-        if a.ring is ERING:
-            return _from_sympy_with_eta(g, variables, eta)
-        if eta:
-            return None
-        return _from_sympy(g, variables, a.ring, {})
-    except Exception:
-        prs = subresultant_prs(a, b, var)
-        for g in reversed(prs):
-            if not g.is_zero():
-                return g
-        return None
 
 
 def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate", route=0):
@@ -351,8 +232,6 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate", r
 
 
 def _exact_div_or_none(a, b):
-    from .mpoly import _exact_poly_div
-
     try:
         return _exact_poly_div(a, b)
     except Exception:
@@ -390,7 +269,7 @@ def squarefree_upoly(ops, A):
         r[i] = ops.zero
     if steps % 2 == 1:
         q = [ops.mul(lc, x) for x in q]
-    q = ops.content_strip(q)
+    q = content_strip(ops, q)
     return utrim(ops, q)
 
 
@@ -534,123 +413,32 @@ def _linear_form(ring, variables, active, c, uvar):
 
 
 def _groebner_shape(full, active, context, uvar, budget):
-    """Lex Groebner shape extraction: the eliminant in uvar and, per active
-    variable, a relation linear in it over uvar.  Returns (eliminant,
-    {var: [relation]}), "empty" for the unit ideal, or None when the basis
-    is not in shape position / out of budget."""
-    import sympy
-
+    """Lex Groebner shape of the system and its context levels: the
+    eliminant in uvar and, per active variable, a relation linear in it over
+    uvar.  Returns (eliminant, {var: [relation]}), "empty" for the unit
+    ideal, or None when out of budget or without an eliminant."""
     nterms = sum(len(p.terms) for p in full)
     if nterms > 4000 or len(active) + context.nlevels > 9:
         return None
-    gens_names = list(active) + list(context.tvars) + [uvar]
-    exprs = []
-    eta_names = set()
-    for p in full:
-        e, _ = _to_sympy(p)
-        exprs.append(e)
-        for s in e.free_symbols:
-            if str(s) not in gens_names:
-                eta_names.add(str(s))
-    for _v, lp, _s in context.levels:
-        e, _ = _to_sympy(lp)
-        exprs.append(e)
-        for s in e.free_symbols:
-            if str(s) not in gens_names:
-                eta_names.add(str(s))
-    gens = [sympy.Symbol(n) for n in gens_names]
-    dom = None
-    if eta_names:
-        dom = sympy.QQ.frac_field(*[sympy.Symbol(n) for n in sorted(eta_names)])
-
-    def run(extra):
-        try:
-            kw = {"order": "grevlex"}
-            if dom is not None:
-                kw["domain"] = dom
-            gb = sympy.groebner(exprs + extra, *gens, **kw)
-            if 1 in gb or sympy.Integer(1) in list(gb.exprs):
-                return ["__unit__"]
-            if not gb.is_zero_dimensional:
-                return None
-            try:
-                gb = gb.fglm("lex")
-            except Exception:
-                kw["order"] = "lex"
-                gb = sympy.groebner(exprs + extra, *gens, **kw)
-        except Exception:
-            return None
-        return [sympy.together(g.as_expr() if hasattr(g, "as_expr") else g) for g in gb.exprs]
-
-    ring = context.ring
-
-    def back(expr, variables):
-        expr = sympy.fraction(sympy.together(expr))[0]
-        fvars = sorted(str(s) for s in expr.free_symbols)
-        eta = [v for v in fvars if v not in variables]
-        if ring is ERING:
-            return _from_sympy_with_eta(sympy.expand(expr), variables, eta)
-        if eta:
-            return None
-        return _from_sympy(sympy.expand(expr), variables, ring, {})
-
-    def extract(basis):
-        if any(g == 1 or g == -1 or (isinstance(g, str) and g == "__unit__") for g in basis):
-            return "empty"
-        f = None
-        f_expr = None
-        for g in basis:
-            support = {str(s) for s in g.free_symbols} & set(gens_names)
-            if support <= {uvar}:
-                cand = back(g, tuple(context.tvars) + (uvar,))
-                if cand is not None and cand.degree(uvar) > 0:
-                    if f is None or cand.degree(uvar) < f.degree(uvar):
-                        f = cand
-                        f_expr = g
-        if f is None:
-            return None
-        relations = {}
-        for v in active:
-            best = None
-            for g in basis:
-                support = {str(s) for s in g.free_symbols} & set(gens_names)
-                if v in support and support <= {v, uvar}:
-                    p = sympy.Poly(g, sympy.Symbol(v))
-                    if p.degree() == 1:
-                        cand = back(g, tuple(context.tvars) + (uvar, v))
-                        if cand is not None and cand.degree(v) == 1:
-                            best = cand
-                            break
-            if best is None:
-                return ("noshape", f_expr)
-            relations[v] = [best]
-        return f, relations
-
-    basis = run([])
-    if basis is None:
+    polys = list(full) + [lp for _v, lp, _s in context.levels]
+    gens = tuple(active) + tuple(context.tvars) + (uvar,)
+    shape = shape_basis(polys, gens, uvar)
+    if shape is None:
         return None
-    got = extract(basis)
-    if got == "empty" or (got is not None and not isinstance(got[0], str)):
-        return got
-    if got is None:
-        return None
-    # not in shape position: radicalize once through the squarefree
-    # univariate eliminant, then retry; a remaining failure means the
-    # separating form candidate must be rejected (fast retry with next c)
-    _tag, f_expr = got
-    uv = sympy.Symbol(uvar)
-    try:
-        pf = sympy.Poly(sympy.fraction(sympy.together(f_expr))[0], uv)
-        g = pf.gcd(pf.diff(uv))
-        fsq = pf.quo(g)
-        basis2 = run([fsq.as_expr()])
-    except Exception:
-        basis2 = None
-    if basis2 is not None:
-        got2 = extract(basis2)
-        if got2 == "empty" or (got2 is not None and not isinstance(got2[0], str)):
-            return got2
-    raise ArithmeticError("lex basis not in shape position (separating form rejected)")
+    if shape != UNIT and any(v not in shape[1] for v in active):
+        # not in shape position: radicalize once through the squarefree
+        # eliminant, then retry; a remaining failure means the separating
+        # form candidate must be rejected (fast retry with next c)
+        f = shape[0]
+        g = gcd([f, f.deriv(uvar)])
+        shape = shape_basis(polys + [f if g is None else _exact_poly_div(f, g)], gens, uvar)
+        if shape is None or (shape != UNIT and any(v not in shape[1] for v in active)):
+            raise ArithmeticError("lex basis not in shape position (separating form rejected)")
+    if shape == UNIT:
+        return "empty"
+    f, relations = shape
+    fvars = tuple(context.tvars) + (uvar,)
+    return f.with_vars(fvars), {v: [relations[v].with_vars(fvars + (v,))] for v in active}
 
 
 def _solve_branch_with_form(system, active, xvars, context, budget, c, uvar, route=0):
@@ -822,8 +610,6 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
     Sound for any input (everything is verified); needed when extraneous
     cascade branches prevent linear coordinate relations (e.g. coordinates
     constant on the true solutions but not on the junk)."""
-    from .realroots import thom_encodings as _thom
-
     ops = context.ops()
     gs = {}
     for v in active:
@@ -835,7 +621,7 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
             raise ArithmeticError(f"no bivariate eliminant for {v}")
         gs[v] = min(cands, key=lambda p: (p.degree(v), p.total_degree()))
     f_loc = f.with_vars(tuple(context.tvars) + (uvar,))
-    encs = _thom(f_loc, uvar, context)
+    encs = thom_encodings(f_loc, uvar, context)
     out = []
     ctx_tvars = set(context.tvars)
     for enc in encs:
@@ -849,7 +635,7 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
             for tw in stack:
                 gal = gv.with_vars(tuple(dict.fromkeys(list(tw.tvars) + [v])))
                 try:
-                    cands = _thom(gal, v, tw)
+                    cands = thom_encodings(gal, v, tw)
                 except Exception:
                     continue
                 for ce in cands:

@@ -7,9 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .divide import DivideInput, DivideOutput, divide, _fiber_var, _subst_block
-from .errors import ResourceBudgetError
 from .mpoly import MPoly
-from .points import RealUnivRep, coordinate_encoding_cached, dedupe_points, project_rur
+from .points import RealUnivRep, coordinate_encoding_cached, dedupe_points
 from .realroots import TriangularContext, compare_roots
 from .solve import DEFAULT_BUDGET
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dcroadmap.infring import QQ, InfElem, eps, zeta
@@ -267,3 +271,23 @@ def test_bounded_cache_evicts_least_recently_used(monkeypatch):
     assert len(cache) == 2
     assert cache.get("b") is None
     assert (cache.get("a"), cache.get("c")) == (1, 3)
+
+
+def test_sampled_point_order_is_independent_of_the_hash_seed():
+    # the factors of a product are sampled in branch order; a set of them
+    # would follow the string hashes of the variable names
+    script = (
+        "from dcroadmap.mpoly import parse_poly\n"
+        "from dcroadmap.points import sample_components\n"
+        "p = parse_poly('(x^2 + y^2 - 1)*((x - 3)^2 + y^2 - 1)', ('x', 'y'))\n"
+        "for u in sample_components([p], xvars=('x', 'y')):\n"
+        "    print(u.f, u.sigma, u.F)\n")
+    src = os.path.dirname(os.path.dirname(points.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]

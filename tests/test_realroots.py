@@ -3,11 +3,15 @@ import random
 import pytest
 
 from dcroadmap.errors import EmptyEncodingError
-from dcroadmap.infring import InfElem, eps
+from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import (
+    STRIP_MIN_TERMS,
+    PolyOps,
+    ScalarOps,
     TriangularContext,
     compare_roots,
+    content_strip,
     sign_determination,
     signs_at_encodings,
     tarski_query_mpoly,
@@ -157,8 +161,6 @@ def test_infelem_coefficient_tarski():
 
 def test_guard_value_stability():
     # specializing eps := 10^-40 must reproduce sign vectors for generic data
-    from dcroadmap.infring import QQ
-
     e1 = InfElem.sym(eps(1))
     p = MPoly(ERING, X, {(3,): InfElem.const(1), (1,): -(InfElem.const(1) + e1), (0,): e1})
     fam = [MPoly(ERING, X, {(1,): InfElem.const(1), (0,): e1})]
@@ -177,3 +179,43 @@ def test_prefix_is_the_ancestor():
     assert ctx2.prefix(1) is ctx1
     assert ctx2.prefix(0) is root
     assert ctx2.prefix(2) is ctx2
+
+
+def _positive_multiple(got, want):
+    """The rational r > 0 with got == r * want (InfElems or MPolys)."""
+    m, c = next(iter(want.terms.items()))
+    r = got.terms[m] / c
+    assert r > 0
+    assert got == want * (InfElem.const(r) if isinstance(want, InfElem) else r)
+    return r
+
+
+def test_content_strip_infelem_two_symbol_factor():
+    z1, e1 = InfElem.sym(zeta(1)), InfElem.sym(eps(1))
+    one = InfElem.const(1)
+    g = z1 + e1  # positive, in both symbols
+    cofactors = [one + e1, z1 - InfElem.const(2), InfElem.const(3) * e1 * e1 - z1, InfElem()]
+    coeffs = [InfElem.const(QQ(5, 7)) * g * h for h in cofactors]
+    ops = ScalarOps(ERING)
+    out = content_strip(ops, coeffs)
+    ratios = {_positive_multiple(o, h) for o, h in zip(out, cofactors) if not h.is_zero()}
+    assert len(ratios) == 1
+    assert out[-1].is_zero()
+    assert [ops.ctx_sign(o) for o in out] == [ops.ctx_sign(c) for c in coeffs]
+
+
+def test_content_strip_mpoly_factor_negative_at_the_point():
+    # coefficients over the context T = sqrt 2 with the common factor T - 5,
+    # which is negative there: the strip divides by 5 - T instead
+    t = ("T",)
+    ctx = TriangularContext(QRING).extend("T", parse_poly("T^2 - 2", t), (0, 1, 1))
+    g = parse_poly("T - 5", t)
+    cofactors = [parse_poly(" + ".join(f"{(k * j) % 7 + 1}*T^{j}" for j in range(13)) + f" - {k}", t)
+                 for k in range(1, 6)]
+    coeffs = [(g * h).scale(QQ(3, 2)) for h in cofactors]
+    assert sum(len(c.terms) for c in coeffs) >= STRIP_MIN_TERMS
+    ops = PolyOps(ctx)
+    out = content_strip(ops, coeffs)
+    ratios = {_positive_multiple(o, -h) for o, h in zip(out, cofactors)}
+    assert len(ratios) == 1
+    assert [ops.ctx_sign(o) for o in out] == [ops.ctx_sign(c) for c in coeffs]

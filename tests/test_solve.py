@@ -1,9 +1,9 @@
 import pytest
 
-from dcroadmap.infring import QQ, InfElem, eps
+from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
-from dcroadmap.solve import solve_system
+from dcroadmap.solve import factor_mpoly, solve_system
 
 XY = ("x", "y")
 
@@ -96,3 +96,18 @@ def test_three_vars_zero_dim():
 def test_distinct_rational_roots_are_kept(text, count):
     # hash(-1) == hash(-2): the roots must not be merged by a hash key
     assert len(solve_system([parse_poly(text, ("x",))], ("x",))) == count
+
+
+@pytest.mark.parametrize("name, symbol", [("z1", zeta(1)), ("e1", eps(1))])
+def test_variable_named_like_an_infinitesimal(name, symbol):
+    # X^2 - eta^2 with X a variable that shares the infinitesimal's tower
+    # name: the two must stay distinct through factoring and solving
+    v = (name, "y")
+    x = MPoly.var(ERING, v, name)
+    eta = InfElem.sym(symbol)
+    p = x * x - MPoly.const(ERING, v, eta * eta)
+    factors = factor_mpoly(p)
+    assert len(factors) == 2
+    assert all(f.degree(name) == 1 and m == 1 for f, m in factors)
+    sols = solve_system([p, MPoly.var(ERING, v, "y")], v, context=TriangularContext(ERING))
+    assert len(sols) == 2

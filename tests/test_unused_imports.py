@@ -1,0 +1,27 @@
+"""Every module-level import in src/dcroadmap is used by its module, so the
+imports show the real dependencies between modules.  (No pyflakes here.)"""
+
+import ast
+import pathlib
+
+import dcroadmap.mpoly
+
+PACKAGE = pathlib.Path(dcroadmap.mpoly.__file__).parent
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_module_level_imports():
+    found = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unused_imports(path)]
+    assert found == []
