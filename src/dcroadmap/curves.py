@@ -11,7 +11,7 @@ import functools
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, MPoly, merge_vars, resultant, subst_rational
+from .mpoly import ERING, QRING, MPoly, fresh_var, merge_vars, resultant, subst_rational
 from .points import (
     BoundedCache,
     RealUnivRep,
@@ -330,7 +330,8 @@ def _fiber_points(V, signs_family, enc, context, xvars, budget, seed):
     full coordinates)."""
     x = xvars[0]
     rest = xvars[1:]
-    tname = f"Tx_{enc.var}_{abs(hash(enc.signs)) % 997}"
+    tname = fresh_var("Tx", set(context.tvars).union(xvars, enc.poly.vars,
+                                                       *(p.vars for p in list(V) + list(signs_family))))
     lvl = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (tname,), tname)})
     ctx_x = context.extend(tname, lvl, enc.signs)
     sub = {x: MPoly.var(V[0].ring, (tname,), tname)}
@@ -454,7 +455,8 @@ def _endpoint_limit(seg, enc, direction, context, budget):
                  max_symbol_index(list(seg.coords)), max_symbol_index(enc.poly), 0) + 1
     mu = extra_symbol(f"inf{mu_idx}", mu_idx)
     x = seg.param_var
-    tname = f"Te_{abs(hash(enc.signs)) % 9973}_{abs(hash(enc.poly)) % 9973}"
+    tname = fresh_var("Te", set(context.tvars).union(seg.xvars, (seg.uvar,), seg.f.vars,
+                                                    enc.poly.vars, *(g.vars for g in seg.coords)))
     ring = ERING
     lvl = enc.poly.to_ering().subst({enc.var: MPoly.var(ERING, (tname,), tname)}) \
         if enc.poly.ring is QRING else enc.poly.subst({enc.var: MPoly.var(ERING, (tname,), tname)})

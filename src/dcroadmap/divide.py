@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .critloci import GoodRankMatrix, charts, crit_minor_system, crit_system, sweep_poly
 from .errors import ResourceBudgetError, SeparationError
-from .mpoly import ERING, MPoly, subst_rational
+from .mpoly import ERING, MPoly, fresh_var, subst_rational
 from .optimsub import PseudoCriticalRequest, closest_pairs, closest_point, pseudo_critical_values
 from .points import (
     RealUnivRep,
@@ -131,7 +131,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
     # Step 4: samples of the G = c slices for c in D0
     M0 = []
     for enc in D0:
-        zname = _fresh_name("Zc", inp)
+        zname = fresh_var("Zc", set(inp.base.tvars) | set(inp.xvars))
         lvl_poly = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (zname,), zname)})
         ctx_c = e_base.extend(zname, lvl_poly, enc.signs)
         zval = MPoly.var(ERING, (zname,), zname)
@@ -239,14 +239,6 @@ def _points_equal_proj(a, b):
         return points_equal(a, b)
     except (ValueError, ArithmeticError):
         return False
-
-
-def _fresh_name(basename, inp):
-    used = set(inp.base.tvars) | set(inp.xvars)
-    i = 0
-    while f"{basename}{i}" in used:
-        i += 1
-    return f"{basename}{i}"
 
 
 def _subst_block(poly, block, w):

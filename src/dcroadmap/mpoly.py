@@ -95,6 +95,14 @@ def merge_vars(*seqs):
     return tuple(dict.fromkeys(v for seq in seqs for v in seq))
 
 
+def fresh_var(base, used):
+    """The first of base0, base1, ... that is not in used."""
+    i = 0
+    while f"{base}{i}" in used:
+        i += 1
+    return f"{base}{i}"
+
+
 ETA_PREFIX = "@eta_"
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor, resultant, subst_rational
+from .mpoly import ERING, QRING, JacobianSelector, MPoly, fresh_var, jac_minor, resultant, subst_rational
 from .realroots import (
     ThomEncoding,
     TriangularContext,
@@ -130,11 +130,9 @@ def _ext_context_for(enc: ThomEncoding):
 
 
 def _linear_sign_at(enc: ThomEncoding, q) -> int:
-    """Sign of (root - q) for rational q."""
-    ctxp = _ext_context_for(enc)
-    ring = enc.poly.ring
-    lin = MPoly.var(ring, ctxp.tvars, enc.var) - MPoly.const(ring, ctxp.tvars, QQ(q))
-    return ctxp.sign_mpoly(lin)
+    """Sign of (root - q) for rational q, from the Sturm chain of the
+    encoding's polynomial."""
+    return _ext_context_for(enc).level_solver().sign_against(QQ(q))
 
 
 def rational_between(lo_enc, hi_enc, lo_bound=None, hi_bound=None):
@@ -344,7 +342,7 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
     ctx = u.base
     var_t, f_t, signs_t = ctx.levels[-1]
     parent = ctx.prefix(ctx.nlevels - 1)
-    wvar = _fresh(u, "W")
+    wvar = fresh_var("W", set(u.base.tvars) | {u.uvar} | set(u.f.vars))
     pair_system = [f_t, u.f]
     sols = solve_system(pair_system, (var_t, u.uvar), context=parent, uvar=wvar)
     matches = []
@@ -401,14 +399,6 @@ def _coord_matches_encoding(cand, coord_index, poly, var, signs, parent, extra_v
             return False
         cur = cur.deriv(var)
     return True
-
-
-def _fresh(u, base):
-    used = set(u.base.tvars) | {u.uvar} | set(u.f.vars)
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +469,16 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET,
 
 
 def _sample_structured(system, context, xvars, budget, seed):
-    """Direct critical-point sampling for the structured shapes that cover
-    the golden instances: a plane curve (one polynomial, two variables) and
-    a curve given by n-1 equations in n variables.  A bounded component has
-    extrema of every coordinate, which satisfy the augmented critical
-    system, so the union of its solutions meets every component; returns
-    None when the shape does not apply."""
+    """Direct sampling for the structured shapes that cover the golden
+    instances.  One polynomial in one variable has finitely many zeros, each
+    a component, so they are solved for directly.  For a plane curve (one
+    polynomial, two variables) and a curve given by n-1 equations in n
+    variables, a bounded component has extrema of every coordinate, which
+    satisfy the augmented critical system, so the union of its solutions
+    meets every component.  Returns None when no shape applies."""
+    if len(xvars) == 1 and len(system) == 1:
+        sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)
+        return [rur_from_raw(s) for s in sols]
     if len(xvars) == 2 and len(system) == 1:
         out = []
         # in branch order, so the points come out in the same order in every

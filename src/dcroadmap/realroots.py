@@ -4,12 +4,15 @@ Tarski queries are computed from signed remainder sequences built with
 positively-scaled pseudo-remainders, so every computation stays inside the
 coefficient ring (rationals, infinitesimal polynomials, or polynomials over a
 triangular Thom encoding) and only the ring's sign operator is consulted.
-Sign determination at the roots of a polynomial uses the adaptive basis-
-growing method, never the full 3^s matrix.
+At the root fixed by a level of a triangular context, sign(root - q) for a
+rational q comes from the level's Sturm chain evaluated at q; every other
+sign comes from adaptive sign determination (the basis-growing method,
+never the full 3^s matrix).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,6 +251,13 @@ def _variations(signs):
     return v
 
 
+def _variation_drop(ops, chain):
+    """Var(-inf) - Var(+inf) of a signed remainder chain."""
+    lo = _variations([_sign_at_minus_inf(ops, c) for c in chain])
+    hi = _variations([_sign_at_plus_inf(ops, c) for c in chain])
+    return lo - hi
+
+
 def tarski_query(ops, P, Q):
     """#{x : P(x)=0, Q(x)>0} - #{x : P(x)=0, Q(x)<0}, roots counted once."""
     P = utrim(ops, P)
@@ -256,10 +266,15 @@ def tarski_query(ops, P, Q):
     if len(P) == 1:
         return 0
     G = umul(ops, uderiv(ops, P), utrim(ops, Q))
-    chain = sturm_chain(ops, P, G)
-    lo = _variations([_sign_at_minus_inf(ops, c) for c in chain])
-    hi = _variations([_sign_at_plus_inf(ops, c) for c in chain])
-    return lo - hi
+    return _variation_drop(ops, sturm_chain(ops, P, G))
+
+
+def _sign_at_rational(ops, cs, q):
+    """Sign of the univariate polynomial cs at the rational q (Horner)."""
+    v = cs[-1]
+    for c in reversed(cs[:-1]):
+        v = ops.add(ops.scale(v, q), c)
+    return ops.ctx_sign(v)
 
 
 def pos_reduce(ops, A, P):
@@ -341,14 +356,16 @@ class SignDetermination:
 
     After `push`-ing polynomials, `conditions` holds one realized sign vector
     per subset of roots (counts attached); pushing Der(P) makes every
-    condition correspond to exactly one root."""
+    condition correspond to exactly one root.  `chain` is the Sturm chain
+    of (P, P') that counts the roots (empty when P is a constant)."""
 
     def __init__(self, ops, P):
         self.ops = ops
         self.P = utrim(ops, P)
         if uis_zero(ops, self.P):
             raise ValueError("sign determination over the zero polynomial")
-        self.nroots = tarski_query(ops, self.P, [ops.one])
+        self.chain = sturm_chain(ops, self.P, uderiv(ops, self.P)) if len(self.P) > 1 else []
+        self.nroots = _variation_drop(ops, self.chain) if self.chain else 0
         self.conds = [()] if self.nroots else []
         self.counts = [self.nroots] if self.nroots else []
         self.exps = [()]
@@ -470,7 +487,7 @@ def sign_conditions(ops, P, family):
         thom = (0,) + cond[:nder]
         fam = cond[nder:]
         rows.append((thom, fam))
-    rows.sort(key=_thom_sort_key(nder + 1))
+    rows.sort(key=functools.cmp_to_key(lambda a, b: _thom_compare(a[0], b[0])))
     return rows
 
 
@@ -488,15 +505,6 @@ def _thom_compare(sa, sb):
     if (sa[jmax] < sb[jmax]) == (s > 0):
         return -1
     return 1
-
-
-def _thom_sort_key(width):
-    import functools
-
-    def cmp(a, b):
-        return _thom_compare(a[0], b[0])
-
-    return functools.cmp_to_key(cmp)
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +605,12 @@ class TriangularContext:
         if pv.degree(var) == 0:
             s = parent.sign_mpoly(_forget_var(pv, var, parent))
         else:
-            s = self._level_solver().query(pv)
+            s = self.level_solver().query(pv)
         self._sign_cache[key] = s
         return s
 
-    def _level_solver(self):
+    def level_solver(self):
+        """Sign oracle at the root the last level fixes."""
         if self._solver is None:
             self._solver = _LevelSolver(self)
         return self._solver
@@ -651,6 +660,7 @@ class _LevelSolver:
         while len(d) > 1:
             d = utrim(self.ops, uderiv(self.ops, d))
             ders.append(d)
+        self.ders = ders
         self.nder = len(ders)
         for q in ders:
             self.sd.push(q)
@@ -664,6 +674,10 @@ class _LevelSolver:
                 break
         if self.row is None:
             raise EmptyEncodingError(f"no real root matches Thom signs {signs}")
+        # Thom signs of the root, and how many real roots of F lie below it
+        self.thom = (0,) + self.sd.conds[self.row]
+        self.rank = sum(1 for cond in self.sd.conds if _thom_compare((0,) + cond, self.thom) < 0)
+        self.var_minus_inf = _variations([_sign_at_minus_inf(self.ops, c) for c in self.sd.chain])
 
     def query(self, p):
         """Sign of MPoly p (involving the level variable) at the level root."""
@@ -675,6 +689,18 @@ class _LevelSolver:
         if len(matched) != 1:
             raise ArithmeticError("level sign query did not isolate the root")
         return matched[0]
+
+    def sign_against(self, q):
+        """Sign of (root - q) for a rational q.  By Sturm's theorem F has
+        Var(-inf) - Var(q) roots below q when F(q) != 0; when q is a root
+        of F, Thom's lemma orders the two roots by their derivative signs."""
+        ops = self.ops
+        signs = [_sign_at_rational(ops, c, q) for c in self.sd.chain]
+        if signs[0] != 0:
+            below = self.var_minus_inf - _variations(signs)
+            return 1 if self.rank >= below else -1
+        thom_q = (0,) + tuple(_sign_at_rational(ops, d, q) for d in self.ders)
+        return _thom_compare(self.thom, thom_q)
 
 
 def _to_upoly(p, var, parent_context):

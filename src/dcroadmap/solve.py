@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import QRING, MPoly, _exact_poly_div, resultant, subresultant_prs, subst_rational
+from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subresultant_prs, subst_rational
 from .realroots import (
     TriangularContext,
     _from_upoly,
@@ -298,21 +298,11 @@ def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uva
     system = [p for p in system if set(p.used_vars()) & set(xvars)]
     if not system:
         raise ValueError("system does not constrain the variables")
-    uvar = uvar or _fresh_var("U", system, context)
+    uvar = uvar or fresh_var("U", set(context.tvars).union(*(p.vars for p in system)))
     out = []
     for branch in split_branches(system, budget):
         out.extend(_solve_branch(branch, xvars, context, budget, seed, uvar))
     return _dedupe_solutions(out, context)
-
-
-def _fresh_var(base, system, context):
-    used = set(context.tvars)
-    for p in system:
-        used |= set(p.vars)
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
 
 
 def _dedupe_solutions(sols, context):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from dcroadmap import curves
 from dcroadmap.infring import QQ
 from dcroadmap.mpoly import MPoly, QRING, parse_poly
 from dcroadmap.points import rur_sign, sample_components
@@ -129,3 +134,24 @@ def test_roadmap_json_roundtrip_deterministic():
     s2 = graph_to_json_str(g2)
     assert s1 == s2
     assert load_components_from_json(s1) == 1
+
+
+def test_endpoint_level_name_is_independent_of_the_hash_seed():
+    # the tower variable of a segment endpoint is named from the variables
+    # in use, not from a polynomial's hash, which follows PYTHONHASHSEED
+    script = (
+        "from dcroadmap.curves import curve_segments\n"
+        "from dcroadmap.mpoly import QRING, parse_poly\n"
+        "from dcroadmap.realroots import TriangularContext\n"
+        "p = parse_poly('x^2 + y^2 - 1', ('x', 'y'))\n"
+        "for seg in curve_segments([p], [], TriangularContext(QRING), ('x', 'y')).segments:\n"
+        "    print(seg.lo_point.base.tvars, seg.hi_point.base.tvars)\n")
+    src = os.path.dirname(os.path.dirname(curves.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
@@ -291,3 +293,90 @@ def test_sampled_point_order_is_independent_of_the_hash_seed():
                               text=True, timeout=600, check=True)
         outs.append(done.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_sample_components_univariate_is_solved_directly():
+    # one polynomial in one variable: its zeros are the components
+    for text, count in (("x^2 - 1", 2), ("x^3 - 2*x", 3), ("(x - 1)^2*(x + 3)", 2)):
+        p = parse_poly(text, ("x",))
+        pts = sample_components([p], xvars=("x",))
+        assert len(pts) == count
+        assert all(rur_sign(u, p) == 0 for u in pts)
+
+
+# sign(root - q) from the level's Sturm chain against the general query
+
+
+def _reference_sign(enc, q):
+    """sign(root - q) through sign determination on a separate context."""
+    ctx = enc.context.extend(enc.var, enc.poly, enc.signs)
+    ring = enc.poly.ring
+    lin = MPoly.var(ring, ctx.tvars, enc.var) - MPoly.const(ring, ctx.tvars, QQ(q))
+    return ctx.sign_mpoly(lin)
+
+
+def _check_linear_signs(encs, qs):
+    for enc in encs:
+        for q in qs:
+            assert _linear_sign_at(enc, q) == _reference_sign(enc, q), (enc, q)
+
+
+QS = [QQ(q) for q in (-3, -2, -1, QQ(-1, 2), 0, QQ(1, 1000), QQ(1, 3), 1, QQ(6, 5), QQ(3, 2), 2, 3)]
+
+
+def test_linear_sign_at_rational_roots_of_squarefree_cubic():
+    encs = thom_encodings(parse_poly("X^3 - X", X), "X")
+    _check_linear_signs(encs, QS)
+    for enc, root in zip(encs, (-1, 0, 1)):
+        assert [_linear_sign_at(enc, q) for q in QS] == [(root > q) - (root < q) for q in QS]
+
+
+def test_linear_sign_at_irrational_roots_of_squarefree_cubic():
+    encs = thom_encodings(parse_poly("X^3 - 3*X + 1", X), "X")
+    assert len(encs) == 3
+    _check_linear_signs(encs, QS)
+
+
+def test_linear_sign_at_double_root():
+    encs = thom_encodings(parse_poly("(X - 1)^2*(X + 2)", X), "X")
+    _check_linear_signs(encs, QS)
+    assert [_linear_sign_at(e, 1) for e in encs] == [-1, 0]
+    assert [_linear_sign_at(e, -2) for e in encs] == [0, 1]
+
+
+def test_linear_sign_at_infinitesimal_root():
+    z1 = InfElem.sym(zeta(1))
+    one = InfElem.const(1)
+    ctx = TriangularContext(ERING)
+    # (X - 1)(X - z1): roots z1 and 1
+    f = MPoly(ERING, X, {(2,): one, (1,): -(one + z1), (0,): z1})
+    encs = thom_encodings(f, "X", ctx)
+    _check_linear_signs(encs, QS)
+    # z1 is positive and below every positive rational
+    assert [_linear_sign_at(encs[0], q) for q in (0, QQ(1, 1000), 1)] == [1, -1, -1]
+    assert [_linear_sign_at(encs[1], q) for q in (QQ(1, 1000), 1, 2)] == [1, 0, -1]
+    g = MPoly(ERING, X, {(2,): one, (0,): -z1})
+    _check_linear_signs(thom_encodings(g, "X", ctx), QS)
+
+
+def test_linear_sign_at_second_level():
+    f1 = parse_poly("T1^2 - 2", ("T1",))
+    ctx1 = TriangularContext(QRING).extend("T1", f1, thom_encodings(f1, "T1")[1].signs)
+    tv = ("T1", "U")
+    # roots 1 and sqrt 2, then the two real fourth roots of 2
+    for text in ("(U - 1)*(U - T1)", "U^2 - T1"):
+        encs = thom_encodings(parse_poly(text, tv), "U", ctx1)
+        assert len(encs) == 2
+        _check_linear_signs(encs, QS)
+    encs = thom_encodings(parse_poly("(U - 1)*(U - T1)", tv), "U", ctx1)
+    assert [_linear_sign_at(e, 1) for e in encs] == [0, 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=5).filter(lambda cs: cs[-1] != 0),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4))
+def test_linear_sign_at_agrees_with_sign_determination(coeffs, q):
+    p = MPoly(QRING, X, {(i,): QQ(c) for i, c in enumerate(coeffs) if c})
+    encs = thom_encodings(p, "X")
+    roots_q = [QQ(q)] + [QQ(r) for r in range(-4, 5)]
+    _check_linear_signs(encs, roots_q)
