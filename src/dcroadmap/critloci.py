@@ -225,7 +225,7 @@ def charts(Ptilde, Qtilde, l, G, level, variables):
         for qsel in combinations(range(qn), qsize):
             F = list(Ptilde) + [Qtilde[i] for i in qsel]
             m = len(F)
-            Ge = G.to_ering().with_vars(variables) if G.ring is QRING else G.with_vars(variables)
+            Ge = G.to_ering().with_vars(variables)
             for r in range(0, m + 1):
                 for J in combinations(window, r):
                     for Jp in combinations(range(0, m + 1), r):

@@ -11,11 +11,12 @@ import functools
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, MPoly, fresh_var, merge_vars, resultant, subst_rational
+from .mpoly import ERING, MPoly, fresh_var, merge_vars, resultant, subst_rational
 from .points import (
     BoundedCache,
     RealUnivRep,
     dedupe_points,
+    flatten_rur,
     limit_point,
     max_symbol_index,
     rational_between,
@@ -367,8 +368,6 @@ def _fiber_points(V, signs_family, enc, context, xvars, budget, seed):
 def _with_param_coordinate(u, tname, xvars, context):
     """Prepend the (tower-fixed) parameter value as coordinate 1 and collapse
     back onto the original context."""
-    from .points import _collapse_last_level
-
     ring = u.f.ring
     variables = merge_vars(u.f.vars, (tname,))
     F = [u.F[0].with_vars(variables)]
@@ -376,9 +375,7 @@ def _with_param_coordinate(u, tname, xvars, context):
     for g in u.F[1:]:
         F.append(g.with_vars(variables))
     lifted = RealUnivRep(u.base, u.uvar, u.f, u.sigma, tuple(F), tuple(xvars))
-    while lifted.base.nlevels > context.nlevels:
-        lifted = _collapse_last_level(lifted)
-    return lifted
+    return flatten_rur(lifted, context.nlevels)
 
 
 _KIND_GEQ = "geq"
@@ -458,8 +455,7 @@ def _endpoint_limit(seg, enc, direction, context, budget):
     tname = fresh_var("Te", set(context.tvars).union(seg.xvars, (seg.uvar,), seg.f.vars,
                                                     enc.poly.vars, *(g.vars for g in seg.coords)))
     ring = ERING
-    lvl = enc.poly.to_ering().subst({enc.var: MPoly.var(ERING, (tname,), tname)}) \
-        if enc.poly.ring is QRING else enc.poly.subst({enc.var: MPoly.var(ERING, (tname,), tname)})
+    lvl = enc.poly.to_ering().subst({enc.var: MPoly.var(ERING, (tname,), tname)})
     key = (context.ring.name, context.key(), x, seg.uvar, seg.f, seg.coords,
            enc.var, enc.poly, enc.signs, direction)
     cached = _ENDPOINT_CACHE.get(key)
@@ -469,9 +465,9 @@ def _endpoint_limit(seg, enc, direction, context, budget):
         e_ctx = context.to_ering().extend(tname, lvl, enc.signs)
         shift = MPoly.const(ERING, (tname,), 0) + MPoly.var(ERING, (tname,), tname) \
             + MPoly.const(ERING, (tname,), InfElem.sym(mu) * direction)
-        f_e = seg.f.to_ering() if seg.f.ring is QRING else seg.f
+        f_e = seg.f.to_ering()
         f_shift = f_e.subst({x: shift})
-        coords_e = [g.to_ering() if g.ring is QRING else g for g in seg.coords]
+        coords_e = [g.to_ering() for g in seg.coords]
         coords_shift = [g.subst({x: shift}) if x in g.vars else g for g in coords_e]
         try:
             encs = thom_encodings(f_shift.with_vars(merge_vars(e_ctx.tvars, (seg.uvar,))),

@@ -14,6 +14,7 @@ from .optimsub import PseudoCriticalRequest, closest_pairs, closest_point, pseud
 from .points import (
     RealUnivRep,
     dedupe_points,
+    flatten_rur,
     project_rur,
     rur_from_raw,
     rur_sign,
@@ -143,7 +144,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
             pts = []
         for u in pts:
             if _bas_member(u, Qtilde):
-                M0.append(_collapse_to(u, e_base.nlevels))
+                M0.append(flatten_rur(u, e_base.nlevels))
     M0 = dedupe_points(M0)
 
     # Step 5: A~ and the fiber coordinates N
@@ -224,14 +225,6 @@ def _rur_to_ering(u, e_base):
                        u.f.to_ering(), u.sigma, tuple(g.to_ering() for g in u.F), u.xvars)
 
 
-def _collapse_to(u, nlevels):
-    from .points import _collapse_last_level
-
-    while u.base.nlevels > nlevels:
-        u = _collapse_last_level(u)
-    return u
-
-
 def _points_equal_proj(a, b):
     from .points import points_equal
 
@@ -269,8 +262,6 @@ def _lift_fiber_point(u2, w, xvars, ell, e_base):
     """A fiber point (over the w-extended context) re-expressed as a point of
     the full space over the base: the first ell coordinates come from w, the
     rest from u2, paired through the shared fiber root."""
-    from .points import _collapse_last_level
-
     ctx_w = u2.base
     tvar = ctx_w.tvars[-1] if ctx_w.nlevels > e_base.nlevels else None
     if tvar is None:
@@ -287,4 +278,4 @@ def _lift_fiber_point(u2, w, xvars, ell, e_base):
     for g in u2.F[1:]:
         F.append(w_den * g.with_vars(variables))
     lifted = RealUnivRep(ctx_w, u2.uvar, u2.f, u2.sigma, tuple(F), tuple(xvars))
-    return _collapse_to(lifted, e_base.nlevels)
+    return flatten_rur(lifted, e_base.nlevels)

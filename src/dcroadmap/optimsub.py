@@ -10,11 +10,11 @@ from itertools import combinations, product
 from .critloci import GoodRankMatrix, crit_minor_system
 from .errors import ResourceBudgetError, SeparationError
 from .infring import InfElem, extra_symbol
-from .mpoly import ERING, QRING, MPoly, merge_vars
+from .mpoly import ERING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
-    _collapse_last_level,
     dedupe_points,
+    flatten_rur,
     limit_thom,
     max_symbol_index,
     rur_from_raw,
@@ -56,7 +56,7 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
     The output may strictly contain the pseudo-critical values (harmless for
     the slice property); unbounded branches are dropped by the limit step."""
     fam = [p.to_ering() for p in req.family]
-    G = req.G.to_ering() if req.G.ring is QRING else req.G
+    G = req.G.to_ering()
     xvars = tuple(req.xvars)
     k = len(xvars)
     s = len(fam)
@@ -194,14 +194,8 @@ def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
             pts = _robust_points(system, xvars, ctx_plus, budget, seed)
             for w in pts:
                 if all(rur_sign(w, Q[i]) >= 0 for i in range(len(Q))):
-                    out.append(_collapse_levels_to(w, base.nlevels))
+                    out.append(flatten_rur(w, base.nlevels))
     return dedupe_points(out)
-
-
-def _collapse_levels_to(u: RealUnivRep, nlevels: int) -> RealUnivRep:
-    while u.base.nlevels > nlevels:
-        u = _collapse_last_level(u)
-    return u
 
 
 def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,

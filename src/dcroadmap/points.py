@@ -330,10 +330,11 @@ def _tuple_content_normalize(Fs):
     return tuple(g.map_coeffs(lambda c: c.div_monomial(mono)) for g in Fs)
 
 
-def flatten_rur(u: RealUnivRep) -> RealUnivRep:
-    """Collapse the triangular tower into a single univariate representation
-    over the empty context (iterated pairing through 2-variable sampling)."""
-    while u.base.nlevels > 0:
+def flatten_rur(u: RealUnivRep, nlevels: int = 0) -> RealUnivRep:
+    """Collapse the triangular tower until its base has `nlevels` levels
+    (by default a single univariate representation over the empty context;
+    iterated pairing through 2-variable sampling)."""
+    while u.base.nlevels > nlevels:
         u = _collapse_last_level(u)
     return u
 

@@ -4,10 +4,13 @@ Tarski queries are computed from signed remainder sequences built with
 positively-scaled pseudo-remainders, so every computation stays inside the
 coefficient ring (rationals, infinitesimal polynomials, or polynomials over a
 triangular Thom encoding) and only the ring's sign operator is consulted.
-At the root fixed by a level of a triangular context, sign(root - q) for a
-rational q comes from the level's Sturm chain evaluated at q; every other
-sign comes from adaptive sign determination (the basis-growing method,
-never the full 3^s matrix).
+Signs at the real roots of P come from sign determination (BPR ch. 10):
+Der(P) is pushed once through the basis-growing method (never the full 3^s
+matrix), which leaves one root per sign condition; from then on the signs
+of any Q at the roots are the inverse of the adapted sign matrix applied to
+Tarski queries, one matrix row per root.  At the root fixed by a level of a
+triangular context, sign(root - q) for a rational q comes from the level's
+Sturm chain evaluated at q.
 """
 
 from __future__ import annotations
@@ -293,39 +296,24 @@ def pos_reduce(ops, A, P):
 # adaptive sign determination
 
 
-def _solve_int_system(rows, rhs):
-    """Exact Gaussian elimination; rows x unknowns, entries small ints."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[QQ(x) for x in row] + [QQ(rhs[i])] for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
+def _inverse(matrix):
+    """Inverse of an invertible square matrix of small ints (exact
+    Gauss-Jordan elimination)."""
+    n = len(matrix)
+    a = [[QQ(x) for x in row] + [QQ(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
         if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pc = a[r][c]
-        a[r] = [x / pc for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
+            raise ArithmeticError("singular sign-determination matrix")
+        a[c], a[piv] = a[piv], a[c]
+        pc = a[c][c]
+        a[c] = [x / pc for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise ArithmeticError("inconsistent sign-determination system")
-    sol = [QQ(0)] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = a[i][n]
-    return sol
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
 
 
 def _independent_rows(matrix, need):
@@ -352,12 +340,16 @@ def _independent_rows(matrix, need):
 
 
 class SignDetermination:
-    """Incremental sign determination at the real roots of P.
+    """Sign determination at the real roots of P (BPR ch. 10).
 
-    After `push`-ing polynomials, `conditions` holds one realized sign vector
-    per subset of roots (counts attached); pushing Der(P) makes every
-    condition correspond to exactly one root.  `chain` is the Sturm chain
-    of (P, P') that counts the roots (empty when P is a constant)."""
+    The constructor pushes Der(P) = (P', P'', ..., P^(p)); after that every
+    realized condition in `conds` holds exactly one root (Thom's lemma), and
+    `conds` lists the roots' derivative signs in increasing order of the
+    roots.  The adapted matrix M (r x r, entries 0/+-1) then maps the sign
+    vector sigma(Q) of any Q at the r roots to the Tarski queries
+    TaQ(Q * prods[a], P):  M . sigma(Q) = t.  `signs` reads sigma(Q) off
+    rows of M^-1.  `ders` is Der(P) without P, `chain` the Sturm chain of
+    (P, P') that counts the roots (empty when P is a constant)."""
 
     def __init__(self, ops, P):
         self.ops = ops
@@ -365,13 +357,27 @@ class SignDetermination:
         if uis_zero(ops, self.P):
             raise ValueError("sign determination over the zero polynomial")
         self.chain = sturm_chain(ops, self.P, uderiv(ops, self.P)) if len(self.P) > 1 else []
-        self.nroots = _variation_drop(ops, self.chain) if self.chain else 0
-        self.conds = [()] if self.nroots else []
-        self.counts = [self.nroots] if self.nroots else []
-        self.exps = [()]
+        nroots = _variation_drop(ops, self.chain) if self.chain else 0
+        self.conds = [()] if nroots else []
+        self.counts = [nroots] if nroots else []
         self.prods = [[ops.one]]
         self.matrix = [[1]]
+        self.inverse = [[QQ(1)]]
         self._query_cache = {}
+        self.ders = []
+        d = self.P
+        while len(d) > 1:
+            d = utrim(ops, uderiv(ops, d))
+            self.ders.append(d)
+        for d in self.ders:
+            self.push(d)
+        if any(c != 1 for c in self.counts):
+            raise ArithmeticError("derivative sign conditions must isolate single roots")
+        order = sorted(range(len(self.conds)), key=functools.cmp_to_key(
+            lambda i, j: _thom_compare((0,) + self.conds[i], (0,) + self.conds[j])))
+        self.conds = [self.conds[j] for j in order]
+        self.matrix = [[row[j] for j in order] for row in self.matrix]
+        self.inverse = [self.inverse[j] for j in order]
 
     def _taq(self, prod):
         key = _upoly_key(prod)
@@ -379,73 +385,73 @@ class SignDetermination:
             self._query_cache[key] = tarski_query(self.ops, self.P, prod)
         return self._query_cache[key]
 
-    def push(self, Q, record=True):
-        """Extend every realized condition by the sign of Q; returns the list
-        of extended conditions (and updates state when record=True)."""
+    def _solve(self, Qr, roots):
+        """(M^-1 t)[j] for j in roots, where t[a] = TaQ(Qr * prods[a], P),
+        and the reduced products Qr * prods[a] by a.  Only the products and
+        queries with a non-zero coefficient are made."""
+        ops = self.ops
+        prods = {}
+        t = {}
+        out = []
+        for j in roots:
+            v = 0
+            for a, c in enumerate(self.inverse[j]):
+                if c:
+                    if a not in t:
+                        prods[a] = pos_reduce(ops, umul(ops, self.prods[a], Qr), self.P)
+                        t[a] = self._taq(prods[a])
+                    v += c * t[a]
+            out.append(v)
+        return out, prods
+
+    def signs(self, Q, roots=None):
+        """Signs of Q at the roots with the given indices into `conds` (all
+        roots by default), in that order."""
+        roots = range(len(self.conds)) if roots is None else roots
+        out, _prods = self._solve(pos_reduce(self.ops, utrim(self.ops, Q), self.P), roots)
+        if any(s not in (-1, 0, 1) for s in out):
+            raise ArithmeticError("sign determination gave a sign outside -1, 0, 1")
+        return tuple(int(s) for s in out)
+
+    def push(self, Q):
+        """Extend every realized condition by the sign of Q and rebuild the
+        adapted basis.  With x_e = M^-1 (TaQ(Q^e * prods[a], P))_a, the
+        roots of condition j split into counts[j] - x_2[j] where Q = 0 and
+        (x_2[j] +- x_1[j]) / 2 where Q > 0 and Q < 0."""
         ops = self.ops
         if not self.conds:
-            return []
+            return
         Qr = pos_reduce(ops, utrim(ops, Q), self.P)
         q2 = pos_reduce(ops, umul(ops, Qr, Qr), self.P)
-        ncond = len(self.conds)
-        rows = []
-        rhs = []
-        unknown = [(j, s) for j in range(ncond) for s in (0, 1, -1)]
-        for a_idx in range(len(self.exps)):
-            t0 = sum(self.matrix[a_idx][j] * self.counts[j] for j in range(ncond))
-            for e in (0, 1, 2):
-                if e == 0:
-                    rhs.append(t0)
-                else:
-                    prod = self.prods[a_idx]
-                    prod = pos_reduce(ops, umul(ops, prod, Qr if e == 1 else q2), self.P)
-                    rhs.append(self._taq(prod))
-                row = []
-                for (j, s) in unknown:
-                    row.append(self.matrix[a_idx][j] * (s ** e if e else 1))
-                rows.append(row)
-        sol = _solve_int_system(rows, rhs)
+        every = range(len(self.conds))
+        x1, prods1 = self._solve(Qr, every)
+        x2, prods2 = self._solve(q2, every)
         new_conds = []
         new_counts = []
         keep = []
-        for u_idx, (j, s) in enumerate(unknown):
-            c = sol[u_idx]
-            if c != 0:
-                if c < 0 or c != int(c):
-                    raise ArithmeticError("root counts must be nonnegative integers")
-                new_conds.append(self.conds[j] + (s,))
-                new_counts.append(int(c))
-                keep.append((j, s))
-        if not record:
-            return list(zip(new_conds, new_counts))
-        # rebuild an adapted basis: candidate rows are (old exponent, e)
+        for j in every:
+            split = ((0, self.counts[j] - x2[j]), (1, (x2[j] + x1[j]) / 2),
+                     (-1, (x2[j] - x1[j]) / 2))
+            for s, c in split:
+                if c != 0:
+                    if c < 0 or c != int(c):
+                        raise ArithmeticError("root counts must be nonnegative integers")
+                    new_conds.append(self.conds[j] + (s,))
+                    new_counts.append(int(c))
+                    keep.append((j, s))
+        # rebuild an adapted basis: candidate rows are (old product, Q^e)
         cand_rows = []
-        cand_meta = []
-        for e in (0, 1, 2):
-            for a_idx in range(len(self.exps)):
-                row = [self.matrix[a_idx][j] * (s ** e if e else 1) for (j, s) in keep]
-                cand_rows.append(row)
-                cand_meta.append((a_idx, e))
+        cand_prods = []
+        for e, prods in enumerate((self.prods, prods1, prods2)):
+            for a_idx in range(len(self.prods)):
+                cand_rows.append([self.matrix[a_idx][j] * s ** e for (j, s) in keep])
+                cand_prods.append(prods[a_idx])
         sel = _independent_rows(cand_rows, len(new_conds))
-        new_exps = []
-        new_prods = []
-        new_matrix = []
-        for idx in sel:
-            a_idx, e = cand_meta[idx]
-            new_exps.append(self.exps[a_idx] + (e,))
-            base = self.prods[a_idx]
-            if e == 0:
-                pr = base
-            else:
-                pr = pos_reduce(ops, umul(ops, base, Qr if e == 1 else q2), self.P)
-            new_prods.append(pr)
-            new_matrix.append(cand_rows[idx])
         self.conds = new_conds
         self.counts = new_counts
-        self.exps = new_exps
-        self.prods = new_prods
-        self.matrix = new_matrix
-        return list(zip(new_conds, new_counts))
+        self.prods = [cand_prods[idx] for idx in sel]
+        self.matrix = [cand_rows[idx] for idx in sel]
+        self.inverse = _inverse(self.matrix)
 
 
 def _upoly_key(cs):
@@ -458,37 +464,6 @@ def _upoly_key(cs):
         else:
             out.append(("q", c))
     return tuple(out)
-
-
-def sign_conditions(ops, P, family):
-    """Ordered sign data at the real roots of P.
-
-    Returns a list, one entry per real root in increasing order, of
-    (thom_signs, family_signs): thom_signs covers Der(P) = (P, P', ..., P^(p))
-    with entry 0 always 0; family_signs aligns with `family`."""
-    P = utrim(ops, P)
-    ders = []
-    d = P
-    while len(d) > 1:
-        d = utrim(ops, uderiv(ops, d))
-        ders.append(d)
-    sd = SignDetermination(ops, P)
-    if not sd.conds:
-        return []
-    for q in ders:
-        sd.push(q)
-    for q in family:
-        sd.push(q)
-    nder = len(ders)
-    rows = []
-    for cond, count in zip(sd.conds, sd.counts):
-        if count != 1:
-            raise ArithmeticError("derivative sign conditions must isolate single roots")
-        thom = (0,) + cond[:nder]
-        fam = cond[nder:]
-        rows.append((thom, fam))
-    rows.sort(key=functools.cmp_to_key(lambda a, b: _thom_compare(a[0], b[0])))
-    return rows
 
 
 def _thom_compare(sa, sb):
@@ -655,40 +630,23 @@ class _LevelSolver:
         self.ops = parent.ops()
         self.F = utrim(self.ops, _to_upoly(fpoly, var, parent))
         self.sd = SignDetermination(self.ops, self.F)
-        ders = []
-        d = self.F
-        while len(d) > 1:
-            d = utrim(self.ops, uderiv(self.ops, d))
-            ders.append(d)
-        self.ders = ders
-        self.nder = len(ders)
-        for q in ders:
-            self.sd.push(q)
-        target = tuple(signs[1:])
-        if len(target) < self.nder:
-            target = target + (0,) * (self.nder - len(target))
-        self.row = None
-        for i, cond in enumerate(self.sd.conds):
-            if cond[: self.nder] == target[: self.nder]:
-                self.row = i
-                break
-        if self.row is None:
+        nder = len(self.sd.ders)
+        target = (tuple(signs[1:]) + (0,) * nder)[:nder]
+        # the conditions are in increasing order, so the root's index is
+        # how many real roots of F lie below it
+        self.rank = next((i for i, cond in enumerate(self.sd.conds) if cond == target), None)
+        if self.rank is None:
             raise EmptyEncodingError(f"no real root matches Thom signs {signs}")
-        # Thom signs of the root, and how many real roots of F lie below it
-        self.thom = (0,) + self.sd.conds[self.row]
-        self.rank = sum(1 for cond in self.sd.conds if _thom_compare((0,) + cond, self.thom) < 0)
+        self.thom = (0,) + target
         self.var_minus_inf = _variations([_sign_at_minus_inf(self.ops, c) for c in self.sd.chain])
 
     def query(self, p):
-        """Sign of MPoly p (involving the level variable) at the level root."""
+        """Sign of MPoly p (involving the level variable) at the level root:
+        one row of the inverse sign matrix."""
         up = utrim(self.ops, _to_upoly(p, self.var, self.parent))
         if len(up) == 1:
             return self.ops.ctx_sign(up[0])
-        ext = self.sd.push(up, record=False)
-        matched = [cond[-1] for (cond, _cnt) in ext if cond[:-1] == self.sd.conds[self.row]]
-        if len(matched) != 1:
-            raise ArithmeticError("level sign query did not isolate the root")
-        return matched[0]
+        return self.sd.signs(up, [self.rank])[0]
 
     def sign_against(self, q):
         """Sign of (root - q) for a rational q.  By Sturm's theorem F has
@@ -699,7 +657,7 @@ class _LevelSolver:
         if signs[0] != 0:
             below = self.var_minus_inf - _variations(signs)
             return 1 if self.rank >= below else -1
-        thom_q = (0,) + tuple(_sign_at_rational(ops, d, q) for d in self.ders)
+        thom_q = (0,) + tuple(_sign_at_rational(ops, d, q) for d in self.sd.ders)
         return _thom_compare(self.thom, thom_q)
 
 
@@ -745,68 +703,32 @@ def tarski_query_mpoly(P, Q, var, context=None):
 def sign_determination(P, family, var, context=None):
     """Signs of every family member at each real root of P, roots in
     increasing order.  Returns a list of sign tuples aligned with family."""
-    context = context or TriangularContext(P.ring)
-    ops = context.ops()
-    fam = [_to_upoly(q, var, context) for q in family]
-    rows = sign_conditions(ops, _to_upoly(P, var, context), fam)
-    return [fam_signs for (_thom, fam_signs) in rows]
+    return [fam_signs for _enc, fam_signs in signs_at_encodings(P, family, var, context)]
 
 
 def thom_encodings(P, var, context=None):
     """Thom encodings of all real roots of P, in increasing order."""
-    context = context or TriangularContext(P.ring)
-    ops = context.ops()
-    up = utrim(ops, _to_upoly(P, var, context))
-    rows = sign_conditions(ops, up, [])
-    deg = len(up) - 1
-    out = []
-    Pn = _from_upoly(up, var, context)
-    for thom, _ in rows:
-        padded = thom + (0,) * (deg + 1 - len(thom))
-        out.append(ThomEncoding(context, var, Pn, padded))
-    return out
+    return [enc for enc, _fam_signs in signs_at_encodings(P, [], var, context)]
 
 
 def signs_at_encodings(P, family, var, context=None):
-    """(ThomEncoding, family signs) pairs for all real roots of P."""
+    """(ThomEncoding, family signs) pairs for all real roots of P, in
+    increasing order.  The Thom signs cover Der(P) = (P, P', ..., P^(p))
+    with entry 0 always 0; the family signs align with `family`."""
     context = context or TriangularContext(P.ring)
     ops = context.ops()
     up = utrim(ops, _to_upoly(P, var, context))
-    fam = [_to_upoly(q, var, context) for q in family]
-    rows = sign_conditions(ops, up, fam)
-    deg = len(up) - 1
+    sd = SignDetermination(ops, up)
+    fam = [sd.signs(_to_upoly(q, var, context)) for q in family]
     Pn = _from_upoly(up, var, context)
-    out = []
-    for thom, fam_signs in rows:
-        padded = thom + (0,) * (deg + 1 - len(thom))
-        out.append((ThomEncoding(context, var, Pn, padded), fam_signs))
-    return out
-
-
-def _der_signs_of(enc, other_poly, other_var):
-    """Sign vector of Der(other_poly) at enc's root, via joint sign
-    determination at the roots of enc.poly."""
-    ctx = enc.context
-    ops = ctx.ops()
-    upa = utrim(ops, _to_upoly(enc.poly, enc.var, ctx))
-    upb_full = []
-    cur = utrim(ops, _to_upoly(other_poly, other_var, ctx))
-    upb_full.append(cur)
-    while len(cur) > 1:
-        cur = utrim(ops, uderiv(ops, cur))
-        upb_full.append(cur)
-    rows = sign_conditions(ops, upa, upb_full)
-    target = tuple(enc.signs[1:])
-    for thom, fam in rows:
-        t = thom[1:]
-        w = min(len(t), len(target))
-        if t[:w] == target[:w] and all(s == 0 for s in t[w:]) and all(s == 0 for s in target[w:]):
-            return fam
-    raise EmptyEncodingError("empty encoding: no root realizes the given Thom signs")
+    return [(ThomEncoding(context, var, Pn, (0,) + cond), tuple(s[i] for s in fam))
+            for i, cond in enumerate(sd.conds)]
 
 
 def compare_roots(a, b):
-    """Order of the real numbers encoded by a and b: -1, 0, or +1."""
+    """Order of the real numbers encoded by a and b: -1, 0, or +1.  The
+    signs of Der(b.poly) at a's root are read in the context a's root
+    extends, and Thom's lemma orders the two roots."""
     if a.context.key() != b.context.key():
         raise ValueError("compare_roots requires a common context")
     if a.var == b.var and a.poly == b.poly:
@@ -816,7 +738,11 @@ def compare_roots(a, b):
     bp = b.poly
     if b.var != a.var:
         bp = bp.subst({b.var: MPoly.var(bp.ring, (a.var,), a.var)})
-    bsigns = _der_signs_of(a, bp, a.var)
+    ders = [bp]
+    for _ in range(bp.degree(a.var)):
+        ders.append(ders[-1].deriv(a.var))
+    at_a = a.context.extend(a.var, a.poly, a.signs)
+    bsigns = [at_a.sign_mpoly(d) for d in ders]
     width = max(len(bsigns), len(b.signs))
     av = tuple(bsigns) + (0,) * (width - len(bsigns))
     bv = tuple(b.signs) + (0,) * (width - len(b.signs))

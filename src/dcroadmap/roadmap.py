@@ -4,6 +4,7 @@ bounded and general top-level algorithms, and connectivity queries."""
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from .curves import CurveSegmentRep, curve_segments, limit_curve
@@ -30,8 +31,18 @@ class RoadmapGraph:
     vertices: list  # RealUnivRep, eta-free
     edges: list  # (segment, lo_vid, hi_vid)
     anchor_ids: list
-    parent: list = field(default_factory=list)
     eps_rays: list = field(default_factory=list)
+
+    def __post_init__(self):
+        """Union-find over the vertices and the adjacency map (vertex ->
+        [(neighbour, edge id)]) of the edges with both endpoints."""
+        self.parent = list(range(len(self.vertices)))
+        self.adj = {}
+        for eid, (_seg, lo, hi) in enumerate(self.edges):
+            if lo is not None and hi is not None:
+                self._union(lo, hi)
+                self.adj.setdefault(lo, []).append((hi, eid))
+                self.adj.setdefault(hi, []).append((lo, eid))
 
     def _find(self, i):
         while self.parent[i] != i:
@@ -121,12 +132,7 @@ def assemble_graph(pieces, anchors, xvars):
             lo_id = table.add(seg.lo_point) if seg.lo_point is not None else None
             hi_id = table.add(seg.hi_point) if seg.hi_point is not None else None
             edges.append((seg, lo_id, hi_id))
-    g = RoadmapGraph(len(xvars), tuple(xvars), table.vertices, edges, anchor_ids)
-    g.parent = list(range(len(g.vertices)))
-    for seg, lo_id, hi_id in edges:
-        if lo_id is not None and hi_id is not None:
-            g._union(lo_id, hi_id)
-    return g
+    return RoadmapGraph(len(xvars), tuple(xvars), table.vertices, edges, anchor_ids)
 
 
 def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
@@ -257,11 +263,11 @@ def _lift_points(system, A, sph, allv, budget, seed):
     newv = allv[-1]
     for a in A:
         e_ctx = a.extended_context().to_ering()
-        den2 = (a.F[0].to_ering() if a.F[0].ring is QRING else a.F[0])
+        den2 = a.F[0].to_ering()
         den2 = den2 * den2
         num = MPoly.zero(ERING, merge_vars(den2.vars, (newv,)))
         for i, v in enumerate(a.xvars, start=1):
-            g = a.F[i].to_ering() if a.F[i].ring is QRING else a.F[i]
+            g = a.F[i].to_ering()
             num = num + (g * g).with_vars(merge_vars(num.vars, g.vars))
         num = num + MPoly.var(ERING, num.vars, newv) ** 2 * den2.with_vars(num.vars)
         eps2 = MPoly.const(ERING, num.vars, InfElem.sym(extra_symbol("e0", 0)) ** 2)
@@ -279,21 +285,17 @@ def _lift_points(system, A, sph, allv, budget, seed):
 def _combine_coords(a, lifted, allv):
     """Lifted representation: the new root variable fixes the extra
     coordinate; the original coordinates ride along through the base."""
-    from .points import _collapse_last_level
-
     ring = ERING
     variables = merge_vars(lifted.f.vars, a.F[0].vars)
-    a_den = (a.F[0].to_ering() if a.F[0].ring is QRING else a.F[0]).with_vars(variables)
+    a_den = a.F[0].to_ering().with_vars(variables)
     l_den = lifted.F[0].with_vars(variables)
     F = [a_den * l_den]
     for i in range(1, len(a.F)):
-        g = (a.F[i].to_ering() if a.F[i].ring is QRING else a.F[i]).with_vars(variables)
+        g = a.F[i].to_ering().with_vars(variables)
         F.append(g * l_den)
     F.append(lifted.F[1].with_vars(variables) * a_den)
-    u = RealUnivRep(lifted.base, lifted.uvar, lifted.f, lifted.sigma, tuple(F), allv)
-    while u.base.nlevels > 0:
-        u = _collapse_last_level(u)
-    return u
+    return flatten_rur(RealUnivRep(lifted.base, lifted.uvar, lifted.f, lifted.sigma,
+                                   tuple(F), allv))
 
 
 def _sphere_boundary_vertices(graph, sph):
@@ -333,13 +335,8 @@ def _substitute_and_project(graph, idx, value, xvars):
         nseg.lo_point = table.vertices[vid_map[lo]] if lo is not None else None
         nseg.hi_point = table.vertices[vid_map[hi]] if hi is not None else None
         edges.append((nseg, vid_map.get(lo), vid_map.get(hi)))
-    g = RoadmapGraph(k, tuple(xvars), table.vertices, edges,
-                     [vid_map[i] for i in graph.anchor_ids])
-    g.parent = list(range(len(g.vertices)))
-    for _seg, lo, hi in edges:
-        if lo is not None and hi is not None:
-            g._union(lo, hi)
-    return g
+    return RoadmapGraph(k, tuple(xvars), table.vertices, edges,
+                        [vid_map[i] for i in graph.anchor_ids])
 
 
 def connectivity(graph: RoadmapGraph, u1: RealUnivRep, u2: RealUnivRep):
@@ -353,20 +350,13 @@ def connectivity(graph: RoadmapGraph, u1: RealUnivRep, u2: RealUnivRep):
         return False, []
     if id1 == id2:
         return True, []
-    adj = {}
-    for eid, (seg, lo, hi) in enumerate(graph.edges):
-        if lo is not None and hi is not None:
-            adj.setdefault(lo, []).append((hi, eid))
-            adj.setdefault(hi, []).append((lo, eid))
-    from collections import deque
-
     prev = {id1: None}
     dq = deque([id1])
     while dq:
         cur = dq.popleft()
         if cur == id2:
             break
-        for nxt, eid in adj.get(cur, []):
+        for nxt, eid in graph.adj.get(cur, []):
             if nxt not in prev:
                 prev[nxt] = (cur, eid)
                 dq.append(nxt)

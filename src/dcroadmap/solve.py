@@ -657,7 +657,7 @@ _TOWER_DEPTH = [0]
 def _tower_to_solution(tw, context, active, xvars):
     """Collapse a solution tower onto the original context, producing a
     RawSolution with rational-function coordinates."""
-    from .points import RealUnivRep, _collapse_last_level
+    from .points import RealUnivRep, flatten_rur
 
     if _TOWER_DEPTH[0] > 24:
         raise ResourceBudgetError("tower collapse recursion too deep")
@@ -671,10 +671,8 @@ def _tower_to_solution(tw, context, active, xvars):
         F = [one]
         for v in xvars:
             F.append(MPoly.var(ring, fvars, v) if v in fvars else MPoly.zero(ring, fvars))
-        u = RealUnivRep(parent, var_last, poly_last.with_vars(fvars), signs_last,
-                        tuple(F), tuple(xvars))
-        while u.base.nlevels > context.nlevels:
-            u = _collapse_last_level(u)
+        u = flatten_rur(RealUnivRep(parent, var_last, poly_last.with_vars(fvars), signs_last,
+                                    tuple(F), tuple(xvars)), context.nlevels)
         return RawSolution(context, u.uvar, u.f, u.sigma, u.F[0], tuple(u.F[1:]),
                            tuple(xvars))
     except (ArithmeticError, ValueError, ZeroDivisionError):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcroadmap.errors import EmptyEncodingError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
@@ -219,3 +221,27 @@ def test_content_strip_mpoly_factor_negative_at_the_point():
     ratios = {_positive_multiple(o, -h) for o, h in zip(out, cofactors)}
     assert len(ratios) == 1
     assert [ops.ctx_sign(o) for o in out] == [ops.ctx_sign(c) for c in coeffs]
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                          st.integers(1, 2)),
+                min_size=1, max_size=4, unique_by=lambda rm: rm[0]),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+def test_sign_determination_matches_evaluation(roots, qcoeffs):
+    # P = prod (X - r)^m with distinct rational roots, Q of degree <= 3:
+    # the signs read from the inverse sign matrix are the signs of Q(r)
+    x = MPoly.var(QRING, X, "X")
+    p = MPoly.const(QRING, X, 1)
+    for r, m in roots:
+        p = p * (x - MPoly.const(QRING, X, r)) ** m
+    q = MPoly.zero(QRING, X)
+    for i, c in enumerate(qcoeffs):
+        q = q + MPoly.const(QRING, X, c) * x ** i
+    want = [(_sign(sum(c * r ** i for i, c in enumerate(qcoeffs))),)
+            for r in sorted(r for r, _m in roots)]
+    assert sign_determination(p, [q], "X") == want

@@ -40,6 +40,21 @@ def test_multiple_root_isolated_point():
     assert ctx_plus.sign_mpoly(s.coords[1].with_vars(ctx_plus.tvars)) == 0
 
 
+@pytest.mark.parametrize("equations, variables", [
+    (["x^4 + y^4"], XY),
+    (["x^2 + y^2", "z - x"], ("x", "y", "z")),
+])
+def test_tower_fallback_isolated_origin(equations, variables):
+    # no separating form splits these, so the solution is assembled from a
+    # tower of one-variable levels and collapsed onto the base
+    sols = solve_system([P(e, variables) for e in equations], variables)
+    assert len(sols) == 1
+    s = sols[0]
+    ctx_plus = _eval_coords(s)
+    for c in s.coords:
+        assert ctx_plus.sign_mpoly(c.with_vars(ctx_plus.tvars)) == 0
+
+
 def test_empty_variety():
     assert solve_system([P("x^2 + y^2 + 1")], XY) == []
 
