@@ -1,6 +1,13 @@
 """Curve-segment extraction on (<= 1)-dimensional basic sets: parametrized
 decomposition along the first free coordinate, sign subdivision, exact
-endpoints through a transient innermost infinitesimal, and limits."""
+endpoints through a transient innermost infinitesimal, and limits.
+
+Every critical parameter value gets one context, which fixes it as a tower
+level.  The fiber's points are found and deduplicated there and flattened
+once, as vertices.  A segment endpoint is the limit of its branch, taken in
+the same context and matched among that fiber's points there, so the
+endpoint is the fiber's vertex object; only an endpoint that matches none
+(in a fiber that is not finite) stays a point of its own."""
 
 from __future__ import annotations
 
@@ -15,10 +22,12 @@ from .mpoly import ERING, MPoly, fresh_var, merge_vars, resultant, subst_rationa
 from .points import (
     BoundedCache,
     RealUnivRep,
+    _restore_ring,
     dedupe_points,
     flatten_rur,
     limit_point,
     max_symbol_index,
+    points_equal,
     rational_between,
     rur_from_raw,
     rur_sign,
@@ -50,7 +59,7 @@ class CurveSegmentRep:
     xvars: tuple  # all free coordinates, parameter first
     lo: ThomEncoding = None
     hi: ThomEncoding = None
-    lo_point: RealUnivRep = None
+    lo_point: RealUnivRep = None  # a vertex of the piece, when glued
     hi_point: RealUnivRep = None
 
     def __repr__(self):
@@ -70,9 +79,10 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
     into curve segments and vertices over the parameter xvars[0].
 
     Every piece (one per subset Q' of Q promoted to equations) is subdivided
-    at the union of all pieces' critical parameter values so endpoints can be
-    glued exactly.  anchors are points (RURs over context) whose parameter
-    values also become segment boundaries."""
+    at the union of all pieces' critical parameter values, and each endpoint
+    is glued to a point of the fiber over its value.  anchors are points
+    (RURs over context) whose parameter values also become segment
+    boundaries."""
     xvars = tuple(xvars)
     if len(xvars) > 3:
         raise ResourceBudgetError(
@@ -116,20 +126,31 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
                 except (ValueError, ArithmeticError):
                     pass
     all_crit = _sorted_unique_encodings([e for pc in pieces for e in pc[6]] + cross)
+    tname = fresh_var("Tx", set(context.tvars).union(
+        xvars, *(p.vars for p in list(P) + list(Q)), *(pc[2].vars for pc in pieces)))
+    # per critical value: its context and the (fiber point, vertex) pairs
+    # found there so far, one pair per distinct point
+    fibers = [(_fiber_context(context, tname, enc), []) for enc in all_crit]
     segments = []
-    vertices = []
-    for ps in point_sets:
-        vertices.extend(ps.vertices)
     for (V, rest, f, coords, uvar, must_vanish, _own) in pieces:
-        for enc in all_crit:
-            vertices.extend(_fiber_points(V, rest, enc, context, xvars, budget, seed))
+        for ctx, kept in fibers:
+            for u in _fiber_points(V, rest, ctx, xvars, budget, seed):
+                if not any(points_equal(u, w) for w, _v in kept):
+                    kept.append((u, _with_param_coordinate(u, xvars, context)))
         for i in range(len(all_crit) - 1):
             sample = _sample_between(all_crit[i], all_crit[i + 1])
-            segments.extend(_segments_on_interval(f, coords, must_vanish, rest,
-                                                  all_crit[i], all_crit[i + 1],
-                                                  sample, context, xvars, uvar,
-                                                  budget, seed))
-    return CurvePiece(segments, dedupe_points(vertices))
+            for seg in _segments_on_interval(f, coords, must_vanish, rest,
+                                             all_crit[i], all_crit[i + 1],
+                                             sample, context, xvars, uvar):
+                seg.lo_point = _glued_endpoint(seg, fibers[i], +1)
+                seg.hi_point = _glued_endpoint(seg, fibers[i + 1], -1)
+                segments.append(seg)
+    # points over distinct critical values differ in the parameter, so only
+    # the isolated points need comparing with the fibers' vertices
+    vertices = [v for _ctx, kept in fibers for _u, v in kept]
+    isolated = dedupe_points([u for ps in point_sets for u in ps.vertices])
+    isolated = [u for u in isolated if not any(points_equal(u, v) for v in vertices)]
+    return CurvePiece(segments, isolated + vertices)
 
 
 def _points_only(V, signs_family, context, xvars, budget, seed):
@@ -299,23 +320,11 @@ def _along_curve(s, coords, xvars, uvar):
 
 
 def _sorted_unique_encodings(encs):
+    """The encoded values in increasing order, one encoding per value."""
     out = []
-    for e in encs:
-        dup = False
-        for o in out:
-            try:
-                if compare_roots(e, o) == 0:
-                    dup = True
-                    break
-            except (ValueError, ArithmeticError):
-                continue
-        if not dup:
+    for e in sorted(encs, key=functools.cmp_to_key(compare_roots)):
+        if not out or compare_roots(out[-1], e) != 0:
             out.append(e)
-
-    def cmp(a, b):
-        return compare_roots(a, b)
-
-    out.sort(key=functools.cmp_to_key(cmp))
     return out
 
 
@@ -326,48 +335,40 @@ def _sample_between(lo_enc, hi_enc):
         return None
 
 
-def _fiber_points(V, signs_family, enc, context, xvars, budget, seed):
-    """All basic-set points with parameter value enc (as RURs over context,
-    full coordinates)."""
+def _fiber_context(context, tname, enc):
+    """context extended by the parameter value enc, fixed as tname."""
+    lvl = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (tname,), tname)})
+    return context.extend(tname, lvl, enc.signs)
+
+
+def _fiber_points(V, signs_family, ctx, xvars, budget, seed):
+    """All basic-set points whose parameter is the value ctx fixes last, as
+    RURs over ctx in the fiber coordinates xvars[1:]."""
     x = xvars[0]
     rest = xvars[1:]
-    tname = fresh_var("Tx", set(context.tvars).union(xvars, enc.poly.vars,
-                                                       *(p.vars for p in list(V) + list(signs_family))))
-    lvl = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (tname,), tname)})
-    ctx_x = context.extend(tname, lvl, enc.signs)
+    tname = ctx.tvars[-1]
     sub = {x: MPoly.var(V[0].ring, (tname,), tname)}
     Vx = [p.subst(sub) if x in p.vars else p for p in V]
     Vx = [p for p in Vx if not p.is_zero()]
-    out = []
     if not rest:
-        pts = []
-    else:
+        return []
+    try:
+        sols = solve_system(Vx, rest, context=ctx, budget=budget, seed=seed)
+        pts = [rur_from_raw(s) for s in sols]
+    except (SeparationError, ResourceBudgetError, ValueError):
         try:
-            sols = solve_system(Vx, rest, context=ctx_x, budget=budget, seed=seed)
-            pts = [rur_from_raw(s) for s in sols]
+            pts = sample_components(Vx, context=ctx, xvars=rest,
+                                    budget=budget, seed=seed)
         except (SeparationError, ResourceBudgetError, ValueError):
-            try:
-                pts = sample_components(Vx, context=ctx_x, xvars=rest,
-                                        budget=budget, seed=seed)
-            except (SeparationError, ResourceBudgetError, ValueError):
-                pts = []
-    for u in pts:
-        qs = []
-        ok = True
-        for q in signs_family:
-            qx = q.subst(sub) if x in q.vars else q
-            if rur_sign(u, qx) < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        out.append(_with_param_coordinate(u, tname, xvars, context))
-    return out
+            pts = []
+    signs_x = [q.subst(sub) if x in q.vars else q for q in signs_family]
+    return [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_x)]
 
 
-def _with_param_coordinate(u, tname, xvars, context):
+def _with_param_coordinate(u, xvars, context):
     """Prepend the (tower-fixed) parameter value as coordinate 1 and collapse
     back onto the original context."""
+    tname = u.base.tvars[-1]
     ring = u.f.ring
     variables = merge_vars(u.f.vars, (tname,))
     F = [u.F[0].with_vars(variables)]
@@ -384,9 +385,9 @@ _KIND_DEN = "den"
 
 
 def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
-                          sample, context, xvars, uvar, budget, seed):
-    """Branches over one open interval: fiber analysis at the sample value,
-    sign filtering, endpoint resolution via a transient infinitesimal."""
+                          sample, context, xvars, uvar):
+    """Branches over one open interval, without their endpoints: fiber
+    analysis at the sample value and sign filtering."""
     x = xvars[0]
     ring = f.ring
     if sample is None:
@@ -429,40 +430,50 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
                 break
         if not keep:
             continue
-        seg = CurveSegmentRep(context, x, uvar, f, enc.signs, tuple(coords),
-                              tuple(xvars), lo=lo_enc, hi=hi_enc)
-        seg.lo_point = _endpoint_limit(seg, lo_enc, +1, context, budget)
-        seg.hi_point = _endpoint_limit(seg, hi_enc, -1, context, budget)
-        out.append(seg)
+        out.append(CurveSegmentRep(context, x, uvar, f, enc.signs, tuple(coords),
+                                   tuple(xvars), lo=lo_enc, hi=hi_enc))
     return out
 
 
 _ENDPOINT_CACHE = BoundedCache()
 
 
-def _endpoint_limit(seg, enc, direction, context, budget):
-    """The endpoint point of a branch: evaluate the branch at a +/- mu for a
-    fresh innermost infinitesimal mu and take the limit mu -> 0.
+def _glued_endpoint(seg, fiber, direction):
+    """The endpoint of a branch in the fiber (ctx, kept) over it: the vertex
+    of the kept fiber point it equals, or, when it equals none, the limit
+    itself over ctx."""
+    ctx, kept = fiber
+    lim = _endpoint_limit(seg, ctx, direction)
+    if lim is None:
+        return None
+    lim = _restore_ring(lim, ctx)
+    # the parameter coordinate is the level ctx fixes, the same for all
+    on_fiber = RealUnivRep(lim.base, lim.uvar, lim.f, lim.sigma,
+                           (lim.F[0],) + lim.F[2:], lim.xvars[1:])
+    for u, vertex in kept:
+        if points_equal(on_fiber, u):
+            return vertex
+    return lim
+
+
+def _endpoint_limit(seg, ctx, direction):
+    """The endpoint of a branch over the parameter value ctx fixes last:
+    evaluate the branch at that value +/- mu for a fresh innermost
+    infinitesimal mu and take the limit mu -> 0.
 
     The shifted-fiber Thom enumeration is cached per (fiber polynomial,
     endpoint, direction) since every branch of the same piece shares it."""
-    if enc is None:
-        return None
-    mu_idx = max(max_symbol_index(context), max_symbol_index(seg.f),
-                 max_symbol_index(list(seg.coords)), max_symbol_index(enc.poly), 0) + 1
+    mu_idx = max(max_symbol_index(ctx), max_symbol_index(seg.f),
+                 max_symbol_index(list(seg.coords)), 0) + 1
     mu = extra_symbol(f"inf{mu_idx}", mu_idx)
     x = seg.param_var
-    tname = fresh_var("Te", set(context.tvars).union(seg.xvars, (seg.uvar,), seg.f.vars,
-                                                    enc.poly.vars, *(g.vars for g in seg.coords)))
-    ring = ERING
-    lvl = enc.poly.to_ering().subst({enc.var: MPoly.var(ERING, (tname,), tname)})
-    key = (context.ring.name, context.key(), x, seg.uvar, seg.f, seg.coords,
-           enc.var, enc.poly, enc.signs, direction)
+    tname = ctx.tvars[-1]
+    key = (ctx.ring.name, ctx.key(), x, seg.uvar, seg.f, seg.coords, direction)
     cached = _ENDPOINT_CACHE.get(key)
     if cached is not None:
         e_ctx, shift, f_shift, coords_shift, encs = cached
     else:
-        e_ctx = context.to_ering().extend(tname, lvl, enc.signs)
+        e_ctx = ctx.to_ering()
         shift = MPoly.const(ERING, (tname,), 0) + MPoly.var(ERING, (tname,), tname) \
             + MPoly.const(ERING, (tname,), InfElem.sym(mu) * direction)
         f_e = seg.f.to_ering()

@@ -15,6 +15,7 @@ from .points import (
     RealUnivRep,
     dedupe_points,
     flatten_rur,
+    points_equal,
     project_rur,
     rur_from_raw,
     rur_sign,
@@ -160,7 +161,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
     N = []
     for u in M_tilde + M0 + Atilde:
         w = project_rur(u, ell)
-        if all(not _points_equal_proj(w, v) for v in N):
+        if not any(points_equal(w, v) for v in N):
             N.append(w)
 
     # Step 6: fiber anchors B(u) for each w in N
@@ -223,15 +224,6 @@ def _rur_to_ering(u, e_base):
         return u if u.base.ring is ERING else RealUnivRep(e_base, u.uvar, u.f, u.sigma, u.F, u.xvars)
     return RealUnivRep(e_base if u.base.ring is not ERING else u.base, u.uvar,
                        u.f.to_ering(), u.sigma, tuple(g.to_ering() for g in u.F), u.xvars)
-
-
-def _points_equal_proj(a, b):
-    from .points import points_equal
-
-    try:
-        return points_equal(a, b)
-    except (ValueError, ArithmeticError):
-        return False
 
 
 def _subst_block(poly, block, w):

@@ -551,23 +551,36 @@ def coordinate_encoding_cached(u: RealUnivRep, i: int):
     return enc
 
 
-def points_equal(u1: RealUnivRep, u2: RealUnivRep) -> bool:
-    """Exact equality of associated points (same base context required)."""
-    if u1 is u2:
+def _to_ering_rur(u: RealUnivRep) -> RealUnivRep:
+    if u.f.ring is ERING:
+        return u
+    return RealUnivRep(u.base.to_ering(), u.uvar, u.f.to_ering(), u.sigma,
+                       tuple(g.to_ering() for g in u.F), u.xvars)
+
+
+def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
+    """Exact equality of the first `upto` coordinates (all, by default) of
+    the associated points.  A rational and an infinitesimal representation
+    are compared over the infinitesimal ring.  Different base contexts, or a
+    comparison that fails, count as not equal."""
+    if u is v:
         return True
-    if u1.base.key() != u2.base.key():
-        raise ValueError("points_equal requires a common base context")
-    if u1.k != u2.k:
+    n = u.k if upto is None else upto
+    if (upto is None and u.k != v.k) or min(u.k, v.k) < n:
         return False
-    for i in range(1, u1.k + 1):
-        e1 = coordinate_encoding_cached(u1, i)
-        e2 = coordinate_encoding_cached(u2, i)
-        if compare_roots(e1, e2) != 0:
-            return False
-    return True
+    if (u.f.ring is ERING) != (v.f.ring is ERING):
+        u, v = _to_ering_rur(u), _to_ering_rur(v)
+    if u.base.key() != v.base.key():
+        return False
+    try:
+        return all(compare_roots(coordinate_encoding_cached(u, i),
+                                 coordinate_encoding_cached(v, i)) == 0
+                   for i in range(1, n + 1))
+    except (ValueError, ArithmeticError):
+        return False
 
 
-def dedupe_points(points, semantic=True):
+def dedupe_points(points):
     """Deduplicate RURs: cheap syntactic key first, then exact coordinate
     comparison across the survivors."""
     seen = set()
@@ -577,19 +590,9 @@ def dedupe_points(points, semantic=True):
         if key not in seen:
             seen.add(key)
             out.append(u)
-    if not semantic or len(out) <= 1:
-        return out
     uniq = []
     for u in out:
-        dup = False
-        for v in uniq:
-            try:
-                if points_equal(u, v):
-                    dup = True
-                    break
-            except (ValueError, ArithmeticError):
-                continue
-        if not dup:
+        if not any(points_equal(u, v) for v in uniq):
             uniq.append(u)
     return uniq
 

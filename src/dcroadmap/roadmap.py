@@ -1,5 +1,10 @@
 """Final assembly: per-leaf curve extraction, limits, the roadmap graph, the
-bounded and general top-level algorithms, and connectivity queries."""
+bounded and general top-level algorithms, and connectivity queries.
+
+Segment endpoints arrive glued: curve_segments matches each one in its
+fiber's context and hands back the fiber's vertex object, so assembly gives
+an endpoint the id of that vertex.  Vertices and anchors are still compared
+with every vertex kept so far."""
 
 from __future__ import annotations
 
@@ -13,13 +18,13 @@ from .infring import QQ, InfElem, extra_symbol, log_signs, zeta
 from .mpoly import ERING, QRING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
-    coordinate_encoding_cached,
     dedupe_points,
     flatten_rur,
+    points_equal,
     rur_from_raw,
     rur_sign,
 )
-from .realroots import TriangularContext, compare_roots
+from .realroots import TriangularContext
 from .solve import DEFAULT_BUDGET, solve_system
 from .tree import build_tree
 
@@ -65,30 +70,6 @@ class RoadmapGraph:
         return len(self.components())
 
 
-def _to_ering_rur(u: RealUnivRep) -> RealUnivRep:
-    if u.f.ring is ERING:
-        return u
-    return RealUnivRep(TriangularContext(ERING), u.uvar, u.f.to_ering(), u.sigma,
-                       tuple(g.to_ering() for g in u.F), u.xvars)
-
-
-def _vertex_key_equal(a: RealUnivRep, b: RealUnivRep) -> bool:
-    if a.k != b.k:
-        return False
-    if (a.f.ring is ERING) != (b.f.ring is ERING):
-        a = _to_ering_rur(a)
-        b = _to_ering_rur(b)
-    for i in range(1, a.k + 1):
-        ea = coordinate_encoding_cached(a, i)
-        eb = coordinate_encoding_cached(b, i)
-        try:
-            if compare_roots(ea, eb) != 0:
-                return False
-        except (ValueError, ArithmeticError):
-            return False
-    return True
-
-
 def _canonicalize(u: RealUnivRep) -> RealUnivRep:
     """Flatten the tower and map eta-free data back to the rationals so
     vertices from different pipelines share one coefficient ring."""
@@ -110,28 +91,31 @@ class _VertexTable:
     def add(self, u: RealUnivRep):
         u = _canonicalize(u)
         for i, v in enumerate(self.vertices):
-            if _vertex_key_equal(u, v):
+            if points_equal(u, v):
                 return i
         self.vertices.append(u)
         return len(self.vertices) - 1
 
 
 def assemble_graph(pieces, anchors, xvars):
-    """Glue curve pieces into a roadmap graph: vertices are deduplicated by
-    exact coordinate comparison, edges join segment endpoint vertices."""
+    """Glue curve pieces into a roadmap graph: vertices and anchors are
+    deduplicated by exact coordinate comparison, edges join segment endpoint
+    vertices.  An endpoint that is one of its piece's vertex objects takes
+    that vertex's id; any other endpoint is looked up like a vertex."""
     table = _VertexTable()
-    edges = []
-    anchor_ids = []
+    vid = {}  # id(vertex object) -> vertex id
     for piece in pieces:
         for u in piece.vertices:
-            table.add(u)
-    for a in anchors:
-        anchor_ids.append(table.add(a))
-    for piece in pieces:
-        for seg in piece.segments:
-            lo_id = table.add(seg.lo_point) if seg.lo_point is not None else None
-            hi_id = table.add(seg.hi_point) if seg.hi_point is not None else None
-            edges.append((seg, lo_id, hi_id))
+            vid[id(u)] = table.add(u)
+    anchor_ids = [table.add(a) for a in anchors]
+
+    def endpoint_id(pt):
+        if pt is None:
+            return None
+        return vid[id(pt)] if id(pt) in vid else table.add(pt)
+
+    edges = [(seg, endpoint_id(seg.lo_point), endpoint_id(seg.hi_point))
+             for piece in pieces for seg in piece.segments]
     return RoadmapGraph(len(xvars), tuple(xvars), table.vertices, edges, anchor_ids)
 
 
@@ -376,7 +360,7 @@ def connectivity(graph: RoadmapGraph, u1: RealUnivRep, u2: RealUnivRep):
 def _locate(graph, u):
     uu = flatten_rur(u)
     for i, v in enumerate(graph.vertices):
-        if _vertex_key_equal(uu, v):
+        if points_equal(uu, v):
             return i
     return None
 

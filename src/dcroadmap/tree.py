@@ -1,6 +1,5 @@
-"""The divide-and-conquer recursion tree: node bookkeeping, breadth-first
-expansion through Divide, the neighbor relation on leaf strings, and the
-leaf-set accessors."""
+"""The divide-and-conquer recursion tree: node bookkeeping and breadth-first
+expansion through Divide."""
 
 from __future__ import annotations
 
@@ -8,8 +7,8 @@ from dataclasses import dataclass, field
 
 from .divide import DivideInput, DivideOutput, divide, _fiber_var, _subst_block
 from .mpoly import MPoly
-from .points import RealUnivRep, coordinate_encoding_cached, dedupe_points
-from .realroots import TriangularContext, compare_roots
+from .points import RealUnivRep, dedupe_points, points_equal
+from .realroots import TriangularContext
 from .solve import DEFAULT_BUDGET
 
 
@@ -112,23 +111,11 @@ def _expand(node: TreeNode, budget, seed):
         Q_m = [_subst_block(qq, block, w) for qq in out.Qtilde]
         A_m = list(out.B.get(idx, []))
         for a in out.Atilde:
-            if _proj_matches(a, w, ell):
+            if points_equal(a, w, upto=ell):
                 A_m.append(_restrict_point(a, ctx_w, ell, rest))
         child = TreeNode(node.s + (1,), ctx_w, list(node.W) + [w], P_m, Q_m,
                          dedupe_points(A_m), rest, node.kprime)
         node.children.append(child)
-
-
-def _proj_matches(a, w, ell):
-    try:
-        for i in range(1, ell + 1):
-            ea = coordinate_encoding_cached(a, i)
-            ew = coordinate_encoding_cached(w, i)
-            if compare_roots(ea, ew) != 0:
-                return False
-        return True
-    except (ValueError, ArithmeticError):
-        return False
 
 
 def _restrict_point(a, ctx_w, ell, rest):
@@ -136,33 +123,3 @@ def _restrict_point(a, ctx_w, ell, rest):
     context (the representation is unchanged; only the base grows)."""
     return RealUnivRep(ctx_w, a.uvar, a.f, a.sigma,
                        (a.F[0],) + tuple(a.F[ell + 1:]), rest)
-
-
-def neighbors(s1, s2, t=None):
-    """The neighbor relation N_t on leaf strings: reflexive, symmetric,
-    generated by 0 N_1 1, the two prefix rules, and 01^(t-1) N_t 1^t."""
-    s1 = tuple(int(b) for b in s1)
-    s2 = tuple(int(b) for b in s2)
-    if t is None:
-        t = len(s1)
-    if len(s1) != t or len(s2) != t:
-        raise ValueError("length mismatch")
-    if s1 == s2:
-        return True
-    if t == 1:
-        return {s1[0], s2[0]} == {0, 1}
-    if s1[0] == 0 and s2[0] == 0:
-        return neighbors(s1[1:], s2[1:], t - 1)
-    if s1[0] == 1 and s2[0] == 1:
-        return s1 == s2
-    special = {(0,) + (1,) * (t - 1), (1,) * t}
-    return {s1, s2} == special
-
-
-def leaf_sets(tree: Tree, n: TreeNode):
-    """(Leav(n), Leav0(n), Leav1(n)) per the subtree rooted at n."""
-    prefix = n.s
-    L = [m for m in tree.leaves() if m.s[: len(prefix)] == prefix]
-    L0 = [m for m in L if all(b == 0 for b in m.s[len(prefix):])]
-    L1 = [m for m in L if all(b == 1 for b in m.s[len(prefix):])]
-    return L, L0, L1

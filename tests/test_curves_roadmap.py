@@ -4,13 +4,14 @@ import sys
 
 import pytest
 
-from dcroadmap import curves
+from dcroadmap import curves, points
 from dcroadmap.infring import QQ
 from dcroadmap.mpoly import MPoly, QRING, parse_poly
 from dcroadmap.points import rur_sign, sample_components
-from dcroadmap.realroots import TriangularContext
+from dcroadmap.realroots import TriangularContext, compare_roots, thom_encodings
 from dcroadmap.curves import curve_segments, limit_curve
 from dcroadmap.roadmap import (
+    assemble_graph,
     cauchy_bound,
     connectivity,
     graph_to_json_str,
@@ -137,15 +138,23 @@ def test_roadmap_json_roundtrip_deterministic():
 
 
 def test_endpoint_level_name_is_independent_of_the_hash_seed():
-    # the tower variable of a segment endpoint is named from the variables
-    # in use, not from a polynomial's hash, which follows PYTHONHASHSEED
+    # the tower variable that fixes a critical value, shared by its fiber's
+    # points and the segment endpoints glued there, is named from the
+    # variables in use, not from a polynomial's hash, which follows
+    # PYTHONHASHSEED
     script = (
-        "from dcroadmap.curves import curve_segments\n"
+        "from dcroadmap import curves\n"
         "from dcroadmap.mpoly import QRING, parse_poly\n"
         "from dcroadmap.realroots import TriangularContext\n"
+        "fiber_points = curves._fiber_points\n"
+        "def spy(V, signs_family, ctx, *rest):\n"
+        "    print(ctx.tvars)\n"
+        "    return fiber_points(V, signs_family, ctx, *rest)\n"
+        "curves._fiber_points = spy\n"
         "p = parse_poly('x^2 + y^2 - 1', ('x', 'y'))\n"
-        "for seg in curve_segments([p], [], TriangularContext(QRING), ('x', 'y')).segments:\n"
-        "    print(seg.lo_point.base.tvars, seg.hi_point.base.tvars)\n")
+        "piece = curves.curve_segments([p], [], TriangularContext(QRING), ('x', 'y'))\n"
+        "print([(piece.vertices.index(s.lo_point), piece.vertices.index(s.hi_point))\n"
+        "       for s in piece.segments])\n")
     src = os.path.dirname(os.path.dirname(curves.__file__))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     outs = []
@@ -155,3 +164,67 @@ def test_endpoint_level_name_is_independent_of_the_hash_seed():
                               text=True, timeout=600, check=True)
         outs.append(done.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_sorted_unique_encodings_keeps_one_encoding_per_root():
+    ctx = TriangularContext(QRING)
+    X = ("x",)
+    encs = (thom_encodings(parse_poly("x + 1", X), "x", ctx)
+            + thom_encodings(parse_poly("x^2 - 1", X), "x", ctx))
+    out = curves._sorted_unique_encodings(encs)
+    assert len(out) == 2
+    (minus_one,) = thom_encodings(parse_poly("x + 1", X), "x", ctx)
+    (one,) = thom_encodings(parse_poly("x - 1", X), "x", ctx)
+    assert compare_roots(out[0], minus_one) == 0
+    assert compare_roots(out[1], one) == 0
+
+
+# two unit circles crossing at two points, and two touching at one
+CROSSING = "(x^2 + y^2 - 1)*((x - 1)^2 + y^2 - 1)"
+TANGENT = "(x^2 + y^2 - 1)*((x - 2)^2 + y^2 - 1)"
+
+
+@pytest.fixture(scope="module", params=[(CROSSING, 10, 12), (TANGENT, 7, 8)],
+                ids=["crossing", "tangent"])
+def glued_pair(request):
+    """The curve piece and graph of a circle pair, the expected graph size,
+    and the tower collapses made while extracting and while assembling."""
+    text, nv, ne = request.param
+    p = P(text)
+    A = sample_components([p])
+    collapses = {"segments": 0, "assembly": 0}
+    stage = ["segments"]
+    collapse = points._collapse_last_level
+
+    def counted(u):
+        collapses[stage[0]] += 1
+        return collapse(u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_collapse_last_level", counted)
+        piece = curve_segments([p], [], TriangularContext(QRING), XY, anchors=A)
+        stage[0] = "assembly"
+        graph = assemble_graph([piece], A, XY)
+    return p, piece, graph, (nv, ne), collapses
+
+
+def test_glued_pair_graph(glued_pair):
+    p, _piece, graph, size, _collapses = glued_pair
+    assert (len(graph.vertices), len(graph.edges)) == size
+    assert graph.component_count() == 1
+    assert all(rur_sign(v, p) == 0 for v in graph.vertices)
+
+
+def test_segment_endpoints_are_fiber_vertices(glued_pair):
+    _p, piece, graph, _size, _collapses = glued_pair
+    assert piece.segments
+    for seg in piece.segments:
+        for pt in (seg.lo_point, seg.hi_point):
+            assert any(pt is v for v in piece.vertices)
+    assert all(lo is not None and hi is not None for _seg, lo, hi in graph.edges)
+
+
+def test_one_collapse_per_fiber_point_and_none_for_endpoints(glued_pair):
+    _p, piece, _graph, _size, collapses = glued_pair
+    assert 0 < collapses["segments"] <= len(piece.vertices)
+    assert collapses["assembly"] == 0

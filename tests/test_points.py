@@ -19,6 +19,7 @@ from dcroadmap.points import (
     flatten_rur,
     limit_point,
     limit_thom,
+    points_equal,
     project_rur,
     rational_between,
     rur_coordinate_encoding,
@@ -55,6 +56,29 @@ def test_project_rur():
     assert len(p0.F) == 1
     with pytest.raises(ValueError):
         project_rur(u, 5)
+
+
+def test_points_equal_compares_the_first_upto_coordinates():
+    u = mk_rational_rur([1, 2])
+    assert points_equal(u, mk_rational_rur([1, 2]))
+    assert not points_equal(u, mk_rational_rur([1, 3]))
+    assert points_equal(u, mk_rational_rur([1, 3]), upto=1)
+    assert not points_equal(u, mk_rational_rur([2, 2]), upto=1)
+    # a projection: equal on the coordinates both have, not as points
+    w = mk_rational_rur([1], ("x",))
+    assert points_equal(u, w, upto=1) and points_equal(w, u, upto=1)
+    assert not points_equal(u, w)
+    assert not points_equal(u, w, upto=2)
+    # a rational and an infinitesimal representation are compared over ERING
+    ue = RealUnivRep(TriangularContext(ERING), u.uvar, u.f.to_ering(), u.sigma,
+                     tuple(g.to_ering() for g in u.F), u.xvars)
+    assert points_equal(u, ue) and points_equal(ue, u)
+    # a different base context counts as not equal, and does not raise
+    (sqrt2,) = [e for e in thom_encodings(P("t^2 - 2", ("t",)), "t", TriangularContext(QRING))
+                if e.signs[1] > 0]
+    ctx = TriangularContext(QRING).extend("t", sqrt2.poly, sqrt2.signs)
+    ub = RealUnivRep(ctx, u.uvar, u.f, u.sigma, u.F, u.xvars)
+    assert not points_equal(u, ub) and not points_equal(u, ub, upto=1)
 
 
 def test_rur_sign():
@@ -248,10 +272,8 @@ def test_dedupe_points_keeps_points_with_equal_hashes():
         return RealUnivRep(TriangularContext(QRING), "T", f, (0, 1),
                            (one, MPoly.var(QRING, ("T",), "T")), ("x",))
 
-    pts = [rur("T - 1"), rur("T - 2")]
-    assert len(dedupe_points(pts, semantic=False)) == 2
-    assert len(dedupe_points(pts)) == 2
-    assert len(dedupe_points([rur("T - 1"), rur("T - 1")], semantic=False)) == 1
+    assert len(dedupe_points([rur("T - 1"), rur("T - 2")])) == 2
+    assert len(dedupe_points([rur("T - 1"), rur("T - 1")])) == 1
 
 
 def test_coordinate_cache_hits_on_equal_fresh_point():

@@ -1,42 +1,8 @@
-import itertools
-
-import pytest
-
 from dcroadmap.mpoly import parse_poly
 from dcroadmap.points import sample_components
-from dcroadmap.tree import Tree, TreeNode, build_tree, leaf_sets, neighbors
+from dcroadmap.tree import TreeNode, build_tree
 
 XY = ("x", "y")
-
-
-def test_neighbors_examples():
-    assert neighbors((0,), (1,), 1)
-    assert neighbors((0, 1, 1), (1, 1, 1), 3)
-    assert not neighbors((0, 1, 0), (0, 0, 1), 3)
-
-
-def test_neighbors_reflexive_symmetric():
-    for t in (1, 2, 3, 4):
-        for s1 in itertools.product((0, 1), repeat=t):
-            assert neighbors(s1, s1, t)
-            for s2 in itertools.product((0, 1), repeat=t):
-                assert neighbors(s1, s2, t) == neighbors(s2, s1, t)
-
-
-def test_neighbors_prefix_rules():
-    # 0s N 0s' iff s N s'; 1s N 1s' iff s == s'
-    for t in (2, 3):
-        for s1 in itertools.product((0, 1), repeat=t - 1):
-            for s2 in itertools.product((0, 1), repeat=t - 1):
-                assert neighbors((0,) + s1, (0,) + s2, t) == neighbors(s1, s2, t - 1)
-                if s1 != s2:
-                    got = neighbors((1,) + s1, (1,) + s2, t)
-                    assert not got
-
-
-def test_neighbors_length_mismatch():
-    with pytest.raises(ValueError):
-        neighbors((0, 1), (1,), 2)
 
 
 def test_build_tree_kprime1_is_single_leaf():
@@ -57,18 +23,3 @@ def test_tree_node_invariants():
     assert n.Fix == 5
     assert n.is_leaf()  # level == log2(kprime)
     assert not TreeNode((1, 0, 1), None, [], [], ["q"], [], ("x",), 16).is_leaf()
-
-
-def test_leaf_sets_on_synthetic_tree():
-    mk = lambda s: TreeNode(tuple(s), None, [], [], [], [], ("x",), 4)
-    root = mk(())
-    l00, l01 = mk((0, 0)), mk((0, 1))
-    l10, l11 = mk((1, 0)), mk((1, 1))
-    n0, n1 = mk((0,)), mk((1,))
-    tree = Tree(root, [root, n0, n1, l00, l01, l10, l11])
-    L, L0, L1 = leaf_sets(tree, root)
-    assert set(id(x) for x in L) == set(id(x) for x in (l00, l01, l10, l11))
-    assert L0 == [l00]
-    assert L1 == [l11]
-    L, L0, L1 = leaf_sets(tree, l01)
-    assert L == [l01] and L0 == [l01] and L1 == [l01]
