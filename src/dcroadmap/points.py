@@ -4,6 +4,7 @@ algorithms that remove infinitesimals from point descriptions."""
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -88,6 +89,42 @@ def rur_sign(u: RealUnivRep, poly: MPoly) -> int:
 
 CACHE_BOUND = 1024
 
+# every BoundedCache, so that a new input can empty them all
+_CACHES = []
+
+
+class _InputScope:
+    """The input system of the outermost entry-point call in progress, or of
+    the last one, and how deep entry-point calls are nested now."""
+
+    depth = 0
+    key = None
+
+
+def per_input_caches(entry):
+    """Decorate an entry point whose first argument is the input system (a
+    polynomial or a list of them).  The outermost call on an input other than
+    the previous outermost call's empties every BoundedCache first; nested
+    calls never do.  The caches then share work within one input and across
+    calls on that same input, but the cost of an input does not depend on what
+    the process solved before it, and they hold one input's data."""
+
+    @functools.wraps(entry)
+    def scoped(system, *args, **kwargs):
+        if _InputScope.depth == 0:
+            key = tuple(system) if isinstance(system, (list, tuple)) else (system,)
+            if key != _InputScope.key:
+                for cache in _CACHES:
+                    cache.clear()
+                _InputScope.key = key
+        _InputScope.depth += 1
+        try:
+            return entry(system, *args, **kwargs)
+        finally:
+            _InputScope.depth -= 1
+
+    return scoped
+
 
 class BoundedCache:
     """Least-recently-used map holding at most CACHE_BOUND entries.
@@ -97,6 +134,7 @@ class BoundedCache:
 
     def __init__(self):
         self._data = OrderedDict()
+        _CACHES.append(self)
 
     def get(self, key):
         value = self._data.get(key)
@@ -112,6 +150,9 @@ class BoundedCache:
 
     def __len__(self):
         return len(self._data)
+
+    def clear(self):
+        self._data.clear()
 
 
 _EXT_CTX_CACHE = BoundedCache()
@@ -406,6 +447,7 @@ def _coord_matches_encoding(cand, coord_index, poly, var, signs, parent, extra_v
 # bounded algebraic sampling
 
 
+@per_input_caches
 def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET,
                       seed=0, assume_finite=False):
     """Finite point set meeting every semi-algebraically connected component

@@ -20,6 +20,7 @@ from .points import (
     RealUnivRep,
     dedupe_points,
     flatten_rur,
+    per_input_caches,
     points_equal,
     rur_from_raw,
     rur_sign,
@@ -119,6 +120,7 @@ def assemble_graph(pieces, anchors, xvars):
     return RoadmapGraph(len(xvars), tuple(xvars), table.vertices, edges, anchor_ids)
 
 
+@per_input_caches
 def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
     """Divide-and-conquer roadmap of a bounded algebraic set: one tree per
     input point (one tree with no points when A is empty), curve segments on
@@ -200,6 +202,7 @@ def cauchy_bound(F):
     return 1 / total
 
 
+@per_input_caches
 def roadmap_general(P, A=(), kprime=None, budget=DEFAULT_BUDGET, seed=0):
     """Roadmap of a general (possibly unbounded or empty) algebraic set:
     intersect with an infinitesimal-radius sphere, run the bounded algorithm

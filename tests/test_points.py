@@ -297,6 +297,23 @@ def test_bounded_cache_evicts_least_recently_used(monkeypatch):
     assert (cache.get("a"), cache.get("c")) == (1, 3)
 
 
+def test_caches_are_emptied_only_when_the_outermost_input_changes():
+    cache = BoundedCache()
+    seen = []
+
+    @points.per_input_caches
+    def entry(system, nested=None):
+        seen.append(cache.get("k"))
+        cache.put("k", system)
+        if nested is not None:
+            entry(nested)
+
+    entry("a")
+    entry(["a"])  # the same input as a list: the cache is kept
+    entry("b", nested="c")  # a new input empties it; the nested call does not
+    assert seen == [None, "a", None, "b"]
+
+
 def test_sampled_point_order_is_independent_of_the_hash_seed():
     # the factors of a product are sampled in branch order; a set of them
     # would follow the string hashes of the variable names
