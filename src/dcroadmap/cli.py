@@ -9,7 +9,7 @@ import sys
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import PolyParseError, QRING, parse_poly_file
+from .mpoly import PolyParseError, QRING, parse_poly, parse_poly_file
 from .points import RealUnivRep, rur_sign, sample_components
 from .realroots import TriangularContext
 from .roadmap import (
@@ -39,8 +39,6 @@ def _load_point(path, variables):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     uvar = data["uvar"]
-    from .mpoly import parse_poly
-
     f = parse_poly(data["f"], (uvar,))
     F = tuple(parse_poly(g, (uvar,)) for g in data["F"])
     return RealUnivRep(TriangularContext(QRING), uvar, f, tuple(data["signs"]),

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .infring import QQ, InfElem, delta, eps, zeta
+from .infring import QQ, InfElem, delta, eps, gamma, zeta
 from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor
 
 
@@ -213,13 +213,11 @@ def charts(Ptilde, Qtilde, l, G, level, variables):
 
     Enumeration order is lexicographic in (|Q~'|, Q~', r, J, J') so tree
     shapes are reproducible."""
-    from .infring import gamma as gamma_sym
-
     variables = tuple(variables)
     k = len(variables)
     window = variables[l:]
     out = []
-    g = MPoly.const(ERING, variables, InfElem.sym(gamma_sym(level)))
+    g = MPoly.const(ERING, variables, InfElem.sym(gamma(level)))
     qn = len(Qtilde)
     for qsize in range(qn + 1):
         for qsel in combinations(range(qn), qsize):

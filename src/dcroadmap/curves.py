@@ -23,9 +23,13 @@ from .points import (
     BoundedCache,
     RealUnivRep,
     _restore_ring,
+    coordinate_encoding_cached,
     dedupe_points,
+    drop_symbols,
+    eta_content_normalize,
     flatten_rur,
     limit_point,
+    limit_thom,
     max_symbol_index,
     points_equal,
     rational_between,
@@ -291,8 +295,6 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
             continue
     for a in anchors:
         try:
-            from .points import coordinate_encoding_cached
-
             enc = coordinate_encoding_cached(a, 1)
             out.append(ThomEncoding(context, x,
                                     enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (x,), x)}),
@@ -572,8 +574,6 @@ def _limit_rur(u, drop_from):
 
 
 def _limit_encoding(enc, drop_from):
-    from .points import limit_thom
-
     if enc is None:
         return None
     if max_symbol_index(enc.poly) < drop_from and max_symbol_index(enc.context) < drop_from:
@@ -591,8 +591,6 @@ def _limit_context(ctx, drop_from):
 
 
 def _drop_poly(p, drop_from):
-    from .points import drop_symbols, eta_content_normalize
-
     if p.ring is not ERING:
         return p
     return drop_symbols(eta_content_normalize(p), drop_from)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .critloci import GoodRankMatrix, charts, crit_minor_system, crit_system, sweep_poly
+from .critloci import GoodRankMatrix, charts, crit_minor_system, crit_system, sweep_poly, tilde_system
 from .errors import ResourceBudgetError, SeparationError
 from .mpoly import ERING, MPoly, fresh_var, subst_rational
 from .optimsub import PseudoCriticalRequest, closest_pairs, closest_point, pseudo_critical_values
@@ -81,8 +81,6 @@ def _divide(inp: DivideInput) -> DivideOutput:
     d = max((pol.total_degree_in(inp.xvars) for pol in list(inp.P) + list(inp.Q)), default=1)
     d = max(d, 1)
     G = sweep_poly(d, k_free, inp.xvars)
-    from .critloci import tilde_system
-
     Ptilde, Qtilde = tilde_system(inp.P, inp.Q, p, level, inp.xvars, d=d)
     e_base = inp.base.to_ering()
 

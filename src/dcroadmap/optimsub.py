@@ -10,7 +10,7 @@ from itertools import combinations, product
 from .critloci import GoodRankMatrix, crit_minor_system
 from .errors import ResourceBudgetError, SeparationError
 from .infring import InfElem, extra_symbol
-from .mpoly import ERING, MPoly, merge_vars
+from .mpoly import ERING, MPoly, determinant, merge_vars
 from .points import (
     RealUnivRep,
     dedupe_points,
@@ -22,7 +22,7 @@ from .points import (
     sample_components,
 )
 from .realroots import TriangularContext, compare_roots, thom_encodings
-from .solve import DEFAULT_BUDGET, eliminate_to, solve_system
+from .solve import DEFAULT_BUDGET, _fingerprint, eliminate_to, factor_mpoly, solve_system, split_branches
 
 
 @dataclass
@@ -91,8 +91,6 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
                 if not elims:
                     continue
                 f = min(elims, key=lambda p: p.degree(zvar))
-                from .solve import factor_mpoly
-
                 for fac, _m in factor_mpoly(f, req.budget):
                     if fac.degree(zvar) == 0:
                         continue
@@ -137,8 +135,6 @@ def _distance_first_order(system_eqs, grad_subst, xvars):
         for r in rows:
             row = [grad_subst[r]] + [p.deriv(xvars[r]) for p in system_eqs]
             mat.append(row)
-        from .mpoly import determinant
-
         aligned = []
         allv = mat[0][0].vars
         for row in mat:
@@ -234,8 +230,6 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
     # X = Y from the critical-pair systems; the diagonal itself is sampled
     # separately below.  Both sides are factor-split first so the Jacobian
     # minors are built from the branch factors, not the products.
-    from .solve import split_branches
-
     wvar = "wsat_"
     ring = (P1 or P2)[0].ring
     satv = allv + (wvar,)
@@ -252,8 +246,6 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
         return p.subst(back) if back else p
 
     def branch_key(polys, rename_back=False):
-        from .solve import _fingerprint
-
         ps = [unrename(p) for p in polys] if rename_back else list(polys)
         return frozenset(_fingerprint(p) for p in ps)
     for q1size in range(len(Q1) + 1):

@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, fresh_var, jac_minor, resultant, subst_rational
+from .mpoly import ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, resultant, subst_rational
 from .realroots import (
     ThomEncoding,
     TriangularContext,
     _from_upoly,
     _to_upoly,
-    compare_roots,
     thom_encodings,
     utrim,
 )
@@ -42,7 +41,8 @@ class RealUnivRep:
         return len(self.F) - 1
 
     def extended_context(self):
-        return self.base.extend(self.uvar, self.f, self.sigma)
+        """The base extended by the root, from the shared context cache."""
+        return _ext_context_for(ThomEncoding(self.base, self.uvar, self.f, self.sigma))
 
     def coordinate(self, i):
         """(numerator, denominator) of coordinate i (1-based)."""
@@ -212,21 +212,30 @@ def separators_for(cands):
     return qs
 
 
+def _divide_eta_content(polys):
+    """Divide the polynomials by the eta monomial that divides every
+    coefficient of all of them (ratios between them are preserved)."""
+    if polys[0].ring is not ERING:
+        return tuple(polys)
+    mono = None
+    for g in polys:
+        for c in g.terms.values():
+            m = dict(c.monomial_content())
+            if mono is None:
+                mono = m
+            else:
+                mono = {i: min(e, m.get(i, 0)) for i, e in mono.items() if m.get(i, 0)}
+            if not mono:
+                return tuple(polys)
+    if not mono:
+        return tuple(polys)
+    mono = tuple(sorted(mono.items()))
+    return tuple(g.map_coeffs(lambda c: c.div_monomial(mono)) for g in polys)
+
+
 def eta_content_normalize(poly: MPoly) -> MPoly:
     """Divide out the common eta-monomial content of all coefficients."""
-    if poly.ring is not ERING or poly.is_zero():
-        return poly
-    mono = None
-    for c in poly.terms.values():
-        m = dict(c.monomial_content())
-        if mono is None:
-            mono = m
-        else:
-            mono = {i: min(e, m.get(i, 0)) for i, e in mono.items() if m.get(i, 0)}
-        if not mono:
-            return poly
-    mono = tuple(sorted(mono.items()))
-    return poly.map_coeffs(lambda c: c.div_monomial(mono))
+    return _divide_eta_content((poly,))[0]
 
 
 def drop_symbols(poly: MPoly, drop_from: int) -> MPoly:
@@ -262,9 +271,8 @@ def limit_thom(enc: ThomEncoding, drop_from: int):
 
     Returns None when the root is unbounded over the reduced ring."""
     ctx = enc.context
-    for _v, p, _s in ctx.levels:
-        if p.ring is ERING and any(i >= drop_from for c in p.terms.values() for i in c.support_indices()):
-            raise ValueError("context polynomials still involve dropped symbols")
+    if _context_dirty(ctx, drop_from):
+        raise ValueError("context polynomials still involve dropped symbols")
     f = eta_content_normalize(enc.poly)
     f0 = drop_symbols(f, drop_from)
     if f0.is_zero():
@@ -317,7 +325,7 @@ def limit_point(u: RealUnivRep, drop_from: int):
         u = _collapse_last_level(u)
     ectx = u.base
     h = eta_content_normalize(u.f)
-    Fs = _tuple_content_normalize(u.F)
+    Fs = _divide_eta_content(u.F)
     h0 = drop_symbols(h, drop_from)
     if h0.is_zero():
         raise ValueError("order not factorable")
@@ -333,7 +341,7 @@ def limit_point(u: RealUnivRep, drop_from: int):
     # until the denominator stops vanishing at the limit root, which keeps
     # every ratio by l'Hopital since the point is bounded
     F0 = [drop_symbols(g, drop_from) for g in Fs]
-    lim_ctx_plus = lim_enc.context.extend(u.uvar, lim_enc.poly, lim_enc.signs)
+    lim_ctx_plus = _ext_context_for(lim_enc)
     max_steps = F0[0].degree(u.uvar) + 1
     steps = 0
     while True:
@@ -350,27 +358,6 @@ def limit_point(u: RealUnivRep, drop_from: int):
                        tuple(F0), u.xvars)
 
 
-def _tuple_content_normalize(Fs):
-    """Divide the whole coordinate tuple by its joint eta-monomial content
-    (ratios f_i/f_0 are preserved)."""
-    if Fs[0].ring is not ERING:
-        return tuple(Fs)
-    mono = None
-    for g in Fs:
-        for c in g.terms.values():
-            m = dict(c.monomial_content())
-            if mono is None:
-                mono = m
-            else:
-                mono = {i: min(e, m.get(i, 0)) for i, e in mono.items() if m.get(i, 0)}
-            if not mono:
-                return tuple(Fs)
-    if not mono:
-        return tuple(Fs)
-    mono = tuple(sorted(mono.items()))
-    return tuple(g.map_coeffs(lambda c: c.div_monomial(mono)) for g in Fs)
-
-
 def flatten_rur(u: RealUnivRep, nlevels: int = 0) -> RealUnivRep:
     """Collapse the triangular tower until its base has `nlevels` levels
     (by default a single univariate representation over the empty context;
@@ -385,16 +372,11 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
     var_t, f_t, signs_t = ctx.levels[-1]
     parent = ctx.prefix(ctx.nlevels - 1)
     wvar = fresh_var("W", set(u.base.tvars) | {u.uvar} | set(u.f.vars))
-    pair_system = [f_t, u.f]
-    sols = solve_system(pair_system, (var_t, u.uvar), context=parent, uvar=wvar)
-    matches = []
-    for raw in sols:
-        cand = rur_from_raw(raw)
-        # cand coordinates: (var_t value, uvar value); identify by matching the
-        # Thom data of both coordinates against the target encodings
-        if _coord_matches_encoding(cand, 0, f_t, var_t, signs_t, parent) and \
-           _coord_matches_encoding(cand, 1, u.f, u.uvar, u.sigma, parent, extra_var=var_t, extra_index=0):
-            matches.append(cand)
+    sols = solve_system([f_t, u.f], (var_t, u.uvar), context=parent, uvar=wvar)
+    # the solution whose coordinates (var_t, uvar) are the roots both levels fix
+    matches = [cand for cand in map(rur_from_raw, sols)
+               if _has_thom_signs(cand, f_t, var_t, signs_t)
+               and _has_thom_signs(cand, u.f, u.uvar, u.sigma)]
     if len(matches) != 1:
         raise ArithmeticError(f"root pairing not unique ({len(matches)} matches)")
     m = matches[0]
@@ -417,30 +399,15 @@ def _subst_pair(g, denom, reps):
     return subst_rational(g, block, (denom, [reps[v] for v in block]))
 
 
-def _coord_matches_encoding(cand, coord_index, poly, var, signs, parent, extra_var=None, extra_index=None):
-    """Check that coordinate coord_index of cand is the root of poly (in var)
-    with the given Thom signs, by sign-evaluating all derivatives."""
-    ctx_plus = cand.extended_context()
-    num = cand.F[1 + coord_index]
-    den = cand.F[0]
-    d = poly.degree(var)
-    cur = poly
-    for j in range(d + 1):
-        block = [var]
-        reps = [num]
-        if extra_var is not None and extra_var in cur.vars and cur.degree(extra_var) > 0:
-            block.append(extra_var)
-            reps.append(cand.F[1 + extra_index])
-        val = subst_rational(cur, block, (den, reps))
-        sv = ctx_plus.sign_mpoly(val.with_vars(tuple(ctx_plus.tvars)))
-        deg = cur.total_degree_in(block)
-        d0 = ctx_plus.sign_mpoly(den.with_vars(tuple(ctx_plus.tvars)))
-        s = sv * (d0 ** (deg % 2))
-        want = signs[j] if j < len(signs) else 0
-        if s != want:
-            return False
-        cur = cur.deriv(var)
-    return True
+def _has_thom_signs(u: RealUnivRep, P: MPoly, var: str, signs) -> bool:
+    """Whether coordinate var of u has these signs over Der(P) (entries past
+    the end of signs count as 0), each read by rur_sign in u's extension
+    context.  P may also involve u's other coordinates and base variables.
+    With signs[0] = 0 this says, by Thom's lemma, that the coordinate is the
+    root of P the signs encode."""
+    ders = der_list(P, var)
+    want = tuple(signs) + (0,) * (len(ders) - len(signs))
+    return all(rur_sign(u, d) == s for d, s in zip(ders, want))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +571,12 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
     """Exact equality of the first `upto` coordinates (all, by default) of
     the associated points.  A rational and an infinitesimal representation
     are compared over the infinitesimal ring.  Different base contexts, or a
-    comparison that fails, count as not equal."""
+    comparison that fails, count as not equal.
+
+    Coordinate i of v equals coordinate i of u when, over Der(g), it has the
+    signs of u's encoding of that coordinate (a root of g), read in v's
+    extension context: by Thom's lemma it is then the root of g those signs
+    fix.  v's own encoding is never computed."""
     if u is v:
         return True
     n = u.k if upto is None else upto
@@ -615,9 +587,11 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
     if u.base.key() != v.base.key():
         return False
     try:
-        return all(compare_roots(coordinate_encoding_cached(u, i),
-                                 coordinate_encoding_cached(v, i)) == 0
-                   for i in range(1, n + 1))
+        for i in range(1, n + 1):
+            enc = coordinate_encoding_cached(u, i)
+            if not _has_thom_signs(_coordinate_alone(v, i, enc.var), enc.poly, enc.var, enc.signs):
+                return False
+        return True
     except (ValueError, ArithmeticError):
         return False
 
@@ -640,8 +614,12 @@ def dedupe_points(points):
 
 
 def rur_coordinate_encoding(u: RealUnivRep, i: int, yvar="Y_"):
-    """The i-th coordinate (1-based) of u as a Thom encoding of a univariate
-    polynomial over u.base (eliminating the RUR root)."""
+    """The i-th coordinate (1-based) of u as a Thom encoding over u.base:
+    (g, signs of Der(g) at the coordinate), where g in yvar is the resultant
+    eliminating the RUR root from yvar * f_0 - f_i, trimmed at the base
+    point.  By Thom's lemma these signs fix the coordinate among g's roots,
+    so they are read at u's point itself, in u's extension context, and g's
+    other roots are never encoded."""
     ctx = u.base
     ring = u.f.ring
     variables = tuple(dict.fromkeys(list(u.f.vars) + [yvar]))
@@ -649,21 +627,16 @@ def rur_coordinate_encoding(u: RealUnivRep, i: int, yvar="Y_"):
     rel = y * u.F[0].with_vars(variables) - u.F[i].with_vars(variables)
     g = resultant(u.f.with_vars(variables), rel, u.uvar)
     g = _ctx_trim_poly(g, yvar, ctx)
-    cands = thom_encodings(g, yvar, ctx)
-    matches = []
-    for c in cands:
-        if _value_equals_coordinate(c, u, i):
-            matches.append(c)
-    if len(matches) != 1:
-        raise ArithmeticError(f"coordinate encoding not unique ({len(matches)})")
-    return matches[0]
+    if g.degree(yvar) == 0:
+        raise ArithmeticError("the coordinate's eliminant is constant")
+    alone = _coordinate_alone(u, i, yvar)
+    signs = tuple(rur_sign(alone, d) for d in der_list(g, yvar))
+    if signs[0] != 0:
+        raise ArithmeticError("the coordinate is not a root of its eliminant")
+    return ThomEncoding(ctx, yvar, g, signs)
 
 
-def _value_equals_coordinate(enc: ThomEncoding, u: RealUnivRep, i: int) -> int:
-    """Exact test enc.root == coordinate_i(u) by comparing through u's
-    extended context: sign of (y*f0 - f_i) with y fixed by enc."""
-    # evaluate sign of (enc_root * f0 - f_i) over the combined tower
-    ctx_plus = u.extended_context().extend(enc.var, enc.poly.with_vars(
-        tuple(dict.fromkeys(list(u.extended_context().tvars) + [enc.var]))), enc.signs)
-    expr = (MPoly.var(u.f.ring, (enc.var,), enc.var) * u.F[0] - u.F[i]).with_vars(ctx_plus.tvars)
-    return ctx_plus.sign_mpoly(expr) == 0
+def _coordinate_alone(u: RealUnivRep, i: int, name: str) -> RealUnivRep:
+    """Coordinate i (1-based) of u as the one coordinate, named `name`, of a
+    representation with u's root."""
+    return RealUnivRep(u.base, u.uvar, u.f, u.sigma, (u.F[0], u.F[i]), (name,))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyEncodingError
 from .infring import QQ, InfElem
-from .mpoly import ERING, QRING, MPoly, _exact_poly_div
+from .mpoly import ERING, QRING, MPoly, _exact_poly_div, der_list
 from .symbridge import gcd
 
 # ---------------------------------------------------------------------------
@@ -738,9 +738,7 @@ def compare_roots(a, b):
     bp = b.poly
     if b.var != a.var:
         bp = bp.subst({b.var: MPoly.var(bp.ring, (a.var,), a.var)})
-    ders = [bp]
-    for _ in range(bp.degree(a.var)):
-        ders.append(ders[-1].deriv(a.var))
+    ders = der_list(bp, a.var)
     at_a = a.context.extend(a.var, a.poly, a.signs)
     bsigns = [at_a.sign_mpoly(d) for d in ders]
     width = max(len(bsigns), len(b.signs))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcroadmap.infring import QQ, InfElem, eps, zeta
-from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
-from dcroadmap.realroots import ThomEncoding, TriangularContext, thom_encodings
+from dcroadmap.mpoly import ERING, QRING, MPoly, merge_vars, parse_poly
+from dcroadmap.realroots import ThomEncoding, TriangularContext, compare_roots, thom_encodings
 from dcroadmap import points
 from dcroadmap.points import (
     BoundedCache,
@@ -248,6 +248,77 @@ def test_rur_coordinate_encoding():
         ctxp = cx.context.extend(cx.var, cx.poly, cx.signs)
         val = parse_poly("2*Y_^2 - 1", ("Y_",)).with_vars(ctxp.tvars)
         assert ctxp.sign_mpoly(val) == 0
+
+
+def _rur_at(ctx, f, uvar, root, coords, xvars):
+    """RUR over ctx of the root-th real root of f in uvar (increasing order),
+    with coordinates coords[i] / coords[0]."""
+    f = f.with_vars(merge_vars(ctx.tvars, (uvar,)))
+    signs = thom_encodings(f, uvar, ctx)[root].signs
+    return RealUnivRep(ctx, uvar, f, signs, tuple(g.with_vars(f.vars) for g in coords), xvars)
+
+
+def _root_over(ctx, g, root):
+    """The root-th real root of g in Y_ over ctx."""
+    return thom_encodings(g.with_vars(merge_vars(ctx.tvars, ("Y_",))), "Y_", ctx)[root]
+
+
+def _coordinate_cases():
+    """(point, coordinate index, the coordinate's value as an encoding)."""
+    q = TriangularContext(QRING)
+    u = ("U",)
+    rational = mk_rational_rur([QQ(7, 3), -5])
+    yield rational, 1, _root_over(q, P("3*Y_ - 7", ("Y_",)), 0)
+    yield rational, 2, _root_over(q, P("Y_ + 5", ("Y_",)), 0)
+    # (sqrt 2, 3 - sqrt 2)
+    irrational = _rur_at(q, P("U^2 - 2", u), "U", 1, (P("1", u), P("U", u), P("3 - U", u)), XY)
+    yield irrational, 1, _root_over(q, P("Y_^2 - 2", ("Y_",)), 1)
+    yield irrational, 2, _root_over(q, P("Y_^2 - 6*Y_ + 7", ("Y_",)), 0)
+    # over T = sqrt 2: (2^(1/4), 2^(3/4)) at the positive root of U^2 - T
+    f1 = P("T^2 - 2", ("T",))
+    tower = q.extend("T", f1, thom_encodings(f1, "T")[1].signs)
+    tu = ("T", "U")
+    second = _rur_at(tower, P("U^2 - T", tu), "U", 1, (P("1", tu), P("U", tu), P("T*U", tu)), XY)
+    ty = ("T", "Y_")
+    yield second, 1, _root_over(tower, P("Y_^2 - T", ty), 1)
+    yield second, 2, _root_over(tower, P("Y_^2 - 2*T", ty), 1)
+    # over D[eps]: (1 + sqrt eps, -sqrt eps) at the positive root of U^2 - eps
+    e = ERING
+    ue = MPoly.var(e, u, "U")
+    one = MPoly.const(e, u, 1)
+    e1 = MPoly.const(e, u, InfElem.sym(eps(1)))
+    infinitesimal = _rur_at(TriangularContext(e), ue * ue - e1, "U", 1, (one, one + ue, -ue), XY)
+    y = MPoly.var(e, ("Y_",), "Y_")
+    ey = e1.with_vars(("Y_",))
+    yield infinitesimal, 1, _root_over(TriangularContext(e), (y - 1) * (y - 1) - ey, 1)
+    yield infinitesimal, 2, _root_over(TriangularContext(e), y * y - ey, 0)
+
+
+@pytest.mark.parametrize("u,i,value", list(_coordinate_cases()))
+def test_rur_coordinate_encoding_is_the_coordinates_entry_of_thom_encodings(u, i, value):
+    enc = rur_coordinate_encoding(u, i)
+    entries = [e for e in thom_encodings(enc.poly, enc.var, enc.context)
+               if e.poly == enc.poly and e.signs == enc.signs]
+    assert len(entries) == 1
+    assert enc.context is u.base and enc.var == "Y_"
+    assert compare_roots(entries[0], value) == 0
+
+
+def test_points_equal_is_symmetric():
+    q = TriangularContext(QRING)
+    u, v = ("U",), ("V",)
+    one_u, one_v = P("1", u), P("1", v)
+    # (sqrt 2, 1) at the root of U^2 - 2, and at the root 1 + sqrt 2 of
+    # V^2 - 2V - 1 with a denominator
+    a = _rur_at(q, P("U^2 - 2", u), "U", 1, (one_u, P("U", u), one_u), XY)
+    b = _rur_at(q, P("V^2 - 2*V - 1", v), "V", 1,
+                (P("2", v), P("2*V - 2", v), P("2", v)), XY)
+    assert points_equal(a, b) and points_equal(b, a)
+    # (sqrt 2, sqrt 2) shares only its first coordinate with them
+    c = _rur_at(q, P("V^2 - 2", v), "V", 1, (one_v, P("V", v), P("V", v)), XY)
+    for w in (a, b):
+        assert not points_equal(w, c) and not points_equal(c, w)
+        assert points_equal(w, c, upto=1) and points_equal(c, w, upto=1)
 
 
 def _root_of(text):
