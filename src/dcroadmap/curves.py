@@ -20,7 +20,6 @@ from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, MPoly, fresh_var, merge_vars, resultant, subst_rational
 from .points import (
-    BoundedCache,
     RealUnivRep,
     _restore_ring,
     coordinate_encoding_cached,
@@ -38,6 +37,7 @@ from .points import (
     sample_components,
 )
 from .realroots import (
+    BoundedCache,
     ThomEncoding,
     TriangularContext,
     compare_roots,
@@ -76,6 +76,7 @@ class CurvePiece:
 
     segments: list
     vertices: list  # RURs (isolated points and all endpoint targets)
+    distinct: bool = False  # the vertices are known to be distinct points
 
 
 def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed=0):
@@ -154,7 +155,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
     vertices = [v for _ctx, kept in fibers for _u, v in kept]
     isolated = dedupe_points([u for ps in point_sets for u in ps.vertices])
     isolated = [u for u in isolated if not any(points_equal(u, v) for v in vertices)]
-    return CurvePiece(segments, isolated + vertices)
+    return CurvePiece(segments, isolated + vertices, distinct=True)
 
 
 def _points_only(V, signs_family, context, xvars, budget, seed):
@@ -552,7 +553,9 @@ def limit_curve(pieces: CurvePiece, drop_from: int, budget=DEFAULT_BUDGET):
         new.lo_point = lo
         new.hi_point = hi
         segments.append(new)
-    return CurvePiece(segments, vertices)
+    # limits of distinct points, and the ends of a collapsed segment, can meet
+    return CurvePiece(segments, vertices,
+                      distinct=pieces.distinct and vertices == pieces.vertices)
 
 
 def _segment_has_symbols(seg, drop_from):

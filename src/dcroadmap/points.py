@@ -4,18 +4,18 @@ algorithms that remove infinitesimals from point descriptions."""
 
 from __future__ import annotations
 
-import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, resultant, subst_rational
 from .realroots import (
+    BoundedCache,
     ThomEncoding,
     TriangularContext,
     _from_upoly,
     _to_upoly,
+    per_input_caches,
     thom_encodings,
     utrim,
 )
@@ -85,74 +85,6 @@ def rur_sign(u: RealUnivRep, poly: MPoly) -> int:
 
 # ---------------------------------------------------------------------------
 # rational separators and limits
-
-
-CACHE_BOUND = 1024
-
-# every BoundedCache, so that a new input can empty them all
-_CACHES = []
-
-
-class _InputScope:
-    """The input system of the outermost entry-point call in progress, or of
-    the last one, and how deep entry-point calls are nested now."""
-
-    depth = 0
-    key = None
-
-
-def per_input_caches(entry):
-    """Decorate an entry point whose first argument is the input system (a
-    polynomial or a list of them).  The outermost call on an input other than
-    the previous outermost call's empties every BoundedCache first; nested
-    calls never do.  The caches then share work within one input and across
-    calls on that same input, but the cost of an input does not depend on what
-    the process solved before it, and they hold one input's data."""
-
-    @functools.wraps(entry)
-    def scoped(system, *args, **kwargs):
-        if _InputScope.depth == 0:
-            key = tuple(system) if isinstance(system, (list, tuple)) else (system,)
-            if key != _InputScope.key:
-                for cache in _CACHES:
-                    cache.clear()
-                _InputScope.key = key
-        _InputScope.depth += 1
-        try:
-            return entry(system, *args, **kwargs)
-        finally:
-            _InputScope.depth -= 1
-
-    return scoped
-
-
-class BoundedCache:
-    """Least-recently-used map holding at most CACHE_BOUND entries.
-
-    Keys are values (rings by name, contexts by key(), polynomials, signs and
-    variable names), so equal inputs built afresh hit the same entry."""
-
-    def __init__(self):
-        self._data = OrderedDict()
-        _CACHES.append(self)
-
-    def get(self, key):
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def put(self, key, value):
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > CACHE_BOUND:
-            self._data.popitem(last=False)
-
-    def __len__(self):
-        return len(self._data)
-
-    def clear(self):
-        self._data.clear()
 
 
 _EXT_CTX_CACHE = BoundedCache()

@@ -11,18 +11,97 @@ of any Q at the roots are the inverse of the adapted sign matrix applied to
 Tarski queries, one matrix row per root.  At the root fixed by a level of a
 triangular context, sign(root - q) for a rational q comes from the level's
 Sturm chain evaluated at q.
+
+One sign determination serves every root of P and every context that fixes
+the same base point: it is built once per (ring, base context key, P) and
+kept in a value-keyed BoundedCache, the one cache scheme of the package.
+Every BoundedCache holds the work of one input only; per_input_caches
+empties them all when the outermost entry-point call gets a new input.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import EmptyEncodingError
 from .infring import QQ, InfElem
 from .mpoly import ERING, QRING, MPoly, _exact_poly_div, der_list
 from .symbridge import gcd
+
+# ---------------------------------------------------------------------------
+# value-keyed caches, scoped to one input
+
+
+CACHE_BOUND = 1024
+
+# every BoundedCache, so that a new input can empty them all
+_CACHES = []
+
+
+class _InputScope:
+    """The input system of the outermost entry-point call in progress, or of
+    the last one, and how deep entry-point calls are nested now."""
+
+    depth = 0
+    key = None
+
+
+def per_input_caches(entry):
+    """Decorate an entry point whose first argument is the input system (a
+    polynomial or a list of them).  The outermost call on an input other than
+    the previous outermost call's empties every BoundedCache first; nested
+    calls never do.  The caches then share work within one input and across
+    calls on that same input, but the cost of an input does not depend on what
+    the process solved before it, and they hold one input's data."""
+
+    @functools.wraps(entry)
+    def scoped(system, *args, **kwargs):
+        if _InputScope.depth == 0:
+            key = tuple(system) if isinstance(system, (list, tuple)) else (system,)
+            if key != _InputScope.key:
+                for cache in _CACHES:
+                    cache.clear()
+                _InputScope.key = key
+        _InputScope.depth += 1
+        try:
+            return entry(system, *args, **kwargs)
+        finally:
+            _InputScope.depth -= 1
+
+    return scoped
+
+
+class BoundedCache:
+    """Least-recently-used map holding at most CACHE_BOUND entries.
+
+    Keys are values (rings by name, contexts by key(), polynomials, signs and
+    variable names), so equal inputs built afresh hit the same entry."""
+
+    def __init__(self):
+        self._data = OrderedDict()
+        _CACHES.append(self)
+
+    def get(self, key):
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        self._data[key] = value
+        self._data.move_to_end(key)
+        if len(self._data) > CACHE_BOUND:
+            self._data.popitem(last=False)
+
+    def __len__(self):
+        return len(self._data)
+
+    def clear(self):
+        self._data.clear()
+
 
 # ---------------------------------------------------------------------------
 # coefficient-operation bundles
@@ -349,7 +428,13 @@ class SignDetermination:
     vector sigma(Q) of any Q at the r roots to the Tarski queries
     TaQ(Q * prods[a], P):  M . sigma(Q) = t.  `signs` reads sigma(Q) off
     rows of M^-1.  `ders` is Der(P) without P, `chain` the Sturm chain of
-    (P, P') that counts the roots (empty when P is a constant)."""
+    (P, P') that counts the roots (empty when P is a constant).
+
+    One object serves every root of P and every context with the same ring
+    and base key: build it only through shared_sign_determination.  It does
+    not change after its constructor returns; the one thing that grows is
+    `_query_cache`, the Tarski queries it has made, keyed by the value of
+    the product polynomial, so sharing it changes no answer."""
 
     def __init__(self, ops, P):
         self.ops = ops
@@ -370,7 +455,7 @@ class SignDetermination:
             d = utrim(ops, uderiv(ops, d))
             self.ders.append(d)
         for d in self.ders:
-            self.push(d)
+            self._push(d)
         if any(c != 1 for c in self.counts):
             raise ArithmeticError("derivative sign conditions must isolate single roots")
         order = sorted(range(len(self.conds)), key=functools.cmp_to_key(
@@ -413,11 +498,12 @@ class SignDetermination:
             raise ArithmeticError("sign determination gave a sign outside -1, 0, 1")
         return tuple(int(s) for s in out)
 
-    def push(self, Q):
+    def _push(self, Q):
         """Extend every realized condition by the sign of Q and rebuild the
-        adapted basis.  With x_e = M^-1 (TaQ(Q^e * prods[a], P))_a, the
-        roots of condition j split into counts[j] - x_2[j] where Q = 0 and
-        (x_2[j] +- x_1[j]) / 2 where Q > 0 and Q < 0."""
+        adapted basis; only the constructor calls it.  With
+        x_e = M^-1 (TaQ(Q^e * prods[a], P))_a, the roots of condition j split
+        into counts[j] - x_2[j] where Q = 0 and (x_2[j] +- x_1[j]) / 2 where
+        Q > 0 and Q < 0."""
         ops = self.ops
         if not self.conds:
             return
@@ -452,6 +538,23 @@ class SignDetermination:
         self.prods = [cand_prods[idx] for idx in sel]
         self.matrix = [cand_rows[idx] for idx in sel]
         self.inverse = _inverse(self.matrix)
+
+
+_SD_CACHE = BoundedCache()
+
+
+def shared_sign_determination(ops, P):
+    """The SignDetermination of the ctx-trimmed P over ops, built once per
+    (ring, base context key, P): the roots of P and the contexts that fix
+    the same base point share it.  The ring is named because a context's
+    key() leaves it out."""
+    base = ops.context.key() if isinstance(ops, PolyOps) else ()
+    key = (ops.ring.name, base, _upoly_key(P))
+    sd = _SD_CACHE.get(key)
+    if sd is None:
+        sd = SignDetermination(ops, P)
+        _SD_CACHE.put(key, sd)
+    return sd
 
 
 def _upoly_key(cs):
@@ -629,7 +732,7 @@ class _LevelSolver:
         self.parent = parent
         self.ops = parent.ops()
         self.F = utrim(self.ops, _to_upoly(fpoly, var, parent))
-        self.sd = SignDetermination(self.ops, self.F)
+        self.sd = shared_sign_determination(self.ops, self.F)
         nder = len(self.sd.ders)
         target = (tuple(signs[1:]) + (0,) * nder)[:nder]
         # the conditions are in increasing order, so the root's index is
@@ -718,7 +821,7 @@ def signs_at_encodings(P, family, var, context=None):
     context = context or TriangularContext(P.ring)
     ops = context.ops()
     up = utrim(ops, _to_upoly(P, var, context))
-    sd = SignDetermination(ops, up)
+    sd = shared_sign_determination(ops, up)
     fam = [sd.signs(_to_upoly(q, var, context)) for q in family]
     Pn = _from_upoly(up, var, context)
     return [(ThomEncoding(context, var, Pn, (0,) + cond), tuple(s[i] for s in fam))

@@ -3,8 +3,9 @@ bounded and general top-level algorithms, and connectivity queries.
 
 Segment endpoints arrive glued: curve_segments matches each one in its
 fiber's context and hands back the fiber's vertex object, so assembly gives
-an endpoint the id of that vertex.  Vertices and anchors are still compared
-with every vertex kept so far."""
+an endpoint the id of that vertex.  The first piece's vertices, known to be
+distinct, are kept without comparison; later pieces' vertices and the
+anchors are still compared with every vertex kept so far."""
 
 from __future__ import annotations
 
@@ -20,12 +21,11 @@ from .points import (
     RealUnivRep,
     dedupe_points,
     flatten_rur,
-    per_input_caches,
     points_equal,
     rur_from_raw,
     rur_sign,
 )
-from .realroots import TriangularContext
+from .realroots import TriangularContext, per_input_caches
 from .solve import DEFAULT_BUDGET, solve_system
 from .tree import build_tree
 
@@ -89,6 +89,11 @@ class _VertexTable:
     def __init__(self):
         self.vertices = []
 
+    def append(self, u: RealUnivRep):
+        """Keep u as a new vertex, known to differ from every kept one."""
+        self.vertices.append(_canonicalize(u))
+        return len(self.vertices) - 1
+
     def add(self, u: RealUnivRep):
         u = _canonicalize(u)
         for i, v in enumerate(self.vertices):
@@ -101,13 +106,16 @@ class _VertexTable:
 def assemble_graph(pieces, anchors, xvars):
     """Glue curve pieces into a roadmap graph: vertices and anchors are
     deduplicated by exact coordinate comparison, edges join segment endpoint
-    vertices.  An endpoint that is one of its piece's vertex objects takes
-    that vertex's id; any other endpoint is looked up like a vertex."""
+    vertices.  The first piece's vertices, when known distinct, are kept
+    without comparing them.  An endpoint that is one of its piece's vertex
+    objects takes that vertex's id; any other endpoint is looked up like a
+    vertex."""
     table = _VertexTable()
     vid = {}  # id(vertex object) -> vertex id
-    for piece in pieces:
+    for n, piece in enumerate(pieces):
+        keep = table.append if n == 0 and piece.distinct else table.add
         for u in piece.vertices:
-            vid[id(u)] = table.add(u)
+            vid[id(u)] = keep(u)
     anchor_ids = [table.add(a) for a in anchors]
 
     def endpoint_id(pt):

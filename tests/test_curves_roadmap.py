@@ -5,11 +5,11 @@ import sys
 import pytest
 
 from dcroadmap import curves, points
-from dcroadmap.infring import QQ
-from dcroadmap.mpoly import MPoly, QRING, parse_poly
-from dcroadmap.points import rur_sign, sample_components
+from dcroadmap.infring import QQ, InfElem, eps
+from dcroadmap.mpoly import ERING, MPoly, QRING, parse_poly
+from dcroadmap.points import RealUnivRep, rur_sign, sample_components
 from dcroadmap.realroots import TriangularContext, compare_roots, thom_encodings
-from dcroadmap.curves import curve_segments, limit_curve
+from dcroadmap.curves import CurvePiece, curve_segments, limit_curve
 from dcroadmap.roadmap import (
     assemble_graph,
     cauchy_bound,
@@ -62,6 +62,24 @@ def test_limit_curve_identity_on_rational_input():
     out = limit_curve(piece, 1)
     assert len(out.segments) == len(piece.segments)
     assert len(out.vertices) == len(piece.vertices)
+    assert piece.distinct and out.distinct
+
+
+def test_vertices_that_meet_in_the_limit_are_glued():
+    # T = eps and T = -eps are distinct points whose limits are both 0, so
+    # the limit piece no longer says its vertices are distinct, and assembly
+    # compares them into one vertex
+    t = ("T",)
+
+    def near_zero(sign):
+        f = MPoly.var(ERING, t, "T") + MPoly.const(ERING, t, InfElem.sym(eps(1)) * sign)
+        return RealUnivRep(TriangularContext(ERING), "T", f, (0, 1),
+                           (MPoly.const(ERING, t, 1), MPoly.var(ERING, t, "T")), ("x",))
+
+    piece = CurvePiece([], [near_zero(1), near_zero(-1)], distinct=True)
+    out = limit_curve(piece, eps(1).global_index)
+    assert len(out.vertices) == 2 and not out.distinct
+    assert len(assemble_graph([out], [], ("x",)).vertices) == 1
 
 
 def test_cauchy_bound_examples():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, merge_vars, parse_poly
 from dcroadmap.realroots import ThomEncoding, TriangularContext, compare_roots, thom_encodings
-from dcroadmap import points
+from dcroadmap import points, realroots
 from dcroadmap.points import (
     BoundedCache,
     RealUnivRep,
@@ -357,7 +357,7 @@ def test_coordinate_cache_hits_on_equal_fresh_point():
 
 
 def test_bounded_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(points, "CACHE_BOUND", 2)
+    monkeypatch.setattr(realroots, "CACHE_BOUND", 2)
     cache = BoundedCache()
     cache.put("a", 1)
     cache.put("b", 2)

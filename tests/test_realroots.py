@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dcroadmap.errors import EmptyEncodingError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
+from dcroadmap import realroots
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import (
     STRIP_MIN_TERMS,
@@ -14,6 +15,8 @@ from dcroadmap.realroots import (
     TriangularContext,
     compare_roots,
     content_strip,
+    per_input_caches,
+    shared_sign_determination,
     sign_determination,
     signs_at_encodings,
     tarski_query_mpoly,
@@ -181,6 +184,64 @@ def test_prefix_is_the_ancestor():
     assert ctx2.prefix(1) is ctx1
     assert ctx2.prefix(0) is root
     assert ctx2.prefix(2) is ctx2
+
+
+def test_roots_of_one_polynomial_share_one_sign_determination():
+    # the two real roots of X^2 - T over T = sqrt 2, each fixed over a base
+    # context built on its own: the bases have equal keys, so one sign
+    # determination of X^2 - T serves both roots
+    tx = ("T", "X")
+
+    def base():
+        return TriangularContext(QRING).extend("T", parse_poly("T^2 - 2", ("T",)), (0, 1, 1))
+
+    neg, pos = thom_encodings(parse_poly("X^2 - T", tx), "X", base())
+    at_neg = base().extend("X", neg.poly, neg.signs)
+    at_pos = base().extend("X", pos.poly, pos.signs)
+    assert at_neg.prefix(1) is not at_pos.prefix(1)
+    assert at_neg.level_solver().sd is at_pos.level_solver().sd
+    x = parse_poly("X", tx)
+    assert (at_neg.sign_mpoly(x), at_pos.sign_mpoly(x)) == (-1, 1)
+
+
+def test_encodings_and_a_sign_at_each_root_build_one_sign_determination(monkeypatch):
+    built = []
+
+    class Counted(realroots.SignDetermination):
+        def __init__(self, ops, P):
+            built.append(P)
+            super().__init__(ops, P)
+
+    monkeypatch.setattr(realroots, "SignDetermination", Counted)
+    realroots._SD_CACHE.clear()
+    encs = thom_encodings(P("X^3 - 3*X + 1"), "X")
+    sd = TriangularContext(QRING).extend("X", encs[0].poly, encs[0].signs).level_solver().sd
+    state = (sd.P, sd.chain, sd.conds, sd.counts, sd.prods, sd.matrix, sd.inverse, sd.ders)
+    signs = [TriangularContext(QRING).extend(e.var, e.poly, e.signs).sign_mpoly(P("X^2 - 2"))
+             for e in encs]
+    assert signs == [1, -1, 1]
+    assert len(built) == 1
+    # sharing it is safe: queries leave everything but the query memo as built
+    assert (sd.P, sd.chain, sd.conds, sd.counts, sd.prods, sd.matrix, sd.inverse, sd.ders) == state
+
+
+def test_rings_do_not_share_a_sign_determination():
+    q = shared_sign_determination(ScalarOps(QRING), [QQ(-2), QQ(0), QQ(1)])
+    e = shared_sign_determination(ScalarOps(ERING),
+                                  [InfElem.const(-2), InfElem(), InfElem.const(1)])
+    assert q is not e
+    assert (q.ops.ring, e.ops.ring) == (QRING, ERING)
+    assert q.conds == e.conds
+
+
+def test_a_new_input_empties_the_sign_determination_cache():
+    @per_input_caches
+    def entry(system):
+        return shared_sign_determination(ScalarOps(QRING), [QQ(-3), QQ(0), QQ(1)])
+
+    first = entry(("sign determination input", 1))
+    assert entry(("sign determination input", 1)) is first
+    assert entry(("sign determination input", 2)) is not first
 
 
 def _positive_multiple(got, want):
