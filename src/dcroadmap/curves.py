@@ -1,13 +1,17 @@
 """Curve-segment extraction on (<= 1)-dimensional basic sets: parametrized
 decomposition along the first free coordinate, sign subdivision, exact
-endpoints through a transient innermost infinitesimal, and limits.
+endpoints read at their fiber, and limits.
 
 Every critical parameter value gets one context, which fixes it as a tower
 level.  The fiber's points are found and deduplicated there and flattened
 once, as vertices.  A segment endpoint is the limit of its branch, taken in
 the same context and matched among that fiber's points there, so the
 endpoint is the fiber's vertex object; only an endpoint that matches none
-(in a fiber that is not finite) stays a point of its own."""
+(in a fiber that is not finite) stays a point of its own.  The limit is read
+at the fiber itself, by continuity and Thom's lemma, whenever the fiber
+polynomial keeps its degree there and the coordinate denominator does not
+vanish; only otherwise is it taken through a transient innermost
+infinitesimal."""
 
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .realroots import (
     BoundedCache,
     ThomEncoding,
     TriangularContext,
+    _ext_context_for,
     compare_roots,
     signs_at_encodings,
     thom_encodings,
@@ -438,31 +443,78 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
     return out
 
 
-_ENDPOINT_CACHE = BoundedCache()
-
-
 def _glued_endpoint(seg, fiber, direction):
     """The endpoint of a branch in the fiber (ctx, kept) over it: the vertex
-    of the kept fiber point it equals, or, when it equals none, the limit
-    itself over ctx."""
+    of the kept fiber point it equals, or, when it equals none, the endpoint
+    itself over ctx.
+
+    The endpoint is read at the fiber by continuity when that applies
+    (_endpoint_by_continuity); otherwise, where the fiber polynomial's
+    leading coefficient or the coordinate denominator vanishes there, it is
+    the limit through a transient infinitesimal (_endpoint_limit)."""
     ctx, kept = fiber
-    lim = _endpoint_limit(seg, ctx, direction)
-    if lim is None:
+    end = _endpoint_by_continuity(seg, ctx) or _endpoint_limit(seg, ctx, direction)
+    if end is None:
         return None
-    lim = _restore_ring(lim, ctx)
+    end = _restore_ring(end, ctx)
     # the parameter coordinate is the level ctx fixes, the same for all
-    on_fiber = RealUnivRep(lim.base, lim.uvar, lim.f, lim.sigma,
-                           (lim.F[0],) + lim.F[2:], lim.xvars[1:])
+    on_fiber = RealUnivRep(end.base, end.uvar, end.f, end.sigma,
+                           (end.F[0],) + end.F[2:], end.xvars[1:])
     for u, vertex in kept:
         if points_equal(on_fiber, u):
             return vertex
-    return lim
+    return end
+
+
+def _endpoint_by_continuity(seg, ctx):
+    """The endpoint of a branch at the parameter value c that ctx fixes
+    last, read at c itself, or None when this does not apply.
+
+    When lc_U f(c) != 0 the branch stays bounded near c, so it has a limit
+    s, a real root of f(c, U).  The branch has Thom signs rho over Der_U f
+    on its open interval, so by continuity each sign of Der_U f(c, U) at s
+    is rho's or 0.  By Thom's lemma the points where f(c,.)', ..., f(c,.)^(d)
+    have these relaxed signs form an interval, on which f(c,.) is monotone,
+    so s is the only root of f(c, U) with them.  When the coordinate
+    denominator does not vanish at (c, s), the endpoint is the branch's own
+    value (c, coords(c, s)), again by continuity."""
+    e_ctx = ctx.to_ering() if seg.f.ring is ERING else ctx
+    x, uvar = seg.param_var, seg.uvar
+    tname = e_ctx.tvars[-1]
+    at_c = {x: MPoly.var(seg.f.ring, (tname,), tname)}
+    variables = merge_vars(e_ctx.tvars, (uvar,))
+    f_c = seg.f.subst(at_c).with_vars(variables)
+    d = f_c.degree(uvar)
+    if e_ctx.sign_mpoly(f_c.coeff_of(uvar, d).with_vars(e_ctx.tvars)) == 0:
+        return None
+    try:
+        encs = thom_encodings(f_c, uvar, e_ctx)
+    except (ValueError, ArithmeticError):
+        return None
+    rho = tuple(seg.rho) + (0,) * (d + 1 - len(seg.rho))
+    target = next((enc for enc in encs
+                   if all(s in (r, 0) for s, r in zip(enc.signs, rho))), None)
+    if target is None:
+        return None
+    den, *nums = ((g.subst(at_c) if x in g.vars else g).with_vars(variables)
+                  for g in seg.coords)
+    at_s = _ext_context_for(target)
+    if at_s.sign_mpoly(den.with_vars(at_s.tvars)) == 0:
+        return None
+    F = (den, MPoly.var(den.ring, variables, tname) * den, *nums)
+    return RealUnivRep(e_ctx, uvar, target.poly, target.signs, F, seg.xvars)
+
+
+_ENDPOINT_CACHE = BoundedCache()
 
 
 def _endpoint_limit(seg, ctx, direction):
     """The endpoint of a branch over the parameter value ctx fixes last:
     evaluate the branch at that value +/- mu for a fresh innermost
-    infinitesimal mu and take the limit mu -> 0.
+    infinitesimal mu and take the limit mu -> 0.  The fallback of
+    _glued_endpoint, where the fiber polynomial's leading coefficient or the
+    coordinate denominator vanishes at the endpoint; None for a branch that
+    is unbounded there.
 
     The shifted-fiber Thom enumeration is cached per (fiber polynomial,
     endpoint, direction) since every branch of the same piece shares it."""

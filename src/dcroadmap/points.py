@@ -9,10 +9,12 @@ from dataclasses import dataclass
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, resultant, subst_rational
+from . import realroots
 from .realroots import (
     BoundedCache,
     ThomEncoding,
     TriangularContext,
+    _ext_context_for,
     _from_upoly,
     _to_upoly,
     per_input_caches,
@@ -87,19 +89,9 @@ def rur_sign(u: RealUnivRep, poly: MPoly) -> int:
 # rational separators and limits
 
 
-_EXT_CTX_CACHE = BoundedCache()
-
-
-def _ext_context_for(enc: ThomEncoding):
-    """Extension context of an encoding, cached so repeated point queries
-    reuse the underlying sign-determination state."""
-    ctx = enc.context
-    key = (ctx.ring.name, ctx.key(), enc.var, enc.poly.ring.name, enc.poly, enc.signs)
-    hit = _EXT_CTX_CACHE.get(key)
-    if hit is None:
-        hit = ctx.extend(enc.var, enc.poly, enc.signs)
-        _EXT_CTX_CACHE.put(key, hit)
-    return hit
+# the same object as realroots._EXT_CTX_CACHE, the cache behind
+# _ext_context_for, under the name cache-size reports read
+_EXT_CTX_CACHE = realroots._EXT_CTX_CACHE
 
 
 def _linear_sign_at(enc: ThomEncoding, q) -> int:
@@ -299,12 +291,27 @@ def flatten_rur(u: RealUnivRep, nlevels: int = 0) -> RealUnivRep:
     return u
 
 
+_PAIRING_CACHE = BoundedCache()
+
+
 def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
+    """u over the base's parent context: the last level's root and u's root
+    are paired into one root of a new eliminant over the parent.
+
+    The pairing system (the level polynomial and u.f) holds no Thom signs of
+    either level, so its solutions are kept in a value-keyed cache: every
+    root of one level polynomial, and every point over those roots with the
+    same eliminant, share one solve, and each point picks its own solution
+    by the signs."""
     ctx = u.base
     var_t, f_t, signs_t = ctx.levels[-1]
     parent = ctx.prefix(ctx.nlevels - 1)
     wvar = fresh_var("W", set(u.base.tvars) | {u.uvar} | set(u.f.vars))
-    sols = solve_system([f_t, u.f], (var_t, u.uvar), context=parent, uvar=wvar)
+    key = (parent.ring.name, parent.key(), var_t, f_t, u.uvar, u.f.ring.name, u.f, wvar)
+    sols = _PAIRING_CACHE.get(key)
+    if sols is None:
+        sols = solve_system([f_t, u.f], (var_t, u.uvar), context=parent, uvar=wvar)
+        _PAIRING_CACHE.put(key, sols)
     # the solution whose coordinates (var_t, uvar) are the roots both levels fix
     matches = [cand for cand in map(rur_from_raw, sols)
                if _has_thom_signs(cand, f_t, var_t, signs_t)

@@ -15,6 +15,8 @@ Sturm chain evaluated at q.
 One sign determination serves every root of P and every context that fixes
 the same base point: it is built once per (ring, base context key, P) and
 kept in a value-keyed BoundedCache, the one cache scheme of the package.
+A context extended by one encoded root is kept the same way, so equal roots
+share one extension and its sign cache.
 Every BoundedCache holds the work of one input only; per_input_caches
 empties them all when the outermost entry-point call gets a new input.
 """
@@ -764,6 +766,22 @@ class _LevelSolver:
         return _thom_compare(self.thom, thom_q)
 
 
+_EXT_CTX_CACHE = BoundedCache()
+
+
+def _ext_context_for(enc: ThomEncoding):
+    """The context of an encoding extended by its root, from a value-keyed
+    cache, so equal encodings built at different sites share one context and
+    its sign cache."""
+    ctx = enc.context
+    key = (ctx.ring.name, ctx.key(), enc.var, enc.poly.ring.name, enc.poly, enc.signs)
+    hit = _EXT_CTX_CACHE.get(key)
+    if hit is None:
+        hit = ctx.extend(enc.var, enc.poly, enc.signs)
+        _EXT_CTX_CACHE.put(key, hit)
+    return hit
+
+
 def _to_upoly(p, var, parent_context):
     """MPoly -> dense coefficient list in var; coefficients become scalars
     when the parent context has no triangular variables."""
@@ -831,7 +849,7 @@ def signs_at_encodings(P, family, var, context=None):
 def compare_roots(a, b):
     """Order of the real numbers encoded by a and b: -1, 0, or +1.  The
     signs of Der(b.poly) at a's root are read in the context a's root
-    extends, and Thom's lemma orders the two roots."""
+    extends (the shared extension), and Thom's lemma orders the two roots."""
     if a.context.key() != b.context.key():
         raise ValueError("compare_roots requires a common context")
     if a.var == b.var and a.poly == b.poly:
@@ -842,7 +860,7 @@ def compare_roots(a, b):
     if b.var != a.var:
         bp = bp.subst({b.var: MPoly.var(bp.ring, (a.var,), a.var)})
     ders = der_list(bp, a.var)
-    at_a = a.context.extend(a.var, a.poly, a.signs)
+    at_a = _ext_context_for(a)
     bsigns = [at_a.sign_mpoly(d) for d in ders]
     width = max(len(bsigns), len(b.signs))
     av = tuple(bsigns) + (0,) * (width - len(bsigns))

@@ -7,9 +7,10 @@ import pytest
 from dcroadmap import curves, points
 from dcroadmap.infring import QQ, InfElem, eps
 from dcroadmap.mpoly import ERING, MPoly, QRING, parse_poly
-from dcroadmap.points import RealUnivRep, rur_sign, sample_components
+from dcroadmap.points import RealUnivRep, _restore_ring, points_equal, rur_sign, sample_components
 from dcroadmap.realroots import TriangularContext, compare_roots, thom_encodings
 from dcroadmap.curves import CurvePiece, curve_segments, limit_curve
+from dcroadmap.solve import solve_system
 from dcroadmap.roadmap import (
     assemble_graph,
     cauchy_bound,
@@ -246,3 +247,113 @@ def test_one_collapse_per_fiber_point_and_none_for_endpoints(glued_pair):
     _p, piece, _graph, _size, collapses = glued_pair
     assert 0 < collapses["segments"] <= len(piece.vertices)
     assert collapses["assembly"] == 0
+
+
+def _endpoints_by_both_routes(system, xvars):
+    """(fiber context, endpoint by continuity, endpoint by the limit over
+    D[mu]) for every endpoint curve_segments glues."""
+    calls = []
+    glued = curves._glued_endpoint
+
+    def spy(seg, fiber, direction):
+        calls.append((seg, fiber[0], direction))
+        return glued(seg, fiber, direction)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "_glued_endpoint", spy)
+        curve_segments(system, [], TriangularContext(QRING), xvars)
+    return [(ctx, curves._endpoint_by_continuity(seg, ctx), curves._endpoint_limit(seg, ctx, d))
+            for seg, ctx, d in calls]
+
+
+XYZ = ("x", "y", "z")
+
+
+@pytest.mark.parametrize("system, xvars", [
+    ([P(TANGENT)], XY),
+    ([P(CROSSING)], XY),
+    ([parse_poly("x^2 + y^2 + z^2 - 4", XYZ), parse_poly("z", XYZ)], XYZ),
+], ids=["tangent", "crossing", "great-circle"])
+def test_endpoint_by_continuity_is_the_limit(system, xvars):
+    # every fiber polynomial here has a constant leading coefficient and
+    # denominator, so the continuity route applies to every endpoint,
+    # turning points (a double root of f(c, U)) and crossings included
+    ends = _endpoints_by_both_routes(system, xvars)
+    assert ends
+    for ctx, by_continuity, by_limit in ends:
+        assert by_continuity is not None and by_limit is not None
+        assert points_equal(_restore_ring(by_continuity, ctx), _restore_ring(by_limit, ctx))
+
+
+def test_branches_meeting_at_a_double_root_end_at_it():
+    # f = U^2 - x: over x in (0, 1) the branches U = -sqrt(x) and sqrt(x)
+    # both end at the double root U = 0 of f(0, U), whose signs (0, 0, +)
+    # relax each branch's (0, -+1, +)
+    xu = ("x", "Uc_")
+    f = parse_poly("Uc_^2 - x", xu)
+    coords = (parse_poly("1", xu), parse_poly("Uc_", xu))
+    base = TriangularContext(QRING)
+    ctx = base.extend("Tx", parse_poly("Tx", ("Tx",)), (0, 1))
+    ends = []
+    for enc in thom_encodings(parse_poly("Uc_^2 - 1", ("Uc_",)), "Uc_", base):
+        seg = curves.CurveSegmentRep(base, "x", "Uc_", f, enc.signs, coords, XY)
+        by_continuity = curves._endpoint_by_continuity(seg, ctx)
+        assert by_continuity is not None
+        assert points_equal(by_continuity, curves._endpoint_limit(seg, ctx, +1))
+        ends.append(by_continuity)
+    assert ends[0].sigma == ends[1].sigma == (0, 0, 1)
+    assert points_equal(ends[0], ends[1])
+    assert rur_sign(ends[0], P("y")) == 0
+
+
+def test_endpoint_where_the_leading_coefficient_vanishes_is_a_limit():
+    # f = x*y^2 + y - 1 over x in (0, 1): lc = x vanishes at x = 0, where
+    # the branch y = (sqrt(1 + 4x) - 1)/(2x) tends to 1 and the other one is
+    # unbounded; only the limit over D[mu] finds these endpoints
+    f = P("x*y^2 + y - 1")
+    at_one = [points.rur_from_raw(s) for s in solve_system([f, P("x - 1")], XY)]
+    limits = []
+    endpoint_limit = curves._endpoint_limit
+
+    def spy(seg, ctx, direction):
+        t = ctx.tvars[-1]
+        limits.append((seg.rho, ctx.sign_mpoly(MPoly.var(ctx.ring, (t,), t))))
+        return endpoint_limit(seg, ctx, direction)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "_endpoint_limit", spy)
+        piece = curve_segments([f], [], TriangularContext(QRING), XY, anchors=at_one)
+    right = [s for s in piece.segments
+             if s.hi_point is not None and rur_sign(s.hi_point, P("x - 1")) == 0]
+    bounded = [s for s in right if s.rho == (0, 1, 1)]
+    unbounded = [s for s in right if s.rho == (0, -1, 1)]
+    assert len(bounded) == len(unbounded) == 1
+    vertex = bounded[0].lo_point
+    assert any(vertex is v for v in piece.vertices)
+    assert [rur_sign(vertex, P(q)) for q in ("x", "y - 1")] == [0, 0]
+    assert unbounded[0].lo_point is None
+    # the limit route is taken at x = 0 only, the bounded branch's end included
+    assert ((0, 1, 1), 0) in limits
+    assert all(at == 0 for _rho, at in limits)
+
+
+def test_tangent_pair_roadmap_makes_no_infinitesimal_products():
+    p = P(TANGENT)
+    A = sample_components([p])
+    products = []
+    mul = InfElem.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InfElem, "__mul__", counted)
+        graph = roadmap_bounded(p, A)
+    assert graph.component_count() == 1
+    assert products == []
+
+
+def test_roadmap_quartic_has_one_component():
+    quartic = P("x^4 + y^4 - 1")
+    assert roadmap_bounded(quartic, sample_components([quartic])).component_count() == 1

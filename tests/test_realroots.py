@@ -225,6 +225,27 @@ def test_encodings_and_a_sign_at_each_root_build_one_sign_determination(monkeypa
     assert (sd.P, sd.chain, sd.conds, sd.counts, sd.prods, sd.matrix, sd.inverse, sd.ders) == state
 
 
+def test_compare_roots_with_equal_first_roots_share_one_context(monkeypatch):
+    # a is built afresh for each call; equal values give one extension
+    # context (and its sign cache) from the value-keyed cache
+    contexts = []
+    ext_context_for = realroots._ext_context_for
+
+    def spy(enc):
+        contexts.append(ext_context_for(enc))
+        return contexts[-1]
+
+    monkeypatch.setattr(realroots, "_ext_context_for", spy)
+    realroots._EXT_CTX_CACHE.clear()
+    (b,) = thom_encodings(P("X - 1"), "X")
+    a1 = thom_encodings(P("X^2 - 2"), "X")[1]
+    a2 = thom_encodings(P("X^2 - 2"), "X")[1]
+    assert a1 is not a2
+    assert compare_roots(a1, b) == compare_roots(a2, b) == 1
+    assert len(contexts) == 2 and contexts[0] is contexts[1]
+    assert len(realroots._EXT_CTX_CACHE) == 1
+
+
 def test_rings_do_not_share_a_sign_determination():
     q = shared_sign_determination(ScalarOps(QRING), [QQ(-2), QQ(0), QQ(1)])
     e = shared_sign_determination(ScalarOps(ERING),
