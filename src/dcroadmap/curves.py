@@ -286,11 +286,12 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
         sb = _along_curve(s, coords, xvars, uvar)
         if sb is None:
             continue
-        if sb.degree(uvar) > 0:
+        # a member in the parameter alone comes back without uvar
+        if uvar in sb.vars and sb.degree(uvar) > 0:
             r = _resultant_safe(fu, sb, uvar, budget)
         else:
             r = sb
-        if r is not None and not r.is_zero() and r.degree(x) > 0:
+        if r is not None and not r.is_zero() and x in r.vars and r.degree(x) > 0:
             crit_polys.append(r)
     out = []
     for cp in crit_polys:

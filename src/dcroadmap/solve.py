@@ -5,9 +5,11 @@ Pipeline per system:
 - split into branches by the irreducible factors of every polynomial;
 - pick a separating linear form U = x_1 + c*x_2 + c^2*x_3 + ...;
 - take the eliminant in U and one relation linear in each coordinate from
-  a lex Groebner shape basis of the system with its context levels, or,
-  when that is out of budget or fails, from an iterated resultant cascade
-  keeping one coordinate at a time and subresultant chains;
+  a lex Groebner shape basis of the system with its context levels, which
+  certifies the form (the shape lemma, BPR ch. 12), or, when that is out
+  of budget or fails, from an iterated resultant cascade keeping one
+  coordinate at a time and subresultant chains, where a second form must
+  agree on the solution count;
 - make the eliminant squarefree at the context point and Thom-encode its
   real roots;
 - verify every candidate point exactly.
@@ -25,7 +27,9 @@ from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
 from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subresultant_prs, subst_rational
 from .realroots import (
+    ThomEncoding,
     TriangularContext,
+    _ext_context_for,
     _from_upoly,
     _mpoly_key,
     _to_upoly,
@@ -45,6 +49,9 @@ class Budget:
     max_degree: int = 700
     max_branches: int = 256
     max_candidates: int = 4000
+    # most separating forms tried per branch: it bounds the forms rejected
+    # before one is accepted, a shape-certified form or the second of two
+    # forms that agree on the solution count
     retries: int = 8
 
     def check_matrix(self, size, what):
@@ -280,6 +287,13 @@ def squarefree_upoly(ops, A):
 def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uvar=None):
     """All solutions of a finite zero set, as verified RawSolutions.
 
+    Each branch tries separating forms U = x_1 + c*x_2 + c^2*x_3 + ... for
+    c = seed + 1, seed + 2, ...  A form whose lex Groebner basis is in shape
+    position certifies itself, and its solutions are returned at once; one
+    that does not separate is rejected and the next c is tried.  A form
+    solved by resultant elimination or the tower assembly is accepted only
+    when the next such form finds as many solutions.
+
     For positive-dimensional inputs the returned points are still true
     solutions (everything is verified), but only finitely many candidates are
     produced; zero-dimensionality is the caller's precondition for
@@ -348,16 +362,21 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
     for attempt in range(budget.retries):
         c = seed + attempt + 1
         try:
-            sols = _solve_branch_with_form(system, active, xvars, context, budget, c, uvar,
-                                           route=attempt)
+            sols, certified = _solve_branch_with_form(system, active, xvars, context, budget, c,
+                                                      uvar, route=attempt)
         except ResourceBudgetError:
             raise
         except (ArithmeticError, ValueError, ZeroDivisionError) as e:
+            # a rejected form: on the shape route, one that does not separate
             last_err = e
             prev_count = None
             continue
+        if certified:
+            # the shape route proves that this form separates the solutions
+            return sols
         if prev_count is not None and prev_count == len(sols):
-            # two independent separating forms agree on the solution count
+            # elimination and tower routes: an eliminant can vanish and drop
+            # solutions, so two independent forms must agree on the count
             return sols
         prev_count, prev_sols = len(sols), sols
     if prev_sols is not None:
@@ -432,6 +451,14 @@ def _groebner_shape(full, active, context, uvar, budget):
 
 
 def _solve_branch_with_form(system, active, xvars, context, budget, c, uvar, route=0):
+    """(solutions, certified) for the separating-form candidate with
+    constant c.  certified is True on the shape route: _groebner_shape
+    rejects a lex basis not in shape position, so the eliminant f and, for
+    each active v, a relation a_v(U)*v + b_v(U) lie in the ideal, and the
+    assembly raises ArithmeticError unless a_v(r) != 0 at every real root r
+    of f.  Every real solution is then the one point read at its value r of
+    the form, and every point is verified exactly.  The elimination and
+    tower routes return certified False."""
     ring = context.ring
     variables = tuple(dict.fromkeys(sum((list(p.vars) for p in system), list(context.tvars) + [uvar] + list(active))))
     sys_al = [p.with_vars(variables) for p in system]
@@ -440,12 +467,20 @@ def _solve_branch_with_form(system, active, xvars, context, budget, c, uvar, rou
 
     shape = _groebner_shape(full, active, context, uvar, budget)
     if shape == "empty":
-        return []
+        return [], True
     if shape is not None:
         A_shape, shape_rel = shape
         return _assemble_from_relations(system, active, xvars, context, budget,
-                                        c, uvar, A_shape, shape_rel, variables)
+                                        c, uvar, A_shape, shape_rel, variables), True
+    return _solve_by_elimination(system, active, xvars, context, budget, c, uvar, route,
+                                 sys_al, full, variables), False
 
+
+def _solve_by_elimination(system, active, xvars, context, budget, c, uvar, route,
+                          sys_al, full, variables):
+    """Candidate solutions from an iterated resultant cascade: the
+    eliminant in uvar, then one relation linear in each coordinate, or the
+    tower assembly when no such relation turns up."""
     # eliminant in uvar alone
     elim_u = eliminate_to(full, {uvar}, active, budget, "eliminant", route)
     elim_u = [p for p in elim_u if not p.is_zero() and p.degree(uvar) > 0]
@@ -534,7 +569,9 @@ def _assemble_from_relations(system, active, xvars, context, budget, c, uvar,
     derive_first = active[0] not in relations
     out = []
     for enc in encs:
-        ctx_plus = context.extend(uvar, f, enc.signs)
+        # keyed by f itself, the object the solutions carry, so a later
+        # lookup from a point built on them matches the key by identity
+        ctx_plus = _ext_context_for(ThomEncoding(context, uvar, f, enc.signs))
         assignment = {}
         ok = True
         for v in active:
@@ -615,7 +652,7 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
     out = []
     ctx_tvars = set(context.tvars)
     for enc in encs:
-        ctx1 = context.extend(uvar, f_loc, enc.signs)
+        ctx1 = _ext_context_for(enc)
         stack = [ctx1]
         covered = [uvar]
         ok_stack = True

@@ -58,6 +58,16 @@ def test_sign_subdivision_keeps_constrained_part():
     assert circle_pts == []
 
 
+def test_sign_family_member_in_the_parameter_alone():
+    # x and 1 - x involve only the parameter, so they reach the critical
+    # values without the curve's fiber variable
+    p = P("x*y^2 + y - 1")
+    piece = curve_segments([p], [P("x"), P("1 - x")], TriangularContext(QRING), XY)
+    assert piece.segments
+    for v in piece.vertices:
+        assert rur_sign(v, p) == 0
+
+
 def test_limit_curve_identity_on_rational_input():
     piece = curve_segments([P("x^2 + y^2 - 1")], [], TriangularContext(QRING), XY)
     out = limit_curve(piece, 1)

@@ -1,5 +1,6 @@
 import pytest
 
+from dcroadmap import solve
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
@@ -126,3 +127,66 @@ def test_variable_named_like_an_infinitesimal(name, symbol):
     assert all(f.degree(name) == 1 and m == 1 for f, m in factors)
     sols = solve_system([p, MPoly.var(ERING, v, "y")], v, context=TriangularContext(ERING))
     assert len(sols) == 2
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of dcroadmap.solve.<name>: its argument tuple and
+    its result, or the exception it raised."""
+    calls = []
+    orig = getattr(solve, name)
+
+    def counted(*args, **kwargs):
+        try:
+            out = orig(*args, **kwargs)
+        except Exception as e:
+            calls.append((args, e))
+            raise
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(solve, name, counted)
+    return calls
+
+
+def test_non_separating_form_is_rejected(monkeypatch):
+    # with c = 1 the form x + y takes the value 1 at both (1, 0) and (0, 1);
+    # the c = 2 form x + 2y separates them and its shape basis certifies it
+    forms = _count_calls(monkeypatch, "_solve_branch_with_form")
+    sols = solve_system([P("x^2 + y^2 - 1"), P("x + y - 1")], XY)
+    assert len(forms) == 2
+    (args1, first), (args2, second) = forms  # args[5] is the form's constant c
+    assert args1[5] == 1 and isinstance(first, ArithmeticError)
+    assert args2[5] == 2 and second[1] is True
+    points = set()
+    for s in sols:
+        ctx_plus = _eval_coords(s)
+        for x, y in ((1, 0), (0, 1)):
+            if all(ctx_plus.sign_mpoly((c - s.denom.scale(QQ(q))).with_vars(ctx_plus.tvars)) == 0
+                   for c, q in zip(s.coords, (x, y))):
+                points.add((x, y))
+    assert len(sols) == 2 and points == {(1, 0), (0, 1)}
+
+
+@pytest.mark.parametrize("equations, variables", [
+    # x-critical points of the unit circle
+    (["x^2 + y^2 - 1", "2*y"], XY),
+    # x-critical points of the unit sphere cut by the plane y = z
+    (["x^2 + y^2 + z^2 - 1", "y - z", "-2*y - 2*z"], ("x", "y", "z")),
+])
+def test_shape_basis_certifies_first_form(monkeypatch, equations, variables):
+    forms = _count_calls(monkeypatch, "_solve_branch_with_form")
+    shapes = _count_calls(monkeypatch, "shape_basis")
+    sols = solve_system([P(e, variables) for e in equations], variables)
+    assert len(sols) == 2
+    assert len(forms) == 1 and forms[0][1][1] is True
+    assert len(shapes) == 1
+
+
+def test_elimination_route_needs_two_agreeing_forms(monkeypatch):
+    monkeypatch.setattr(solve, "_groebner_shape", lambda *args: None)
+    forms = _count_calls(monkeypatch, "_solve_branch_with_form")
+    sols = solve_system([P("x^2 + y^2 - 1"), P("2*y")], XY)
+    assert len(sols) == 2
+    assert len(forms) == 2
+    assert [len(out[0]) for _args, out in forms] == [2, 2]
+    assert all(out[1] is False for _args, out in forms)
