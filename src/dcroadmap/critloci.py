@@ -39,33 +39,6 @@ class GoodRankMatrix:
             out = out + MPoly.var(ring, variables, v, exponent).scale(QQ(self.rows[i][j]))
         return out
 
-    def submatrix_det(self, row_idx, col_idx):
-        import math
-
-        n = len(row_idx)
-        if n != len(col_idx):
-            raise ValueError("square selection required")
-        mat = [[QQ(self.rows[i][j]) for j in col_idx] for i in row_idx]
-        det = QQ(1)
-        for kk in range(n):
-            piv = None
-            for r in range(kk, n):
-                if mat[r][kk] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return QQ(0)
-            if piv != kk:
-                mat[kk], mat[piv] = mat[piv], mat[kk]
-                det = -det
-            det *= mat[kk][kk]
-            inv = 1 / mat[kk][kk]
-            for r in range(kk + 1, n):
-                f = mat[r][kk] * inv
-                if f != 0:
-                    mat[r] = [a - f * b for a, b in zip(mat[r], mat[kk])]
-        return det
-
 
 def sweep_poly(d, k, variables=None, ring=QRING):
     """G = G_{2d+2} = 1 + sum_i i*X_i^(2d+2)."""

@@ -312,9 +312,12 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
 
 
 def _resultant_safe(a, b, var, budget):
+    """Res(a, b) in var, or None when both are constant in var.  A Sylvester
+    matrix past the budget raises ResourceBudgetError."""
+    budget.check_matrix(a.degree(var) + b.degree(var), "critical resultant")
     try:
         return resultant(a, b, var)
-    except (ResourceBudgetError, ValueError):
+    except ValueError:
         return None
 
 

@@ -655,90 +655,34 @@ def subst_rational(P, block, rep):
     return out
 
 
-# -- subresultants ----------------------------------------------------------
+# -- Sylvester determinants ---------------------------------------------------
 
 
-def pseudo_rem(A, B, var):
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A = Q*B + R; returns R."""
-    if B.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero")
-    a = A.as_univariate(var)
-    b = B.as_univariate(var)
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return A
-    ring = A.ring
-    lead_b = b[-1]
-    r = list(a)
-    for i in range(da, db - 1, -1):
-        coef = r[i]
-        r = [lead_b * x for x in r]
-        if not coef.is_zero():
-            for j in range(db + 1):
-                r[i - db + j] = r[i - db + j] - coef * b[j]
-        r[i] = MPoly.zero(ring, A.vars)
-    while len(r) > 1 and r[-1].is_zero():
-        r.pop()
-    return MPoly.from_univariate([x.with_vars(A.vars) for x in r], var) if any(not x.is_zero() for x in r) else MPoly.zero(ring, A.vars)
-
-
-def subresultant_prs(P, Q, var):
-    """Collins' subresultant polynomial remainder sequence [P, Q, R2, ...]."""
-    P, Q = MPoly.align(P, Q)
-    if P.degree(var) < Q.degree(var):
-        P, Q = Q, P
-    seq = [P, Q]
-    ring = P.ring
-    g = MPoly.const(ring, P.vars, 1)
-    h = MPoly.const(ring, P.vars, 1)
-    A, B = P, Q
-    while True:
-        dA, dB = A.degree(var), B.degree(var)
-        if B.is_zero():
-            break
-        delta = dA - dB
-        R = pseudo_rem(A, B, var)
-        if R.is_zero():
-            break
-        denom = g * (h ** delta)
-        Rn = _exact_poly_div(R, denom)
-        seq.append(Rn)
-        A, B = B, Rn
-        g = A.as_univariate(var)[-1]
-        if delta >= 1:
-            h = _exact_poly_div(g ** delta, h ** (delta - 1))
-        if B.degree(var) == 0:
-            break
-    return seq
-
-
-def sylvester_matrix(P, Q, var):
+def sylvester_matrix(P, Q, var, k=0):
+    """Rows of the k-th Sylvester matrix of P and Q in var (BPR ch. 8):
+    n - k shifts of P's coefficients and m - k of Q's, m and n their
+    degrees, in m + n - k columns for var^(m+n-k-1) down to var^0.  It is
+    square for k = 0."""
     P, Q = MPoly.align(P, Q)
     p = P.as_univariate(var)
     q = Q.as_univariate(var)
     m, n = len(p) - 1, len(q) - 1
-    ring = P.ring
-    size = m + n
-    zero = MPoly.zero(ring, P.vars)
+    width = m + n - k
+    zero = MPoly.zero(P.ring, P.vars)
     mat = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = c
-        mat.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(q)):
-            row[i + j] = c
-        mat.append(row)
+    for coeffs, shifts in ((p, n - k), (q, m - k)):
+        for i in range(shifts):
+            row = [zero] * width
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            mat.append(row)
     return mat
 
 
 def resultant(P, Q, var):
-    """Sylvester resultant of P and Q with respect to var.
-
-    Small matrices go through fraction-free elimination directly; larger or
-    parameter-heavy ones through exact evaluation/interpolation."""
+    """Sylvester resultant of P and Q with respect to var: the determinant
+    of their Sylvester matrix, taken by fraction-free elimination (BPR
+    ch. 8).  Res(X - a, X - b) = a - b."""
     P, Q = MPoly.align(P, Q)
     dp, dq = P.degree(var), Q.degree(var)
     if dp == 0 and dq == 0:
@@ -749,30 +693,23 @@ def resultant(P, Q, var):
         return P ** dq
     if dq == 0:
         return Q ** dp
-    if dp + dq <= 6:
-        return determinant(sylvester_matrix(P, Q, var))
-    from .fastres import sylvester_resultant_interp
-
-    return sylvester_resultant_interp(P, Q, var)
+    return determinant(sylvester_matrix(P, Q, var))
 
 
-def subresultant_sequence(P, Q, var):
-    """Signed subresultant-style sequence: entry 0 is the Sylvester
-    resultant, entry j>=1 is the PRS element of degree j (zero polynomial in
-    degree gaps), topped by Q and P.  The last nonzero entry of the PRS is a
-    gcd of P and Q up to ring units.  Sign convention: entry 0 is det of the
-    Sylvester matrix, so res(X-a, X-b) = a-b."""
+def subresultant1(P, Q, var):
+    """The index-1 subresultant S_1 = A*var + B of P and Q, both of degree
+    at least 2 in var (BPR ch. 8).  A and B are the determinants of the
+    first m + n - 3 columns of the index-1 Sylvester rows, with the column
+    of var^1 and of var^0 last.  S_1 lies in the ideal (P, Q), and it is
+    identically zero when their gcd has degree at least 2."""
     P, Q = MPoly.align(P, Q)
-    prs = subresultant_prs(P, Q, var)
-    dq = max(P.degree(var), Q.degree(var))
-    ring = P.ring
-    out = [MPoly.zero(ring, P.vars) for _ in range(dq + 1)]
-    for g in prs:
-        d = g.degree(var)
-        if out[d].is_zero():
-            out[d] = g
-    out[0] = resultant(P, Q, var)
-    return out
+    if P.degree(var) < 2 or Q.degree(var) < 2:
+        raise ValueError("index-1 subresultant needs degrees >= 2")
+    rows = sylvester_matrix(P, Q, var, 1)
+    lead = len(rows)  # m + n - 2 rows, one column more
+    A, B = (determinant([row[:lead - 1] + [row[col]] for row in rows])
+            for col in (lead - 1, lead))
+    return A * MPoly.var(P.ring, P.vars, var) + B
 
 
 # -- parser ------------------------------------------------------------------

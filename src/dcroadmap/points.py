@@ -22,6 +22,7 @@ from .realroots import (
     utrim,
 )
 from .solve import DEFAULT_BUDGET, RawSolution, solve_system, split_branches
+from .symbridge import is_zero_dimensional
 
 
 @dataclass(eq=False)
@@ -354,16 +355,17 @@ def _has_thom_signs(u: RealUnivRep, P: MPoly, var: str, signs) -> bool:
 
 
 @per_input_caches
-def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET,
-                      seed=0, assume_finite=False):
+def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, seed=0):
     """Finite point set meeting every semi-algebraically connected component
     of Z(system) (bounded; caller asserted).
 
-    The general route deforms Q = sum of squares to Def(Q, zeta) and samples
-    the first-coordinate critical points of the deformed hypersurface, then
-    removes zeta with the limit algorithms.  With assume_finite=True (the
-    zero-dimensional case, e.g. critical systems in general position) the
-    system is solved directly."""
+    A system with at least as many equations as variables whose ideal,
+    with the context's levels, is zero-dimensional is solved directly: each
+    of its points is a component.  The structured shapes of
+    _sample_structured come next.  The general route deforms Q = sum of
+    squares to Def(Q, zeta) and samples the first-coordinate critical
+    points of the deformed hypersurface, then removes zeta with the limit
+    algorithms."""
     system = [p for p in system if not p.is_zero()]
     if context is None:
         ring = system[0].ring if system else QRING
@@ -377,7 +379,8 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET,
         xvars = tuple(xv)
     if not system:
         raise ValueError("empty system")
-    if assume_finite:
+    if len(system) >= len(xvars) and is_zero_dimensional(
+            system + [lp for _v, lp, _s in context.levels], tuple(xvars) + tuple(context.tvars)):
         sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)
         return [rur_from_raw(s) for s in sols]
 
@@ -419,15 +422,11 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET,
 
 def _sample_structured(system, context, xvars, budget, seed):
     """Direct sampling for the structured shapes that cover the golden
-    instances.  One polynomial in one variable has finitely many zeros, each
-    a component, so they are solved for directly.  For a plane curve (one
-    polynomial, two variables) and a curve given by n-1 equations in n
-    variables, a bounded component has extrema of every coordinate, which
-    satisfy the augmented critical system, so the union of its solutions
-    meets every component.  Returns None when no shape applies."""
-    if len(xvars) == 1 and len(system) == 1:
-        sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)
-        return [rur_from_raw(s) for s in sols]
+    instances.  For a plane curve (one polynomial, two variables) and a
+    curve given by n-1 equations in n variables, a bounded component has
+    extrema of every coordinate, which satisfy the augmented critical
+    system, so the union of its solutions meets every component.  Returns
+    None when no shape applies."""
     if len(xvars) == 2 and len(system) == 1:
         out = []
         # in branch order, so the points come out in the same order in every

@@ -8,8 +8,9 @@ Pipeline per system:
   a lex Groebner shape basis of the system with its context levels, which
   certifies the form (the shape lemma, BPR ch. 12), or, when that is out
   of budget or fails, from an iterated resultant cascade keeping one
-  coordinate at a time and subresultant chains, where a second form must
-  agree on the solution count;
+  coordinate at a time and index-1 subresultants, where a second form must
+  agree on the solution count; resultants and subresultants are Sylvester
+  determinants (mpoly.resultant, mpoly.subresultant1);
 - make the eliminant squarefree at the context point and Thom-encode its
   real roots;
 - verify every candidate point exactly.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subresultant_prs, subst_rational
+from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subresultant1, subst_rational
 from .realroots import (
     ThomEncoding,
     TriangularContext,
@@ -519,25 +520,15 @@ def _solve_by_elimination(system, active, xvars, context, budget, c, uvar, route
             if len(polys_v) == 1:
                 pairs = [(polys_v[0], polys_v[0].deriv(v))]
             for a, b in pairs:
-                if b.is_zero():
-                    continue
-                da, db = a.degree(v), b.degree(v)
-                try:
-                    if da >= 2 and db >= 2:
-                        from .fastres import subresultant1_interp
-
-                        s1 = subresultant1_interp(a, b, v)
-                        if not s1.is_zero() and s1.degree(v) == 1:
-                            rel.append(s1)
-                    else:
-                        for g in subresultant_prs(a, b, v):
-                            if not g.is_zero() and g.degree(v) == 1:
-                                rel.append(g)
-                except ResourceBudgetError:
-                    raise
-                except Exception:
-                    continue
-                if rel:
+                # every element of polys_v has degree >= 2 in v here, so b
+                # is linear only as the derivative of a quadratic a
+                if b.degree(v) == 1:
+                    rel.append(b)
+                    break
+                budget.check_matrix(a.degree(v) + b.degree(v) - 2, f"coordinate {v}")
+                s1 = subresultant1(a, b, v)
+                if s1.degree(v) == 1:
+                    rel.append(s1)
                     break
         if not rel:
             return _tower_assemble(system, active, xvars, context, budget, c, uvar,

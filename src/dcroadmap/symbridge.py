@@ -89,6 +89,30 @@ def gcd(polys):
     return conv.back(g.monic())
 
 
+def _grevlex_basis(polys, gens):
+    """The conversion of polys and the grevlex Groebner basis of their ideal
+    in the variables gens, over the field of their other variables and
+    infinitesimals.  Raises sympy's BasePolynomialError when it fails."""
+    conv = _Conversion(polys)
+    gen_syms = [sympy.Symbol(v) for v in gens]
+    params = sorted((s for s in conv.gens if s not in gen_syms), key=str)
+    dom = sympy.QQ.frac_field(*params) if params else sympy.QQ
+    return conv, sympy.groebner([p.as_expr() for p in conv.polys], *gen_syms,
+                                order="grevlex", domain=dom)
+
+
+def is_zero_dimensional(polys, gens):
+    """Whether polys have finitely many common zeros in the variables gens,
+    over the algebraic closure of the field of their other variables and
+    infinitesimals; the unit ideal, with none, counts.  False also when the
+    basis cannot be computed."""
+    try:
+        _conv, gb = _grevlex_basis(polys, gens)
+    except BasePolynomialError:
+        return False
+    return any(g.is_ground for g in gb.polys) or gb.is_zero_dimensional
+
+
 def shape_basis(polys, gens, uvar):
     """Lex Groebner shape of the ideal of polys in the variables gens (uvar
     last), over the field of their other variables and infinitesimals: a
@@ -101,13 +125,8 @@ def shape_basis(polys, gens, uvar):
     that is linear in v (generators without one are left out).  Elements
     come back as the numerators of their coefficients over the variables of
     polys."""
-    conv = _Conversion(polys)
-    gen_syms = [sympy.Symbol(v) for v in gens]
-    params = sorted((s for s in conv.gens if s not in gen_syms), key=str)
-    dom = sympy.QQ.frac_field(*params) if params else sympy.QQ
     try:
-        gb = sympy.groebner([p.as_expr() for p in conv.polys], *gen_syms,
-                            order="grevlex", domain=dom)
+        conv, gb = _grevlex_basis(polys, gens)
         if any(g.is_ground for g in gb.polys):
             return UNIT
         if not gb.is_zero_dimensional:

@@ -14,7 +14,7 @@ from dcroadmap.mpoly import (
     parse_poly,
     parse_poly_file,
     resultant,
-    subresultant_sequence,
+    subresultant1,
     subst_rational,
 )
 
@@ -140,15 +140,53 @@ def test_resultant_common_root_detection():
 
 
 def test_subresultant_gcd_detection():
+    # a gcd of degree 1 is S_1 up to a nonzero constant
     x = ("X",)
     p = parse_poly("(X - 1)^2*(X + 2)", x)
-    seq = subresultant_sequence(p, p.deriv("X"), "X")
-    last = next(g for g in reversed(seq[:-2]) if not g.is_zero())
-    # proportional to X - 1
-    assert last.degree("X") == 1
-    c1 = last.coeff_of("X", 1).const_value()
-    c0 = last.coeff_of("X", 0).const_value()
-    assert c0 / c1 == QQ(-1)
+    for a, b in ((p, p.deriv("X")),
+                 (parse_poly("(X - 1)*(X^2 + 1)", x), parse_poly("(X - 1)*(X - 7)", x))):
+        s1 = subresultant1(a, b, "X")
+        assert s1.degree("X") == 1
+        c1 = s1.coeff_of("X", 1).const_value()
+        c0 = s1.coeff_of("X", 0).const_value()
+        assert c0 / c1 == QQ(-1)
+
+
+def test_subresultant1_of_two_monic_quadratics():
+    v = ("X", "a", "b", "c", "d")
+    s1 = subresultant1(parse_poly("X^2 + a*X + b", v), parse_poly("X^2 + c*X + d", v), "X")
+    assert s1 == parse_poly("(c - a)*X + d - b", v)
+
+
+def test_subresultant1_vanishes_for_a_gcd_of_degree_two():
+    v = ("X", "a", "b")
+    p = parse_poly("(X^2 + a)*(X - b)", v)
+    q = parse_poly("(X^2 + a)*(X^2 + 3*X + 1)", v)
+    assert subresultant1(p, q, "X").is_zero()
+
+
+def _product_of_values(Q, roots, var):
+    out = MPoly.const(Q.ring, Q.vars, 1)
+    for a in roots:
+        out = out * Q.subst({var: MPoly.const(Q.ring, Q.vars, a)}).with_vars(Q.vars)
+    return out
+
+
+def test_resultant_of_a_split_polynomial_at_sylvester_size_seven():
+    # Res(prod (X - a_i), Q) = prod Q(a_i) for the monic first argument
+    roots = [QQ(1), QQ(-2), QQ(3), QQ(1, 2)]
+    xt = ("X", "t")
+    p = parse_poly("(X - 1)*(X + 2)*(X - 3)*(X - 1/2)", xt)
+    q = parse_poly("X^3 + t*X^2 - 2*X + t^2", xt)
+    assert p.degree("X") + q.degree("X") == 7
+    assert resultant(p, q, "X") == _product_of_values(q, roots, "X")
+    # over D[eta], through an epsilon coefficient
+    e1 = MPoly.const(ERING, ("X",), InfElem.sym(eps(1)))
+    qe = parse_poly("X^3 - 2*X + 5", ("X",)).to_ering() + e1 * MPoly.var(ERING, ("X",), "X")
+    pe = parse_poly("(X - 1)*(X + 2)*(X - 3)*(X - 1/2)", ("X",)).to_ering()
+    r = resultant(pe, qe, "X")
+    assert r == _product_of_values(qe, roots, "X")
+    assert not r.const_value().is_rational()
 
 
 def test_deriv_linear_leibniz():

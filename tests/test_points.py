@@ -215,7 +215,7 @@ def test_sample_components_two_circles():
 
 
 def test_sample_components_assume_finite():
-    sams = sample_components([P("x^2 + y^2 - 1"), P("y")], assume_finite=True)
+    sams = sample_components([P("x^2 + y^2 - 1"), P("y")])
     assert len(sams) == 2
 
 
@@ -240,7 +240,7 @@ def test_flatten_rur_two_levels():
 
 
 def test_rur_coordinate_encoding():
-    sams = sample_components([P("x^2 + y^2 - 1"), P("x - y")], assume_finite=True)
+    sams = sample_components([P("x^2 + y^2 - 1"), P("x - y")])
     assert len(sams) == 2
     for u in sams:
         cx = rur_coordinate_encoding(u, 1)
@@ -412,6 +412,25 @@ def test_sample_components_univariate_is_solved_directly():
         pts = sample_components([p], xvars=("x",))
         assert len(pts) == count
         assert all(rur_sign(u, p) == 0 for u in pts)
+
+
+@pytest.mark.parametrize("equations, count", [
+    (["x", "y"], 1),
+    (["x - 1", "y - 2"], 1),
+    (["x^2 - 1", "y"], 2),
+    (["x - y", "x + y"], 1),
+])
+def test_zero_dimensional_system_is_solved_directly(monkeypatch, equations, count):
+    # each point of a finite zero set is a component; the deformation route
+    # gives no answer on these within 30 s
+    def no_deformation(*args):
+        raise AssertionError("a zero-dimensional system reached the structured shapes")
+
+    monkeypatch.setattr(points, "_sample_structured", no_deformation)
+    system = [P(e) for e in equations]
+    pts = sample_components(system, xvars=XY)
+    assert len(pts) == count
+    assert all(rur_sign(u, p) == 0 for u in pts for p in system)
 
 
 # sign(root - q) from the level's Sturm chain against the general query

@@ -190,3 +190,20 @@ def test_elimination_route_needs_two_agreeing_forms(monkeypatch):
     assert len(forms) == 2
     assert [len(out[0]) for _args, out in forms] == [2, 2]
     assert all(out[1] is False for _args, out in forms)
+
+
+def test_relation_vanishing_at_a_root_rejects_the_form(monkeypatch):
+    # on the elimination route the c = 1 form's relation for y has a
+    # coefficient a_y that vanishes at a real root of its eliminant; that
+    # root's point cannot be read off the relation, so the form is rejected
+    monkeypatch.setattr(solve, "_groebner_shape", lambda *args: None)
+    forms = _count_calls(monkeypatch, "_solve_branch_with_form")
+    sols = solve_system([P("x*y - 1"), P("y^2 - x")], XY)
+    assert len(sols) == 1
+    assert [args[5] for args, _out in forms] == [1, 2, 3]
+    first = forms[0][1]
+    assert isinstance(first, ArithmeticError) and "no usable coordinate relation" in str(first)
+    assert [(len(out[0]), out[1]) for _args, out in forms[1:]] == [(1, False), (1, False)]
+    ctx_plus = _eval_coords(sols[0])
+    for c in sols[0].coords:  # the point (1, 1)
+        assert ctx_plus.sign_mpoly((c - sols[0].denom).with_vars(ctx_plus.tvars)) == 0
