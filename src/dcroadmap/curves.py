@@ -348,9 +348,11 @@ def _sample_between(lo_enc, hi_enc):
 
 
 def _fiber_context(context, tname, enc):
-    """context extended by the parameter value enc, fixed as tname."""
+    """context extended by the parameter value enc, fixed as tname, from the
+    shared context cache, so equal fibers share one context and its sign
+    cache."""
     lvl = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (tname,), tname)})
-    return context.extend(tname, lvl, enc.signs)
+    return _ext_context_for(ThomEncoding(context, tname, lvl, enc.signs))
 
 
 def _fiber_points(V, signs_family, ctx, xvars, budget, seed):

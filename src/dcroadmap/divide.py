@@ -21,7 +21,7 @@ from .points import (
     rur_sign,
     sample_components,
 )
-from .realroots import TriangularContext
+from .realroots import ThomEncoding, TriangularContext, _ext_context_for
 from .solve import DEFAULT_BUDGET, solve_system
 
 
@@ -133,7 +133,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
     for enc in D0:
         zname = fresh_var("Zc", set(inp.base.tvars) | set(inp.xvars))
         lvl_poly = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (zname,), zname)})
-        ctx_c = e_base.extend(zname, lvl_poly, enc.signs)
+        ctx_c = _ext_context_for(ThomEncoding(e_base, zname, lvl_poly, enc.signs))
         zval = MPoly.var(ERING, (zname,), zname)
         system = list(Ptilde) + [G.to_ering() - zval]
         try:
@@ -245,7 +245,7 @@ def _fiber_context(w, e_base):
     tvar = _fiber_var(w)
     ren = {w.uvar: MPoly.var(w.f.ring, (tvar,), tvar)}
     lvl = w.f.subst(ren)
-    return e_base.extend(tvar, lvl, w.sigma)
+    return _ext_context_for(ThomEncoding(e_base, tvar, lvl, w.sigma))
 
 
 def _lift_fiber_point(u2, w, xvars, ell, e_base):

@@ -28,6 +28,7 @@ from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
 from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subresultant1, subst_rational
 from .realroots import (
+    BoundedCache,
     ThomEncoding,
     TriangularContext,
     _ext_context_for,
@@ -86,13 +87,23 @@ class RawSolution:
 # factoring (through the sympy bridge)
 
 
+_FACTOR_CACHE = BoundedCache()
+
+
 def factor_mpoly(p, budget=DEFAULT_BUDGET):
     """Irreducible factors of p over the rationals (eta symbols treated as
     extra variables); returns a list of (factor, multiplicity).  Falls back
-    to [(p, 1)] when over budget."""
+    to [(p, 1)] when over budget.  Each polynomial is factored once per
+    input: the factors are kept by (ring, variables, p), since they come
+    back in p's ring over p's variables."""
     if len(p.terms) > 400 or p.total_degree() > 80:
         return [(p, 1)]
-    return factor(p)
+    key = (p.ring.name, p.vars, p)
+    hit = _FACTOR_CACHE.get(key)
+    if hit is None:
+        hit = tuple(factor(p))
+        _FACTOR_CACHE.put(key, hit)
+    return list(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +668,7 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
                 except Exception:
                     continue
                 for ce in cands:
-                    tw2 = tw.extend(v, ce.poly, ce.signs)
+                    tw2 = _ext_context_for(ce)
                     good = True
                     cov = set(covered) | {v} | ctx_tvars
                     for p in sys_al:
@@ -779,10 +790,13 @@ def _strip_to_ctx(p, ctx_plus):
 
 
 def _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
+    """Whether the point coords/denom at the root ctx_plus fixes is a common
+    zero of system.  Each substituted equation is multiplied by a power of
+    denom, so it also reads 0 where denom vanishes; such a 0/0 candidate is
+    no point and is rejected."""
     for p in system:
         num = subst_rational(p, [v for v in xvars if v in p.vars],
                              (denom, [coords[xvars.index(v)] for v in xvars if v in p.vars]))
-        numv = num.with_vars(tuple(ctx_plus.tvars))
-        if ctx_plus.sign_mpoly(numv) != 0:
+        if ctx_plus.sign_mpoly(_strip_to_ctx(num, ctx_plus)) != 0:
             return False
-    return True
+    return ctx_plus.sign_mpoly(_strip_to_ctx(denom, ctx_plus)) != 0

@@ -3,7 +3,9 @@ import pytest
 from dcroadmap import solve
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
+from dcroadmap.points import sample_components
 from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
+from dcroadmap.roadmap import roadmap_bounded
 from dcroadmap.solve import factor_mpoly, solve_system
 
 XY = ("x", "y")
@@ -207,3 +209,38 @@ def test_relation_vanishing_at_a_root_rejects_the_form(monkeypatch):
     ctx_plus = _eval_coords(sols[0])
     for c in sols[0].coords:  # the point (1, 1)
         assert ctx_plus.sign_mpoly((c - sols[0].denom).with_vars(ctx_plus.tvars)) == 0
+
+
+def test_a_zero_over_zero_candidate_is_rejected():
+    # [x*y - 1, y^2 - x] read through the coordinates (3U + 3)/(3U + 3) at
+    # the roots of U^2 - U - 2: at U = 2 they give the point (1, 1); at
+    # U = -1 both are 0/0, which every substituted equation reads as 0
+    system = [P("x*y - 1"), P("y^2 - x")]
+    u = ("U",)
+    denom = parse_poly("3*U + 3", u)
+    lo, hi = thom_encodings(parse_poly("U^2 - U - 2", u), "U")
+    for enc, ok in ((lo, False), (hi, True)):
+        ctx_plus = TriangularContext(QRING).extend("U", enc.poly, enc.signs)
+        assert solve._verify_point(system, XY, denom, (denom, denom), ctx_plus, "U") is ok
+
+
+def test_each_polynomial_is_factored_once_per_input(monkeypatch):
+    calls = []
+    orig = solve.factor
+
+    def counted(p):
+        calls.append(((p.ring.name, p.vars, p), len(solve._FACTOR_CACHE)))
+        return orig(p)
+
+    monkeypatch.setattr(solve, "factor", counted)
+    two = P("(x^2 + y^2 - 1)*((x - 3)^2 + y^2 - 1)")
+    assert roadmap_bounded(two, sample_components([two])).component_count() == 2
+    keys = [key for key, _size in calls]
+    assert keys and len(keys) == len(set(keys))
+    # a new input starts from an empty cache: the circle, a factor of the
+    # first input, is factored again
+    del calls[:]
+    circle = P("x^2 + y^2 - 1")
+    assert roadmap_bounded(circle, sample_components([circle])).component_count() == 1
+    assert calls[0][1] == 0
+    assert ("QQ", XY, circle) in [key for key, _size in calls]
