@@ -75,15 +75,6 @@ def test_factor_order_and_signs(text, want):
         assert _same(f, P(t))
 
 
-def test_factor_keeps_an_infinitesimal_apart_from_a_variable():
-    v = ("z1", "y")
-    x = MPoly.var(ERING, v, "z1")
-    e = MPoly.const(ERING, v, InfElem.sym(eps(1)))
-    got = symbridge.factor(x * x - e * e)
-    assert [(f.ring, m) for f, m in got] == [(ERING, 1), (ERING, 1)]
-    assert sorted(str(f) for f, _m in got) == sorted(str(f) for f in (x - e, x + e))
-
-
 def test_gcd_is_monic_or_none():
     assert _same(symbridge.gcd([P("2*x^2*y - 2*y"), P("3*x*y + 3*y")]), P("x*y + y"))
     assert _same(symbridge.gcd([P("1/2*x^2 - 1/2"), P("3*x - 3")]), P("x - 1"))
