@@ -20,6 +20,10 @@ from .roadmap import (
 )
 from .solve import Budget
 
+# what a failed step of the algorithm raises: the two typed errors, and the
+# arithmetic or value error of a step that has no route left
+_ALGORITHM_ERRORS = (ResourceBudgetError, SeparationError, ArithmeticError, ValueError)
+
 
 def _read_poly_file(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -62,7 +66,7 @@ def cmd_components(args):
         else:
             graph = roadmap_bounded(P, A, kprime=args.dim_bound,
                                     budget=budget, seed=args.seed)
-    except (ResourceBudgetError, SeparationError) as e:
+    except _ALGORITHM_ERRORS as e:
         print(f"algorithm error: {e}", file=sys.stderr)
         return 3
     print(graph.component_count())
@@ -95,7 +99,7 @@ def cmd_connect(args):
         graph = roadmap_bounded(P, A + [p1, p2], kprime=args.dim_bound,
                                 budget=budget, seed=args.seed)
         connected, path = connectivity(graph, p1, p2)
-    except (ResourceBudgetError, SeparationError) as e:
+    except _ALGORITHM_ERRORS as e:
         print(f"algorithm error: {e}", file=sys.stderr)
         return 3
     if connected:

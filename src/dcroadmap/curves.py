@@ -127,14 +127,10 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             fj_r = fj if uj == ui else fj.subst({uj: MPoly.var(fj.ring, (ui,), ui)})
             if fi == fj_r:
                 continue
-            r = _resultant_safe(fi, fj_r, ui, budget)
+            r = _budgeted_resultant(fi, fj_r, ui, budget)
             x = xvars[0]
-            if r is not None and not r.is_zero() and r.degree(x) > 0:
-                rp = r.with_vars(merge_vars(context.tvars, (x,)))
-                try:
-                    cross.extend(thom_encodings(rp, x, context))
-                except (ValueError, ArithmeticError):
-                    pass
+            if not r.is_zero() and r.degree(x) > 0:
+                cross.extend(thom_encodings(r.with_vars(merge_vars(context.tvars, (x,))), x, context))
     all_crit = _sorted_unique_encodings([e for pc in pieces for e in pc[6]] + cross)
     tname = fresh_var("Tx", set(context.tvars).union(
         xvars, *(p.vars for p in list(P) + list(Q)), *(pc[2].vars for pc in pieces)))
@@ -148,7 +144,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
                 if not any(points_equal(u, w) for w, _v in kept):
                     kept.append((u, _with_param_coordinate(u, xvars, context)))
         for i in range(len(all_crit) - 1):
-            sample = _sample_between(all_crit[i], all_crit[i + 1])
+            sample = rational_between(all_crit[i], all_crit[i + 1])
             for seg in _segments_on_interval(f, coords, must_vanish, rest,
                                              all_crit[i], all_crit[i + 1],
                                              sample, context, xvars, uvar):
@@ -165,11 +161,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
 
 def _points_only(V, signs_family, context, xvars, budget, seed):
     pts = []
-    try:
-        sols = solve_system(V, xvars, context=context, budget=budget, seed=seed)
-    except (SeparationError, ResourceBudgetError):
-        sols = []
-    for s in sols:
+    for s in solve_system(V, xvars, context=context, budget=budget, seed=seed):
         u = rur_from_raw(s)
         if all(rur_sign(u, q) >= 0 for q in signs_family):
             pts.append(u)
@@ -177,10 +169,7 @@ def _points_only(V, signs_family, context, xvars, budget, seed):
 
 
 def _finite_fallback(V, signs_family, context, xvars, budget, seed):
-    try:
-        pts = sample_components(V, context=context, xvars=xvars, budget=budget, seed=seed)
-    except (SeparationError, ResourceBudgetError):
-        pts = []
+    pts = sample_components(V, context=context, xvars=xvars, budget=budget, seed=seed)
     pts = [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_family)]
     return CurvePiece([], pts)
 
@@ -272,13 +261,13 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
     for _ in range(1, d + 1):
         der = der.deriv(uvar)
         if der.degree(uvar) >= 0 and not der.is_zero():
-            r = _resultant_safe(fu, der, uvar, budget)
-            if r is not None and not r.is_zero() and r.degree(x) > 0:
+            r = _budgeted_resultant(fu, der, uvar, budget)
+            if not r.is_zero() and r.degree(x) > 0:
                 crit_polys.append(r)
     den = coords[0]
     if not den.is_const() and den.degree(uvar) > 0:
-        r = _resultant_safe(fu, den, uvar, budget)
-        if r is not None and not r.is_zero() and r.degree(x) > 0:
+        r = _budgeted_resultant(fu, den, uvar, budget)
+        if not r.is_zero() and r.degree(x) > 0:
             crit_polys.append(r)
     elif not den.is_const() and den.degree(x) > 0:
         crit_polys.append(den)
@@ -288,37 +277,27 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
             continue
         # a member in the parameter alone comes back without uvar
         if uvar in sb.vars and sb.degree(uvar) > 0:
-            r = _resultant_safe(fu, sb, uvar, budget)
+            r = _budgeted_resultant(fu, sb, uvar, budget)
         else:
             r = sb
-        if r is not None and not r.is_zero() and x in r.vars and r.degree(x) > 0:
+        if not r.is_zero() and x in r.vars and r.degree(x) > 0:
             crit_polys.append(r)
     out = []
     for cp in crit_polys:
-        cp = cp.with_vars(merge_vars(context.tvars, (x,)))
-        try:
-            out.extend(thom_encodings(cp, x, context))
-        except (ValueError, ArithmeticError):
-            continue
+        out.extend(thom_encodings(cp.with_vars(merge_vars(context.tvars, (x,))), x, context))
     for a in anchors:
-        try:
-            enc = coordinate_encoding_cached(a, 1)
-            out.append(ThomEncoding(context, x,
-                                    enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (x,), x)}),
-                                    enc.signs))
-        except (ValueError, ArithmeticError):
-            continue
+        enc = coordinate_encoding_cached(a, 1)
+        out.append(ThomEncoding(context, x,
+                                enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (x,), x)}),
+                                enc.signs))
     return out
 
 
-def _resultant_safe(a, b, var, budget):
-    """Res(a, b) in var, or None when both are constant in var.  A Sylvester
+def _budgeted_resultant(a, b, var, budget):
+    """Res(a, b) in var, where a has positive degree in var.  A Sylvester
     matrix past the budget raises ResourceBudgetError."""
     budget.check_matrix(a.degree(var) + b.degree(var), "critical resultant")
-    try:
-        return resultant(a, b, var)
-    except ValueError:
-        return None
+    return resultant(a, b, var)
 
 
 def _along_curve(s, coords, xvars, uvar):
@@ -338,13 +317,6 @@ def _sorted_unique_encodings(encs):
         if not out or compare_roots(out[-1], e) != 0:
             out.append(e)
     return out
-
-
-def _sample_between(lo_enc, hi_enc):
-    try:
-        return rational_between(lo_enc, hi_enc)
-    except ResourceBudgetError:
-        return None
 
 
 def _fiber_context(context, tname, enc):
@@ -367,14 +339,12 @@ def _fiber_points(V, signs_family, ctx, xvars, budget, seed):
     if not rest:
         return []
     try:
-        sols = solve_system(Vx, rest, context=ctx, budget=budget, seed=seed)
-        pts = [rur_from_raw(s) for s in sols]
-    except (SeparationError, ResourceBudgetError, ValueError):
-        try:
-            pts = sample_components(Vx, context=ctx, xvars=rest,
-                                    budget=budget, seed=seed)
-        except (SeparationError, ResourceBudgetError, ValueError):
-            pts = []
+        pts = [rur_from_raw(s) for s in
+               solve_system(Vx, rest, context=ctx, budget=budget, seed=seed)]
+    except SeparationError:
+        # no separating form is certified (the fiber may not be finite):
+        # sample its components instead
+        pts = sample_components(Vx, context=ctx, xvars=rest, budget=budget, seed=seed)
     signs_x = [q.subst(sub) if x in q.vars else q for q in signs_family]
     return [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_x)]
 
@@ -401,12 +371,9 @@ _KIND_DEN = "den"
 def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
                           sample, context, xvars, uvar):
     """Branches over one open interval, without their endpoints: fiber
-    analysis at the sample value and sign filtering."""
+    analysis at the rational sample value strictly inside it and sign
+    filtering."""
     x = xvars[0]
-    ring = f.ring
-    if sample is None:
-        # infinitesimally thin interval: covered by its endpoint fibers
-        return []
     f_m = f.subst({x: sample})
     fam = []
     fam_kind = []
@@ -423,12 +390,9 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
     den_m = coords[0].subst({x: sample}) if x in coords[0].vars else coords[0]
     fam.append(den_m)
     fam_kind.append(_KIND_DEN)
-    try:
-        rows = signs_at_encodings(f_m.with_vars(merge_vars(context.tvars, (uvar,))),
-                                  [g.with_vars(merge_vars(context.tvars, (uvar,))) for g in fam],
-                                  uvar, context)
-    except (ValueError, ArithmeticError):
-        return []
+    rows = signs_at_encodings(f_m.with_vars(merge_vars(context.tvars, (uvar,))),
+                              [g.with_vars(merge_vars(context.tvars, (uvar,))) for g in fam],
+                              uvar, context)
     out = []
     for enc, fam_signs in rows:
         keep = True
@@ -452,7 +416,8 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
 def _glued_endpoint(seg, fiber, direction):
     """The endpoint of a branch in the fiber (ctx, kept) over it: the vertex
     of the kept fiber point it equals, or, when it equals none, the endpoint
-    itself over ctx.
+    itself over ctx; None when _endpoint_limit finds none.  A failed Thom
+    enumeration, limit or comparison raises.
 
     The endpoint is read at the fiber by continuity when that applies
     (_endpoint_by_continuity); otherwise, where the fiber polynomial's
@@ -493,10 +458,7 @@ def _endpoint_by_continuity(seg, ctx):
     d = f_c.degree(uvar)
     if e_ctx.sign_mpoly(f_c.coeff_of(uvar, d).with_vars(e_ctx.tvars)) == 0:
         return None
-    try:
-        encs = thom_encodings(f_c, uvar, e_ctx)
-    except (ValueError, ArithmeticError):
-        return None
+    encs = thom_encodings(f_c, uvar, e_ctx)
     rho = tuple(seg.rho) + (0,) * (d + 1 - len(seg.rho))
     target = next((enc for enc in encs
                    if all(s in (r, 0) for s, r in zip(enc.signs, rho))), None)
@@ -520,7 +482,8 @@ def _endpoint_limit(seg, ctx, direction):
     infinitesimal mu and take the limit mu -> 0.  The fallback of
     _glued_endpoint, where the fiber polynomial's leading coefficient or the
     coordinate denominator vanishes at the endpoint; None for a branch that
-    is unbounded there.
+    is unbounded there, or whose signs no shifted fiber root has.  A failed
+    Thom enumeration or limit raises.
 
     The shifted-fiber Thom enumeration is cached per (fiber polynomial,
     endpoint, direction) since every branch of the same piece shares it."""
@@ -541,11 +504,8 @@ def _endpoint_limit(seg, ctx, direction):
         f_shift = f_e.subst({x: shift})
         coords_e = [g.to_ering() for g in seg.coords]
         coords_shift = [g.subst({x: shift}) if x in g.vars else g for g in coords_e]
-        try:
-            encs = thom_encodings(f_shift.with_vars(merge_vars(e_ctx.tvars, (seg.uvar,))),
-                                  seg.uvar, e_ctx)
-        except (ValueError, ArithmeticError):
-            return None
+        encs = thom_encodings(f_shift.with_vars(merge_vars(e_ctx.tvars, (seg.uvar,))),
+                              seg.uvar, e_ctx)
         _ENDPOINT_CACHE.put(key, (e_ctx, shift, f_shift, coords_shift, encs))
     target = None
     for cand in encs:
@@ -563,11 +523,7 @@ def _endpoint_limit(seg, ctx, direction):
     for g in coords_shift[1:]:
         F.append(g.with_vars(variables))
     u = RealUnivRep(e_ctx, seg.uvar, target.poly, target.signs, tuple(F), seg.xvars)
-    try:
-        lim = limit_point(u, mu_idx)
-    except (ValueError, ArithmeticError):
-        return None
-    return lim
+    return limit_point(u, mu_idx)
 
 
 def limit_curve(pieces: CurvePiece, drop_from: int, budget=DEFAULT_BUDGET):
@@ -593,13 +549,8 @@ def limit_curve(pieces: CurvePiece, drop_from: int, budget=DEFAULT_BUDGET):
         coords0 = tuple(_drop_poly(g, drop_from) for g in seg.coords)
         lo_enc = _limit_encoding(seg.lo, drop_from) if seg.lo else None
         hi_enc = _limit_encoding(seg.hi, drop_from) if seg.hi else None
-        collapsed = False
-        if lo_enc is not None and hi_enc is not None:
-            try:
-                if compare_roots(lo_enc, hi_enc) == 0:
-                    collapsed = True
-            except (ValueError, ArithmeticError):
-                collapsed = False
+        collapsed = (lo_enc is not None and hi_enc is not None
+                     and compare_roots(lo_enc, hi_enc) == 0)
         if collapsed or f0.is_zero() or f0.degree(seg.uvar) == 0:
             for pt in (lo, hi):
                 if pt is not None:
@@ -628,10 +579,7 @@ def _limit_rur(u, drop_from):
         return None
     if max_symbol_index(u) < drop_from:
         return u
-    try:
-        return limit_point(u, drop_from)
-    except (ValueError, ArithmeticError):
-        return None
+    return limit_point(u, drop_from)
 
 
 def _limit_encoding(enc, drop_from):
@@ -639,10 +587,7 @@ def _limit_encoding(enc, drop_from):
         return None
     if max_symbol_index(enc.poly) < drop_from and max_symbol_index(enc.context) < drop_from:
         return enc
-    try:
-        return limit_thom(enc, drop_from)
-    except (ValueError, ArithmeticError):
-        return None
+    return limit_thom(enc, drop_from)
 
 
 def _limit_context(ctx, drop_from):

@@ -136,11 +136,8 @@ def _divide(inp: DivideInput) -> DivideOutput:
         ctx_c = _ext_context_for(ThomEncoding(e_base, zname, lvl_poly, enc.signs))
         zval = MPoly.var(ERING, (zname,), zname)
         system = list(Ptilde) + [G.to_ering() - zval]
-        try:
-            pts = sample_components(system, context=ctx_c, xvars=inp.xvars,
-                                    budget=inp.budget, seed=inp.seed)
-        except (SeparationError, ResourceBudgetError):
-            pts = []
+        pts = sample_components(system, context=ctx_c, xvars=inp.xvars,
+                                budget=inp.budget, seed=inp.seed)
         for u in pts:
             if _bas_member(u, Qtilde):
                 M0.append(flatten_rur(u, e_base.nlevels))
@@ -178,15 +175,12 @@ def _divide(inp: DivideInput) -> DivideOutput:
                 sub = [pp for pp in sub if not pp.is_zero()]
                 ctx_w = _fiber_context(w, e_base)
                 try:
-                    sols = solve_system(sub, rest, context=ctx_w,
-                                        budget=inp.budget, seed=inp.seed)
-                    pts = [rur_from_raw(sv) for sv in sols]
-                except (SeparationError, ResourceBudgetError):
-                    try:
-                        pts = sample_components(sub, context=ctx_w, xvars=rest,
-                                                budget=inp.budget, seed=inp.seed)
-                    except (SeparationError, ResourceBudgetError):
-                        pts = []
+                    pts = [rur_from_raw(sv) for sv in
+                           solve_system(sub, rest, context=ctx_w,
+                                        budget=inp.budget, seed=inp.seed)]
+                except SeparationError:
+                    pts = sample_components(sub, context=ctx_w, xvars=rest,
+                                            budget=inp.budget, seed=inp.seed)
                 for u2 in pts:
                     if all(rur_sign(u2, _subst_block(q, block, w)) >= 0 for q in Qtilde):
                         fiber_pts.append(u2)

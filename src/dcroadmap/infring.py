@@ -15,23 +15,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def QQ(a=0, b=None):
-        """Exact rational constructor (gmpy2-backed)."""
-        if b is None:
-            return _mpq(a)
-        return _mpq(a, b)
+def QQ(a=0, b=None):
+    """Exact rational constructor."""
+    if b is None:
+        return Fraction(a)
+    return Fraction(a, b)
 
-    RATIONAL_TYPES = (int, Fraction, type(_mpq(1)))
-except ImportError:  # pragma: no cover
-    def QQ(a=0, b=None):
-        if b is None:
-            return Fraction(a)
-        return Fraction(a, b)
 
-    RATIONAL_TYPES = (int, Fraction)
+RATIONAL_TYPES = (int, Fraction)
 
 _KIND_RANK = {"zeta": 1, "eps": 2, "delta": 3, "gamma": 4}
 _KIND_LETTER = {"zeta": "z", "eps": "e", "delta": "d", "gamma": "g"}
@@ -455,7 +447,7 @@ def _cmp_key(a, b):
 def _coerce(x):
     if isinstance(x, InfElem):
         return x
-    if isinstance(x, RATIONAL_TYPES) or isinstance(x, Fraction):
+    if isinstance(x, RATIONAL_TYPES):
         return InfElem.const(x)
     raise TypeError(f"cannot coerce {type(x)} to InfElem")
 

@@ -9,7 +9,6 @@ variable list.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .infring import QQ, RATIONAL_TYPES, InfElem
 
@@ -163,7 +162,7 @@ class MPoly:
 
     @staticmethod
     def const(ring, variables, q):
-        c = q if not isinstance(q, RATIONAL_TYPES + (Fraction,)) else ring.from_rational(q)
+        c = q if not isinstance(q, RATIONAL_TYPES) else ring.from_rational(q)
         z = (0,) * len(tuple(variables))
         return MPoly(ring, variables, {z: c})
 
@@ -322,7 +321,7 @@ class MPoly:
         return result
 
     def scale(self, c):
-        if not isinstance(c, RATIONAL_TYPES + (Fraction,)):
+        if not isinstance(c, RATIONAL_TYPES):
             coeff = c
         else:
             coeff = self.ring.from_rational(c)
@@ -347,7 +346,7 @@ class MPoly:
     def _coerce(self, other):
         if isinstance(other, MPoly):
             return other
-        if isinstance(other, RATIONAL_TYPES + (Fraction,)):
+        if isinstance(other, RATIONAL_TYPES):
             return MPoly.const(self.ring, self.vars, other)
         if isinstance(other, InfElem) and self.ring is ERING:
             return MPoly.const(self.ring, self.vars, other)

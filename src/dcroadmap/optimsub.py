@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .critloci import GoodRankMatrix, crit_minor_system
-from .errors import ResourceBudgetError, SeparationError
+from .errors import SeparationError
 from .infring import InfElem, extra_symbol
 from .mpoly import ERING, MPoly, determinant, merge_vars
 from .points import (
@@ -81,12 +81,9 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
                 zpoly = MPoly.var(ERING, merge_vars(G.vars, (zvar,)), zvar)
                 system = [p.with_vars(merge_vars(p.vars, (zvar,))) for p in system]
                 system.append(G.with_vars(merge_vars(G.vars, (zvar,))) - zpoly)
-                try:
-                    elims = eliminate_to(system, {zvar} | set(base.tvars),
-                                         list(xvars) + [zvar], req.budget,
-                                         "pseudo-critical values")
-                except ResourceBudgetError:
-                    raise
+                elims = eliminate_to(system, {zvar} | set(base.tvars),
+                                     list(xvars) + [zvar], req.budget,
+                                     "pseudo-critical values")
                 elims = [p for p in elims if not p.is_zero() and p.degree(zvar) > 0]
                 if not elims:
                     continue
@@ -148,21 +145,17 @@ def _distance_first_order(system_eqs, grad_subst, xvars):
     return out
 
 
-def _robust_points(system, xvars, context, budget, seed, allow_sampling=True):
-    """Verified points of the system: direct solve when it certifies,
-    component sampling otherwise (critical sets can be positive-dimensional
-    in degenerate configurations)."""
+def _robust_points(system, xvars, context, budget, seed):
+    """Verified points of the system: direct solve when a separating form
+    is certified, component sampling otherwise (critical sets can be
+    positive-dimensional in degenerate configurations).  Any other failure
+    raises."""
     try:
-        sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)
-        return [rur_from_raw(s) for s in sols]
-    except (SeparationError, ArithmeticError, ValueError, ZeroDivisionError):
-        if not allow_sampling:
-            return []
-        try:
-            return sample_components(system, context=context, xvars=xvars,
-                                     budget=budget, seed=seed)
-        except (SeparationError, ArithmeticError, ValueError, ZeroDivisionError):
-            return []
+        return [rur_from_raw(s) for s in
+                solve_system(system, xvars, context=context, budget=budget, seed=seed)]
+    except SeparationError:
+        return sample_components(system, context=context, xvars=xvars,
+                                 budget=budget, seed=seed)
 
 
 def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
@@ -264,8 +257,8 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                             [Q2r[i].with_vars(merge_vars(Q2r[i].vars, allv)) for i in q2sel]
                         system = _distance_first_order(eqs, grads, list(xvars) + list(yvars))
                         system = [p.with_vars(merge_vars(p.vars, satv)) for p in system] + [saturation]
-                        pts = _robust_points(system, satv, base, budget, seed,
-                                             allow_sampling=False)
+                        pts = [rur_from_raw(s) for s in
+                               solve_system(system, satv, context=base, budget=budget, seed=seed)]
                         for w in pts:
                             ok1 = all(rur_sign(w, Q1[i].with_vars(merge_vars(Q1[i].vars, allv))) >= 0
                                       for i in range(len(Q1)))
@@ -283,18 +276,7 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
         if all(not (p == q) for q in inter):
             inter.append(p)
     if inter:
-        diag = []
-        try:
-            diag = [rur_from_raw(s) for s in
-                    solve_system(inter, xvars, context=base, budget=budget, seed=seed)]
-        except (SeparationError, ResourceBudgetError, ArithmeticError,
-                ValueError, ZeroDivisionError):
-            try:
-                diag = sample_components(inter, context=base, xvars=xvars,
-                                         budget=budget, seed=seed)
-            except (SeparationError, ResourceBudgetError, ArithmeticError, ValueError):
-                diag = []
-        for w in diag:
+        for w in _robust_points(inter, xvars, base, budget, seed):
             if all(rur_sign(w, q) >= 0 for q in list(Q1) + list(Q2)):
                 out.append(w)
     return dedupe_points(out)

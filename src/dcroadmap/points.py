@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceBudgetError, SeparationError
+from .errors import SeparationError
 from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, resultant, subst_rational
 from . import realroots
@@ -426,7 +426,9 @@ def _sample_structured(system, context, xvars, budget, seed):
     curve given by n-1 equations in n variables, a bounded component has
     extrema of every coordinate, which satisfy the augmented critical
     system, so the union of its solutions meets every component.  Returns
-    None when no shape applies."""
+    None when no shape applies, or when no separating form is certified for
+    the plane system or for any projection of the curve; the caller then
+    samples through the general route."""
     if len(xvars) == 2 and len(system) == 1:
         out = []
         # in branch order, so the points come out in the same order in every
@@ -439,7 +441,7 @@ def _sample_structured(system, context, xvars, budget, seed):
                 try:
                     sols = solve_system([factor, d], xvars, context=context,
                                         budget=budget, seed=seed)
-                except (ResourceBudgetError, SeparationError, ArithmeticError, ValueError):
+                except SeparationError:
                     return None
                 out.extend(rur_from_raw(s) for s in sols)
         return dedupe_points(out)
@@ -457,7 +459,7 @@ def _sample_structured(system, context, xvars, budget, seed):
                 try:
                     sols = solve_system(list(br) + [minor], xvars, context=context,
                                         budget=budget, seed=seed)
-                except (ResourceBudgetError, SeparationError, ArithmeticError, ValueError):
+                except SeparationError:
                     continue
                 out.extend(rur_from_raw(s) for s in sols)
                 done = True
@@ -508,8 +510,8 @@ def _to_ering_rur(u: RealUnivRep) -> RealUnivRep:
 def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
     """Exact equality of the first `upto` coordinates (all, by default) of
     the associated points.  A rational and an infinitesimal representation
-    are compared over the infinitesimal ring.  Different base contexts, or a
-    comparison that fails, count as not equal.
+    are compared over the infinitesimal ring.  Different base contexts count
+    as not equal; a comparison that fails raises.
 
     Coordinate i of v equals coordinate i of u when, over Der(g), it has the
     signs of u's encoding of that coordinate (a root of g), read in v's
@@ -524,14 +526,11 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
         u, v = _to_ering_rur(u), _to_ering_rur(v)
     if u.base.key() != v.base.key():
         return False
-    try:
-        for i in range(1, n + 1):
-            enc = coordinate_encoding_cached(u, i)
-            if not _has_thom_signs(_coordinate_alone(v, i, enc.var), enc.poly, enc.var, enc.signs):
-                return False
-        return True
-    except (ValueError, ArithmeticError):
-        return False
+    for i in range(1, n + 1):
+        enc = coordinate_encoding_cached(u, i)
+        if not _has_thom_signs(_coordinate_alone(v, i, enc.var), enc.poly, enc.var, enc.signs):
+            return False
+    return True
 
 
 def dedupe_points(points):

@@ -159,8 +159,7 @@ def _sqfree_in_var(p, var):
     g = gcd([p, d])
     if g is None or g.degree(var) == 0:
         return p
-    q = _exact_div_or_none(p, g)
-    return q if q is not None else p
+    return _exact_poly_div(p, g)
 
 
 def _pair_eliminate(polys, var, budget, what, route=0):
@@ -234,13 +233,8 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate", r
         except _CommonFactor as cf:
             sub1 = [p for p in polys if not (p == cf.a) and not (p == cf.b)] + [cf.gcd]
             out1 = eliminate_to(sub1, keep, xvars, budget, what, route)
-            try:
-                co_a = _exact_div_or_none(cf.a, cf.gcd)
-                co_b = _exact_div_or_none(cf.b, cf.gcd)
-            except Exception:
-                co_a = co_b = None
-            if co_a is None or co_b is None:
-                return out1
+            co_a = _exact_poly_div(cf.a, cf.gcd)
+            co_b = _exact_poly_div(cf.b, cf.gcd)
             sub2 = [p for p in polys if not (p == cf.a) and not (p == cf.b)] + [co_a, co_b]
             out2 = eliminate_to(sub2, keep, xvars, budget, what, route)
             return out1 + out2
@@ -248,13 +242,6 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate", r
         if not polys:
             return []
     return polys
-
-
-def _exact_div_or_none(a, b):
-    try:
-        return _exact_poly_div(a, b)
-    except Exception:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +363,9 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
         try:
             sols, certified = _solve_branch_with_form(system, active, xvars, context, budget, c,
                                                       uvar, route=attempt)
-        except ResourceBudgetError:
-            raise
-        except (ArithmeticError, ValueError, ZeroDivisionError) as e:
-            # a rejected form: on the shape route, one that does not separate
+        except ArithmeticError as e:
+            # a rejected form: a lex basis not in shape position, or no
+            # coordinate relation usable at a candidate root
             last_err = e
             prev_count = None
             continue
@@ -657,17 +643,12 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
         ctx1 = _ext_context_for(enc)
         stack = [ctx1]
         covered = [uvar]
-        ok_stack = True
         for v in active:
             new_stack = []
             gv = gs[v]
             for tw in stack:
                 gal = gv.with_vars(tuple(dict.fromkeys(list(tw.tvars) + [v])))
-                try:
-                    cands = thom_encodings(gal, v, tw)
-                except Exception:
-                    continue
-                for ce in cands:
+                for ce in thom_encodings(gal, v, tw):
                     tw2 = _ext_context_for(ce)
                     good = True
                     cov = set(covered) | {v} | ctx_tvars
@@ -681,13 +662,9 @@ def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, 
             covered.append(v)
             stack = new_stack
             if not stack:
-                ok_stack = False
                 break
-        if not ok_stack:
-            continue
-        for tw in stack:
-            out.append(_tower_to_solution(tw, context, active, xvars))
-    return [s for s in out if s is not None]
+        out.extend(_tower_to_solution(tw, context, active, xvars) for tw in stack)
+    return out
 
 
 _TOWER_DEPTH = [0]
@@ -714,8 +691,6 @@ def _tower_to_solution(tw, context, active, xvars):
                                     tuple(F), tuple(xvars)), context.nlevels)
         return RawSolution(context, u.uvar, u.f, u.sigma, u.F[0], tuple(u.F[1:]),
                            tuple(xvars))
-    except (ArithmeticError, ValueError, ZeroDivisionError):
-        return None
     finally:
         _TOWER_DEPTH[0] -= 1
 

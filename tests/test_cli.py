@@ -1,6 +1,6 @@
 import pytest
 
-from dcroadmap import cli
+from dcroadmap import cli, curves
 
 
 def _write(tmp_path, name, text):
@@ -46,3 +46,19 @@ def test_connect_on_two_disjoint_circles(tmp_path, capsys, x1, x2, code, out, er
     got = capsys.readouterr()
     assert got.out.split()[:1] == ([out] if out else [])
     assert err in got.err
+
+
+@pytest.mark.parametrize("command", ["components", "connect"])
+def test_a_failed_step_is_an_algorithm_error(tmp_path, capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("injected failure")
+
+    monkeypatch.setattr(curves, "signs_at_encodings", fail)
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 4\n")
+    argv = [command, "-f", path]
+    if command == "connect":
+        argv += ["--p1", _point(tmp_path, "p1.json", 2), "--p2", _point(tmp_path, "p2.json", -2)]
+    assert cli.main(argv) == 3
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "algorithm error: injected failure" in got.err

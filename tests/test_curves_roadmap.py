@@ -367,3 +367,18 @@ def test_tangent_pair_roadmap_makes_no_infinitesimal_products():
 def test_roadmap_quartic_has_one_component():
     quartic = P("x^4 + y^4 - 1")
     assert roadmap_bounded(quartic, sample_components([quartic])).component_count() == 1
+
+
+@pytest.mark.parametrize("name", ["signs_at_encodings", "thom_encodings"])
+def test_a_failed_step_raises_instead_of_a_smaller_graph(monkeypatch, name):
+    # a sign determination or Thom enumeration that fails must not drop the
+    # circle's segments and leave its four turning points as four components
+    circle = P("x^2 + y^2 - 4")
+    A = sample_components([circle])
+
+    def fail(*args, **kwargs):
+        raise ArithmeticError("injected failure")
+
+    monkeypatch.setattr(curves, name, fail)
+    with pytest.raises(ArithmeticError, match="injected failure"):
+        roadmap_bounded(circle, A)

@@ -244,3 +244,14 @@ def test_each_polynomial_is_factored_once_per_input(monkeypatch):
     assert roadmap_bounded(circle, sample_components([circle])).component_count() == 1
     assert calls[0][1] == 0
     assert ("QQ", XY, circle) in [key for key, _size in calls]
+
+
+def test_a_common_factor_splits_the_elimination(monkeypatch):
+    # Res_y((x - y)(x + 1), (x - y)(y + 2)) vanishes: the pair shares the
+    # factor x - y, so elimination goes on once with the factor and once
+    # with the cofactors x + 1 and y + 2; only the second leaves x + 1
+    calls = _count_calls(monkeypatch, "eliminate_to")
+    out = solve.eliminate_to([P("(x - y)*(x + 1)"), P("(x - y)*(y + 2)")], {"x"}, XY)
+    assert out == [P("x + 1")]
+    # each call is recorded when it returns, so the outer one comes last
+    assert [args[0] for args, _out in calls[:-1]] == [[P("x - y")], [P("x + 1"), P("y + 2")]]
