@@ -5,10 +5,9 @@ Sylvester matrix, a polynomial in the remaining variables (infinitesimal
 symbols included, treated as variables).  Specialization commutes with the
 determinant, so evaluating the matrix entries at rational nodes and
 interpolating is exact; the per-variable degree bound is the Sylvester
-row-sum bound, which is rigorous.  The library computes these determinants
-with mpoly.resultant and mpoly.subresultant1 and imports nothing from here;
-the module stays only because perfbench/tracing.py times both functions by
-name."""
+row-sum bound, which is rigorous.  The library computes its resultants
+with mpoly.resultant and imports nothing from here; the module stays only
+because perfbench/tracing.py times both functions by name."""
 
 from __future__ import annotations
 

@@ -657,19 +657,18 @@ def subst_rational(P, block, rep):
 # -- Sylvester determinants ---------------------------------------------------
 
 
-def sylvester_matrix(P, Q, var, k=0):
-    """Rows of the k-th Sylvester matrix of P and Q in var (BPR ch. 8):
-    n - k shifts of P's coefficients and m - k of Q's, m and n their
-    degrees, in m + n - k columns for var^(m+n-k-1) down to var^0.  It is
-    square for k = 0."""
+def sylvester_matrix(P, Q, var):
+    """Rows of the Sylvester matrix of P and Q in var (BPR ch. 8): n shifts
+    of P's coefficients and m of Q's, m and n their degrees, in m + n
+    columns for var^(m+n-1) down to var^0."""
     P, Q = MPoly.align(P, Q)
     p = P.as_univariate(var)
     q = Q.as_univariate(var)
     m, n = len(p) - 1, len(q) - 1
-    width = m + n - k
+    width = m + n
     zero = MPoly.zero(P.ring, P.vars)
     mat = []
-    for coeffs, shifts in ((p, n - k), (q, m - k)):
+    for coeffs, shifts in ((p, n), (q, m)):
         for i in range(shifts):
             row = [zero] * width
             for j, c in enumerate(reversed(coeffs)):
@@ -693,22 +692,6 @@ def resultant(P, Q, var):
     if dq == 0:
         return Q ** dp
     return determinant(sylvester_matrix(P, Q, var))
-
-
-def subresultant1(P, Q, var):
-    """The index-1 subresultant S_1 = A*var + B of P and Q, both of degree
-    at least 2 in var (BPR ch. 8).  A and B are the determinants of the
-    first m + n - 3 columns of the index-1 Sylvester rows, with the column
-    of var^1 and of var^0 last.  S_1 lies in the ideal (P, Q), and it is
-    identically zero when their gcd has degree at least 2."""
-    P, Q = MPoly.align(P, Q)
-    if P.degree(var) < 2 or Q.degree(var) < 2:
-        raise ValueError("index-1 subresultant needs degrees >= 2")
-    rows = sylvester_matrix(P, Q, var, 1)
-    lead = len(rows)  # m + n - 2 rows, one column more
-    A, B = (determinant([row[:lead - 1] + [row[col]] for row in rows])
-            for col in (lead - 1, lead))
-    return A * MPoly.var(P.ring, P.vars, var) + B
 
 
 # -- parser ------------------------------------------------------------------

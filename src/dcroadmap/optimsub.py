@@ -4,6 +4,7 @@ via first-order systems for the squared-distance objective."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -106,8 +107,6 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
 
 
 def _root_sort_key(roots):
-    import functools
-
     def cmp(a, b):
         return compare_roots(a, b)
 
@@ -146,10 +145,10 @@ def _distance_first_order(system_eqs, grad_subst, xvars):
 
 
 def _robust_points(system, xvars, context, budget, seed):
-    """Verified points of the system: direct solve when a separating form
-    is certified, component sampling otherwise (critical sets can be
-    positive-dimensional in degenerate configurations).  Any other failure
-    raises."""
+    """Verified points of the system: direct solve when it is
+    zero-dimensional and a separating form is certified, component sampling
+    otherwise (critical sets can be positive-dimensional in degenerate
+    configurations).  Any other failure raises."""
     try:
         return [rur_from_raw(s) for s in
                 solve_system(system, xvars, context=context, budget=budget, seed=seed)]

@@ -426,9 +426,10 @@ def _sample_structured(system, context, xvars, budget, seed):
     curve given by n-1 equations in n variables, a bounded component has
     extrema of every coordinate, which satisfy the augmented critical
     system, so the union of its solutions meets every component.  Returns
-    None when no shape applies, or when no separating form is certified for
-    the plane system or for any projection of the curve; the caller then
-    samples through the general route."""
+    None when no shape applies, or when the plane system, or the system of
+    every projection of the curve, is not zero-dimensional or has no
+    certified separating form; the caller then samples through the general
+    route."""
     if len(xvars) == 2 and len(system) == 1:
         out = []
         # in branch order, so the points come out in the same order in every

@@ -6,17 +6,16 @@ Pipeline per system:
 - pick a separating linear form U = x_1 + c*x_2 + c^2*x_3 + ...;
 - take the eliminant in U and one relation linear in each coordinate from
   a lex Groebner shape basis of the system with its context levels, which
-  certifies the form (the shape lemma, BPR ch. 12), or, when that is out
-  of budget or fails, from an iterated resultant cascade keeping one
-  coordinate at a time and index-1 subresultants, where a second form must
-  agree on the solution count; resultants and subresultants are Sylvester
-  determinants (mpoly.resultant, mpoly.subresultant1);
+  certifies the form (the shape lemma, BPR ch. 12); a form whose basis is
+  not in shape position is rejected and the next one tried;
 - make the eliminant squarefree at the context point and Thom-encode its
   real roots;
 - verify every candidate point exactly.
-Verification makes the heuristics harmless: only true solutions are
-returned.  Completeness holds for zero-dimensional systems because resultants
-vanish on every projection of a common zero.  Factoring, gcds and Groebner
+This is the only route: a system whose ideal is not zero-dimensional raises
+SeparationError, which callers hand to component sampling
+(points.sample_components), and one past the shape basis's size bound
+raises ResourceBudgetError.  eliminate_to, an iterated resultant cascade,
+serves optimsub's pseudo-critical values.  Factoring, gcds and Groebner
 bases go through the sympy bridge, symbridge.
 """
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subresultant1, subst_rational
+from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subst_rational
 from .realroots import (
     BoundedCache,
     ThomEncoding,
@@ -52,8 +51,7 @@ class Budget:
     max_branches: int = 256
     max_candidates: int = 4000
     # most separating forms tried per branch: it bounds the forms rejected
-    # before one is accepted, a shape-certified form or the second of two
-    # forms that agree on the solution count
+    # (lex basis not in shape position) before one is certified
     retries: int = 8
 
     def check_matrix(self, size, what):
@@ -148,7 +146,7 @@ def _fingerprint(p):
 
 
 # ---------------------------------------------------------------------------
-# resultant cascade
+# resultant cascade (optimsub's pseudo-critical values)
 
 
 def _sqfree_in_var(p, var):
@@ -162,7 +160,7 @@ def _sqfree_in_var(p, var):
     return _exact_poly_div(p, g)
 
 
-def _pair_eliminate(polys, var, budget, what, route=0):
+def _pair_eliminate(polys, var, budget, what):
     """Eliminate var from a list of polynomials by consecutive-pair
     resultants; polynomials not involving var pass through.
 
@@ -196,7 +194,7 @@ def _pair_eliminate(polys, var, budget, what, route=0):
                     out.append(r)
         return out
     touch.sort(key=lambda p: (p.degree(var), p.total_degree()))
-    base = touch[route % len(touch)] if len(touch) > 1 else touch[0]
+    base = touch[0]
     for q in touch:
         if q is base:
             continue
@@ -219,7 +217,7 @@ class _CommonFactor(Exception):
         self.b = b
 
 
-def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate", route=0):
+def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate"):
     """Iterated-resultant elimination of every variable in xvars except those
     in keep; returns the surviving polynomials (a superset-defining family:
     every solution projection is a common zero)."""
@@ -229,14 +227,14 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate", r
     order.sort(key=lambda v: max((p.degree(v) for p in polys), default=0))
     for v in order:
         try:
-            polys = _pair_eliminate(polys, v, budget, what, route)
+            polys = _pair_eliminate(polys, v, budget, what)
         except _CommonFactor as cf:
             sub1 = [p for p in polys if not (p == cf.a) and not (p == cf.b)] + [cf.gcd]
-            out1 = eliminate_to(sub1, keep, xvars, budget, what, route)
+            out1 = eliminate_to(sub1, keep, xvars, budget, what)
             co_a = _exact_poly_div(cf.a, cf.gcd)
             co_b = _exact_poly_div(cf.b, cf.gcd)
             sub2 = [p for p in polys if not (p == cf.a) and not (p == cf.b)] + [co_a, co_b]
-            out2 = eliminate_to(sub2, keep, xvars, budget, what, route)
+            out2 = eliminate_to(sub2, keep, xvars, budget, what)
             return out1 + out2
         polys = [p for p in polys if not p.is_zero()]
         if not polys:
@@ -289,14 +287,13 @@ def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uva
     Each branch tries separating forms U = x_1 + c*x_2 + c^2*x_3 + ... for
     c = seed + 1, seed + 2, ...  A form whose lex Groebner basis is in shape
     position certifies itself, and its solutions are returned at once; one
-    that does not separate is rejected and the next c is tried.  A form
-    solved by resultant elimination or the tower assembly is accepted only
-    when the next such form finds as many solutions.
+    that does not separate is rejected and the next c is tried, up to
+    budget.retries forms, then SeparationError is raised.
 
-    For positive-dimensional inputs the returned points are still true
-    solutions (everything is verified), but only finitely many candidates are
-    produced; zero-dimensionality is the caller's precondition for
-    completeness."""
+    A branch whose ideal, with the context's levels, is not
+    zero-dimensional raises SeparationError at once: its points are
+    component sampling's (points.sample_components).  A branch past the
+    shape basis's size bound raises ResourceBudgetError."""
     xvars = tuple(xvars)
     if context is None:
         ring = system[0].ring if system else QRING
@@ -356,30 +353,14 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
     if len(active) == 1:
         return _solve_univariate(system, active[0], xvars, context, budget, uvar)
     last_err = None
-    prev_count = None
-    prev_sols = None
     for attempt in range(budget.retries):
-        c = seed + attempt + 1
         try:
-            sols, certified = _solve_branch_with_form(system, active, xvars, context, budget, c,
-                                                      uvar, route=attempt)
+            return _solve_branch_with_form(system, active, xvars, context, budget,
+                                           seed + attempt + 1, uvar)
         except ArithmeticError as e:
             # a rejected form: a lex basis not in shape position, or no
             # coordinate relation usable at a candidate root
             last_err = e
-            prev_count = None
-            continue
-        if certified:
-            # the shape route proves that this form separates the solutions
-            return sols
-        if prev_count is not None and prev_count == len(sols):
-            # elimination and tower routes: an eliminant can vanish and drop
-            # solutions, so two independent forms must agree on the count
-            return sols
-        prev_count, prev_sols = len(sols), sols
-    if prev_sols is not None:
-        raise SeparationError(
-            f"separating form not certified after {budget.retries} tries (counts disagree)")
     raise SeparationError(
         f"separating form exhausted after {budget.retries} tries: {last_err}")
 
@@ -419,19 +400,26 @@ def _linear_form(ring, variables, active, c, uvar):
     return u - acc
 
 
-def _groebner_shape(full, active, context, uvar, budget):
+def _groebner_shape(full, active, context, uvar):
     """Lex Groebner shape of the system and its context levels: the
     eliminant in uvar and, per active variable, a relation linear in it over
-    uvar.  Returns (eliminant, {var: [relation]}), "empty" for the unit
-    ideal, or None when out of budget or without an eliminant."""
+    uvar.  Returns (eliminant, {var: relation}), or UNIT for the unit ideal.
+
+    Raises ArithmeticError when the lex basis is not in shape position (the
+    form is rejected), SeparationError when the ideal is not
+    zero-dimensional (adding U - sum c^i x_i keeps an ideal zero-dimensional
+    or not whatever c is, so no other form can help), and
+    ResourceBudgetError when the system is past the size bound."""
     nterms = sum(len(p.terms) for p in full)
-    if nterms > 4000 or len(active) + context.nlevels > 9:
-        return None
+    ngens = len(active) + context.nlevels
+    if nterms > 4000 or ngens > 9:
+        raise ResourceBudgetError(
+            f"shape basis: {nterms} terms in {ngens} variables exceeds budget (4000 terms, 9 variables)")
     polys = list(full) + [lp for _v, lp, _s in context.levels]
     gens = tuple(active) + tuple(context.tvars) + (uvar,)
     shape = shape_basis(polys, gens, uvar)
     if shape is None:
-        return None
+        raise SeparationError("the system is not zero-dimensional")
     if shape != UNIT and any(v not in shape[1] for v in active):
         # not in shape position: radicalize once through the squarefree
         # eliminant, then retry; a remaining failure means the separating
@@ -442,97 +430,29 @@ def _groebner_shape(full, active, context, uvar, budget):
         if shape is None or (shape != UNIT and any(v not in shape[1] for v in active)):
             raise ArithmeticError("lex basis not in shape position (separating form rejected)")
     if shape == UNIT:
-        return "empty"
+        return UNIT
     f, relations = shape
     fvars = tuple(context.tvars) + (uvar,)
-    return f.with_vars(fvars), {v: [relations[v].with_vars(fvars + (v,))] for v in active}
+    return f.with_vars(fvars), {v: relations[v].with_vars(fvars + (v,)) for v in active}
 
 
-def _solve_branch_with_form(system, active, xvars, context, budget, c, uvar, route=0):
-    """(solutions, certified) for the separating-form candidate with
-    constant c.  certified is True on the shape route: _groebner_shape
-    rejects a lex basis not in shape position, so the eliminant f and, for
-    each active v, a relation a_v(U)*v + b_v(U) lie in the ideal, and the
-    assembly raises ArithmeticError unless a_v(r) != 0 at every real root r
-    of f.  Every real solution is then the one point read at its value r of
-    the form, and every point is verified exactly.  The elimination and
-    tower routes return certified False."""
+def _solve_branch_with_form(system, active, xvars, context, budget, c, uvar):
+    """The solutions of the branch, read with the separating form of
+    constant c.  _groebner_shape rejects a lex basis not in shape position,
+    so the eliminant f and, for each active v, a relation a_v(U)*v + b_v(U)
+    lie in the ideal, and the assembly raises ArithmeticError unless
+    a_v(r) != 0 at every real root r of f.  Every real solution is then the
+    one point read at its value r of the form, and every point is verified
+    exactly."""
     ring = context.ring
     variables = tuple(dict.fromkeys(sum((list(p.vars) for p in system), list(context.tvars) + [uvar] + list(active))))
-    sys_al = [p.with_vars(variables) for p in system]
-    L = _linear_form(ring, variables, active, c, uvar)
-    full = sys_al + [L]
-
-    shape = _groebner_shape(full, active, context, uvar, budget)
-    if shape == "empty":
-        return [], True
-    if shape is not None:
-        A_shape, shape_rel = shape
-        return _assemble_from_relations(system, active, xvars, context, budget,
-                                        c, uvar, A_shape, shape_rel, variables), True
-    return _solve_by_elimination(system, active, xvars, context, budget, c, uvar, route,
-                                 sys_al, full, variables), False
-
-
-def _solve_by_elimination(system, active, xvars, context, budget, c, uvar, route,
-                          sys_al, full, variables):
-    """Candidate solutions from an iterated resultant cascade: the
-    eliminant in uvar, then one relation linear in each coordinate, or the
-    tower assembly when no such relation turns up."""
-    # eliminant in uvar alone
-    elim_u = eliminate_to(full, {uvar}, active, budget, "eliminant", route)
-    elim_u = [p for p in elim_u if not p.is_zero() and p.degree(uvar) > 0]
-    if not elim_u:
+    full = [p.with_vars(variables) for p in system] + [_linear_form(ring, variables, active, c, uvar)]
+    shape = _groebner_shape(full, active, context, uvar)
+    if shape == UNIT:
         return []
-    A = min(elim_u, key=lambda p: p.degree(uvar))
-    budget.check_degree(A.degree(uvar), "eliminant")
-    f = _squarefree_eliminant(A, uvar, context)
-    if f is None:
-        return []
-
-    # linear coordinate relations per variable; the first variable of the
-    # separating form is recovered from the form itself afterwards
-    relations = {}
-    for v in active[1:]:
-        rel = []
-        polys_v = []
-        for rt in range(min(3, max(1, len(active)))):
-            got = eliminate_to(full, {uvar, v}, active, budget, f"coordinate {v}",
-                               route + rt)
-            for p in got:
-                if p.is_zero() or p.degree(v) == 0:
-                    continue
-                p = reduce_mod_f(p, f, uvar, context)
-                if not p.is_zero() and p.degree(v) > 0 and all(not (p == q) for q in polys_v):
-                    polys_v.append(p)
-            if any(p.degree(v) == 1 for p in polys_v):
-                break
-        polys_v.sort(key=lambda p: (p.degree(v), p.total_degree()))
-        for p in polys_v:
-            if p.degree(v) == 1:
-                rel.append(p)
-        if not rel:
-            pairs = [(polys_v[i], polys_v[j]) for i in range(len(polys_v))
-                     for j in range(i + 1, len(polys_v))]
-            if len(polys_v) == 1:
-                pairs = [(polys_v[0], polys_v[0].deriv(v))]
-            for a, b in pairs:
-                # every element of polys_v has degree >= 2 in v here, so b
-                # is linear only as the derivative of a quadratic a
-                if b.degree(v) == 1:
-                    rel.append(b)
-                    break
-                budget.check_matrix(a.degree(v) + b.degree(v) - 2, f"coordinate {v}")
-                s1 = subresultant1(a, b, v)
-                if s1.degree(v) == 1:
-                    rel.append(s1)
-                    break
-        if not rel:
-            return _tower_assemble(system, active, xvars, context, budget, c, uvar,
-                                   f, sys_al, full, variables)
-        relations[v] = rel
-    return _assemble_from_relations(system, active, xvars, context, budget, c, uvar,
-                                    f, relations, variables)
+    eliminant, relations = shape
+    return _assemble_from_relations(system, active, xvars, context, budget, uvar,
+                                    eliminant, relations)
 
 
 def _squarefree_eliminant(A, uvar, context):
@@ -543,10 +463,12 @@ def _squarefree_eliminant(A, uvar, context):
     return _from_upoly(f_up, uvar, context)
 
 
-def _assemble_from_relations(system, active, xvars, context, budget, c, uvar,
-                             A_or_f, relations, variables, already_squarefree=False):
+def _assemble_from_relations(system, active, xvars, context, budget, uvar, A, relations):
+    """Verified solutions read at the real roots of the squarefree part f of
+    the eliminant A: each active v is -b_v/a_v there, from its relation
+    a_v(U)*v + b_v(U)."""
     ring = context.ring
-    f = A_or_f if already_squarefree else _squarefree_eliminant(A_or_f, uvar, context)
+    f = _squarefree_eliminant(A, uvar, context)
     if f is None:
         return []
     encs = thom_encodings(f, uvar, context)
@@ -554,58 +476,26 @@ def _assemble_from_relations(system, active, xvars, context, budget, c, uvar,
         return []
     if len(encs) > budget.max_candidates:
         raise ResourceBudgetError("candidate explosion")
-    derive_first = active[0] not in relations
     out = []
     for enc in encs:
         # keyed by f itself, the object the solutions carry, so a later
         # lookup from a point built on them matches the key by identity
         ctx_plus = _ext_context_for(ThomEncoding(context, uvar, f, enc.signs))
         assignment = {}
-        ok = True
         for v in active:
-            if derive_first and v == active[0]:
-                continue
-            got = None
-            for g in relations[v]:
-                a = reduce_mod_f(g.coeff_of(v, 1), f, uvar, context)
-                b = reduce_mod_f(g.coeff_of(v, 0), f, uvar, context)
-                if ctx_plus.sign_mpoly(_strip_to_ctx(a, ctx_plus)) != 0:
-                    got = (a, b)
-                    break
-            if got is None:
-                ok = False
-                break
-            assignment[v] = got
-        if not ok:
-            raise ArithmeticError("no usable coordinate relation at a candidate root")
-        if derive_first:
-            # first form variable: x0 = U - sum c^j x_j over the others
-            first = active[0]
-            Dall = MPoly.const(ring, variables, 1)
-            for w in active[1:]:
-                Dall = Dall * assignment[w][0].with_vars(variables)
-            Dall = reduce_mod_f(Dall, f, uvar, context)
-            num = MPoly.var(ring, variables, uvar) * Dall
-            mult = 1
-            for w in active[1:]:
-                mult *= c
-                prod = assignment[w][1].with_vars(variables)
-                for l in active[1:]:
-                    if l != w:
-                        prod = prod * assignment[l][0].with_vars(variables)
-                num = num + prod.scale(QQ(mult))
-            num = reduce_mod_f(num, f, uvar, context)
-            assignment[first] = (Dall, -num)
+            g = relations[v]
+            a = reduce_mod_f(g.coeff_of(v, 1), f, uvar, context)
+            b = reduce_mod_f(g.coeff_of(v, 0), f, uvar, context)
+            if ctx_plus.sign_mpoly(_strip_to_ctx(a, ctx_plus)) == 0:
+                raise ArithmeticError("no usable coordinate relation at a candidate root")
+            assignment[v] = (a, b)
         denom = MPoly.const(ring, (uvar,), 1).with_vars(tuple(context.tvars) + (uvar,))
         for v in active:
             denom = denom * _strip_to_ctx(assignment[v][0], ctx_plus)
         denom = reduce_mod_f(denom, f, uvar, context)
         coords = []
         for v in xvars:
-            a, b = assignment[v]
-            av = _strip_to_ctx(a, ctx_plus)
-            bv = _strip_to_ctx(b, ctx_plus)
-            num = -bv
+            num = -_strip_to_ctx(assignment[v][1], ctx_plus)
             for w in active:
                 if w != v:
                     num = num * _strip_to_ctx(assignment[w][0], ctx_plus)
@@ -614,85 +504,6 @@ def _assemble_from_relations(system, active, xvars, context, budget, c, uvar,
         if _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
             out.append(RawSolution(context, uvar, f, enc.signs, denom, tuple(coords), tuple(xvars)))
     return out
-
-
-def _tower_assemble(system, active, xvars, context, budget, c, uvar, f, sys_al, full, variables):
-    """Fallback solution assembly: fix the eliminant root, then each
-    coordinate as a Thom root of its bivariate eliminant, pruning by exact
-    sign tests; verified towers are converted to genuine rational-coordinate
-    representations by collapsing levels through pair sampling.
-
-    Sound for any input (everything is verified); needed when extraneous
-    cascade branches prevent linear coordinate relations (e.g. coordinates
-    constant on the true solutions but not on the junk)."""
-    ops = context.ops()
-    gs = {}
-    for v in active:
-        got = eliminate_to(full, {uvar, v}, active, budget, f"tower coordinate {v}")
-        cands = [reduce_mod_f(p, f, uvar, context) for p in got
-                 if not p.is_zero() and p.degree(v) > 0]
-        cands = [p for p in cands if not p.is_zero() and p.degree(v) > 0]
-        if not cands:
-            raise ArithmeticError(f"no bivariate eliminant for {v}")
-        gs[v] = min(cands, key=lambda p: (p.degree(v), p.total_degree()))
-    f_loc = f.with_vars(tuple(context.tvars) + (uvar,))
-    encs = thom_encodings(f_loc, uvar, context)
-    out = []
-    ctx_tvars = set(context.tvars)
-    for enc in encs:
-        ctx1 = _ext_context_for(enc)
-        stack = [ctx1]
-        covered = [uvar]
-        for v in active:
-            new_stack = []
-            gv = gs[v]
-            for tw in stack:
-                gal = gv.with_vars(tuple(dict.fromkeys(list(tw.tvars) + [v])))
-                for ce in thom_encodings(gal, v, tw):
-                    tw2 = _ext_context_for(ce)
-                    good = True
-                    cov = set(covered) | {v} | ctx_tvars
-                    for p in sys_al:
-                        if set(p.used_vars()) <= cov:
-                            if tw2.sign_mpoly(p.with_vars(tuple(tw2.tvars))) != 0:
-                                good = False
-                                break
-                    if good:
-                        new_stack.append(tw2)
-            covered.append(v)
-            stack = new_stack
-            if not stack:
-                break
-        out.extend(_tower_to_solution(tw, context, active, xvars) for tw in stack)
-    return out
-
-
-_TOWER_DEPTH = [0]
-
-
-def _tower_to_solution(tw, context, active, xvars):
-    """Collapse a solution tower onto the original context, producing a
-    RawSolution with rational-function coordinates."""
-    from .points import RealUnivRep, flatten_rur
-
-    if _TOWER_DEPTH[0] > 24:
-        raise ResourceBudgetError("tower collapse recursion too deep")
-    _TOWER_DEPTH[0] += 1
-    try:
-        var_last, poly_last, signs_last = tw.levels[-1]
-        parent = tw.prefix(tw.nlevels - 1)
-        ring = context.ring
-        fvars = tuple(tw.tvars)
-        one = MPoly.const(ring, fvars, 1)
-        F = [one]
-        for v in xvars:
-            F.append(MPoly.var(ring, fvars, v) if v in fvars else MPoly.zero(ring, fvars))
-        u = flatten_rur(RealUnivRep(parent, var_last, poly_last.with_vars(fvars), signs_last,
-                                    tuple(F), tuple(xvars)), context.nlevels)
-        return RawSolution(context, u.uvar, u.f, u.sigma, u.F[0], tuple(u.F[1:]),
-                           tuple(xvars))
-    finally:
-        _TOWER_DEPTH[0] -= 1
 
 
 def _dense_in(p, var):

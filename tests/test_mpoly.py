@@ -14,7 +14,6 @@ from dcroadmap.mpoly import (
     parse_poly,
     parse_poly_file,
     resultant,
-    subresultant1,
     subst_rational,
 )
 
@@ -137,32 +136,6 @@ def test_resultant_common_root_detection():
     assert resultant(p, q, "X").is_zero()
     q2 = parse_poly("(X - 4)*(X - 3)", x)
     assert not resultant(p, q2, "X").is_zero()
-
-
-def test_subresultant_gcd_detection():
-    # a gcd of degree 1 is S_1 up to a nonzero constant
-    x = ("X",)
-    p = parse_poly("(X - 1)^2*(X + 2)", x)
-    for a, b in ((p, p.deriv("X")),
-                 (parse_poly("(X - 1)*(X^2 + 1)", x), parse_poly("(X - 1)*(X - 7)", x))):
-        s1 = subresultant1(a, b, "X")
-        assert s1.degree("X") == 1
-        c1 = s1.coeff_of("X", 1).const_value()
-        c0 = s1.coeff_of("X", 0).const_value()
-        assert c0 / c1 == QQ(-1)
-
-
-def test_subresultant1_of_two_monic_quadratics():
-    v = ("X", "a", "b", "c", "d")
-    s1 = subresultant1(parse_poly("X^2 + a*X + b", v), parse_poly("X^2 + c*X + d", v), "X")
-    assert s1 == parse_poly("(c - a)*X + d - b", v)
-
-
-def test_subresultant1_vanishes_for_a_gcd_of_degree_two():
-    v = ("X", "a", "b")
-    p = parse_poly("(X^2 + a)*(X - b)", v)
-    q = parse_poly("(X^2 + a)*(X^2 + 3*X + 1)", v)
-    assert subresultant1(p, q, "X").is_zero()
 
 
 def _product_of_values(Q, roots, var):

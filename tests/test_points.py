@@ -200,6 +200,21 @@ def test_sample_components_empty_variety():
     assert sample_components([P("x^2 + y^2 + 1")]) == []
 
 
+@pytest.mark.parametrize("equations, variables, count", [
+    (["x^2 + y^2"], XY, 1),
+    (["x^4 + y^4"], XY, 1),
+    (["x^2 + y^2", "z - x"], ("x", "y", "z"), 1),
+    (["x^2 + y^2 + 1"], XY, 0),
+], ids=["x^2 + y^2", "x^4 + y^4", "x^2 + y^2, z - x", "x^2 + y^2 + 1"])
+def test_isolated_real_points_are_sampled(equations, variables, count):
+    # each real zero set is the origin or empty, while the complex one is a
+    # curve: the solver raises on these systems, and sampling owns them
+    pts = sample_components([P(e, variables) for e in equations], xvars=variables)
+    assert len(pts) == count
+    for u in pts:
+        assert all(rur_sign(u, P(v, variables)) == 0 for v in variables)
+
+
 def test_sample_components_two_circles():
     p = P("(x^2 + y^2 - 1)*((x - 4)^2 + y^2 - 1)")
     sams = sample_components([p])

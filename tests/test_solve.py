@@ -1,8 +1,10 @@
 import pytest
 
 from dcroadmap import solve
+from dcroadmap.errors import SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
+from dcroadmap.optimsub import closest_pairs
 from dcroadmap.points import sample_components
 from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
 from dcroadmap.roadmap import roadmap_bounded
@@ -34,32 +36,18 @@ def test_circle_line_intersection():
         assert ctx_plus.sign_mpoly(lhs.with_vars(ctx_plus.tvars)) == 0
 
 
-def test_multiple_root_isolated_point():
-    sols = solve_system([P("x^2 + y^2")], XY)
-    assert len(sols) == 1
-    s = sols[0]
-    ctx_plus = _eval_coords(s)
-    assert ctx_plus.sign_mpoly(s.coords[0].with_vars(ctx_plus.tvars)) == 0
-    assert ctx_plus.sign_mpoly(s.coords[1].with_vars(ctx_plus.tvars)) == 0
+def test_a_system_that_is_not_zero_dimensional_raises():
+    # the circle has infinitely many points; no finite list is its solution
+    # set, so the solver hands it to component sampling
+    with pytest.raises(SeparationError):
+        solve_system([P("x^2 + y^2 - 1")], XY)
 
 
-@pytest.mark.parametrize("equations, variables", [
-    (["x^4 + y^4"], XY),
-    (["x^2 + y^2", "z - x"], ("x", "y", "z")),
-])
-def test_tower_fallback_isolated_origin(equations, variables):
-    # no separating form splits these, so the solution is assembled from a
-    # tower of one-variable levels and collapsed onto the base
-    sols = solve_system([P(e, variables) for e in equations], variables)
-    assert len(sols) == 1
-    s = sols[0]
-    ctx_plus = _eval_coords(s)
-    for c in s.coords:
-        assert ctx_plus.sign_mpoly(c.with_vars(ctx_plus.tvars)) == 0
-
-
-def test_empty_variety():
-    assert solve_system([P("x^2 + y^2 + 1")], XY) == []
+def test_closest_pairs_of_concentric_circles_raises():
+    # every ray from the origin meets both circles at a critical pair, so
+    # the critical-pair system is not zero-dimensional
+    with pytest.raises(SeparationError):
+        closest_pairs([P("x^2 + y^2 - 1")], [], [P("x^2 + y^2 - 4")], [])
 
 
 def test_factor_split():
@@ -158,7 +146,7 @@ def test_non_separating_form_is_rejected(monkeypatch):
     assert len(forms) == 2
     (args1, first), (args2, second) = forms  # args[5] is the form's constant c
     assert args1[5] == 1 and isinstance(first, ArithmeticError)
-    assert args2[5] == 2 and second[1] is True
+    assert args2[5] == 2 and isinstance(second, list) and len(second) == 2
     points = set()
     for s in sols:
         ctx_plus = _eval_coords(s)
@@ -180,35 +168,8 @@ def test_shape_basis_certifies_first_form(monkeypatch, equations, variables):
     shapes = _count_calls(monkeypatch, "shape_basis")
     sols = solve_system([P(e, variables) for e in equations], variables)
     assert len(sols) == 2
-    assert len(forms) == 1 and forms[0][1][1] is True
+    assert len(forms) == 1 and isinstance(forms[0][1], list) and len(forms[0][1]) == 2
     assert len(shapes) == 1
-
-
-def test_elimination_route_needs_two_agreeing_forms(monkeypatch):
-    monkeypatch.setattr(solve, "_groebner_shape", lambda *args: None)
-    forms = _count_calls(monkeypatch, "_solve_branch_with_form")
-    sols = solve_system([P("x^2 + y^2 - 1"), P("2*y")], XY)
-    assert len(sols) == 2
-    assert len(forms) == 2
-    assert [len(out[0]) for _args, out in forms] == [2, 2]
-    assert all(out[1] is False for _args, out in forms)
-
-
-def test_relation_vanishing_at_a_root_rejects_the_form(monkeypatch):
-    # on the elimination route the c = 1 form's relation for y has a
-    # coefficient a_y that vanishes at a real root of its eliminant; that
-    # root's point cannot be read off the relation, so the form is rejected
-    monkeypatch.setattr(solve, "_groebner_shape", lambda *args: None)
-    forms = _count_calls(monkeypatch, "_solve_branch_with_form")
-    sols = solve_system([P("x*y - 1"), P("y^2 - x")], XY)
-    assert len(sols) == 1
-    assert [args[5] for args, _out in forms] == [1, 2, 3]
-    first = forms[0][1]
-    assert isinstance(first, ArithmeticError) and "no usable coordinate relation" in str(first)
-    assert [(len(out[0]), out[1]) for _args, out in forms[1:]] == [(1, False), (1, False)]
-    ctx_plus = _eval_coords(sols[0])
-    for c in sols[0].coords:  # the point (1, 1)
-        assert ctx_plus.sign_mpoly((c - sols[0].denom).with_vars(ctx_plus.tvars)) == 0
 
 
 def test_a_zero_over_zero_candidate_is_rejected():
