@@ -134,7 +134,8 @@ def tilde_system(P, Q, p, level, variables, d=None):
     exponent 2d+2."""
     variables = tuple(variables)
     k = len(variables)
-    if not 1 <= p <= k:
+    if not 1 <= p < k:
+        # p = k would leave no row of H for P~1
         raise ValueError("p out of range")
     if d is None:
         d = max((pol.total_degree() for pol in list(P) + list(Q)), default=1)

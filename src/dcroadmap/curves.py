@@ -338,13 +338,7 @@ def _fiber_points(V, signs_family, ctx, xvars, budget, seed):
     Vx = [p for p in Vx if not p.is_zero()]
     if not rest:
         return []
-    try:
-        pts = [rur_from_raw(s) for s in
-               solve_system(Vx, rest, context=ctx, budget=budget, seed=seed)]
-    except SeparationError:
-        # the fiber is not finite, or no separating form is certified for
-        # it: sample its components instead
-        pts = sample_components(Vx, context=ctx, xvars=rest, budget=budget, seed=seed)
+    pts = sample_components(Vx, context=ctx, xvars=rest, budget=budget, seed=seed)
     signs_x = [q.subst(sub) if x in q.vars else q for q in signs_family]
     return [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_x)]
 

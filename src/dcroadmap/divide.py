@@ -17,12 +17,11 @@ from .points import (
     flatten_rur,
     points_equal,
     project_rur,
-    rur_from_raw,
     rur_sign,
     sample_components,
 )
 from .realroots import ThomEncoding, TriangularContext, _ext_context_for
-from .solve import DEFAULT_BUDGET, solve_system
+from .solve import DEFAULT_BUDGET
 
 
 @dataclass
@@ -92,14 +91,8 @@ def _divide(inp: DivideInput) -> DivideOutput:
             if not fam:
                 continue
             system = crit_minor_system(fam, G.to_ering(), 0, inp.xvars)
-            try:
-                pts = [rur_from_raw(s) for s in
-                       solve_system(system, inp.xvars, context=e_base,
-                                    budget=inp.budget, seed=inp.seed)]
-            except SeparationError:
-                pts = sample_components(system, context=e_base, xvars=inp.xvars,
-                                        budget=inp.budget, seed=inp.seed)
-            M_tilde.extend(pts)
+            M_tilde.extend(sample_components(system, context=e_base, xvars=inp.xvars,
+                                             budget=inp.budget, seed=inp.seed))
     M_tilde = [u for u in dedupe_points(M_tilde) if _bas_member(u, Qtilde)]
 
     # Step 3: pseudo-critical values of {F} u Q~ in the (X, lambda) variables;
@@ -165,6 +158,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
         fiber_pts = []
         block = list(inp.xvars[:ell])
         rest = list(inp.xvars[ell:])
+        ctx_w = _fiber_context(w, e_base)
         for qsize in range(len(Qtilde) + 1):
             for qsel in combinations(range(len(Qtilde)), qsize):
                 fam = list(Ptilde) + [Qtilde[i] for i in qsel]
@@ -173,14 +167,8 @@ def _divide(inp: DivideInput) -> DivideOutput:
                 system = crit_minor_system(fam, G.to_ering(), ell, inp.xvars)
                 sub = [_subst_block(pp, block, w) for pp in system]
                 sub = [pp for pp in sub if not pp.is_zero()]
-                ctx_w = _fiber_context(w, e_base)
-                try:
-                    pts = [rur_from_raw(sv) for sv in
-                           solve_system(sub, rest, context=ctx_w,
-                                        budget=inp.budget, seed=inp.seed)]
-                except SeparationError:
-                    pts = sample_components(sub, context=ctx_w, xvars=rest,
-                                            budget=inp.budget, seed=inp.seed)
+                pts = sample_components(sub, context=ctx_w, xvars=rest,
+                                        budget=inp.budget, seed=inp.seed)
                 for u2 in pts:
                     if all(rur_sign(u2, _subst_block(q, block, w)) >= 0 for q in Qtilde):
                         fiber_pts.append(u2)

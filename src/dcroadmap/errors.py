@@ -17,5 +17,10 @@ class SeparationError(RuntimeError):
     """Separating linear form could not be certified within the retry budget."""
 
 
+class NotZeroDimensionalError(SeparationError):
+    """The system has infinitely many complex zeros, so no finite list of
+    points is its solution set: its components are sampled instead."""
+
+
 class EmptyEncodingError(ValueError):
     """A Thom encoding matched no real root."""

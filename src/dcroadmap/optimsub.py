@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .critloci import GoodRankMatrix, crit_minor_system
-from .errors import SeparationError
 from .infring import InfElem, extra_symbol
 from .mpoly import ERING, MPoly, determinant, merge_vars
 from .points import (
@@ -144,19 +143,6 @@ def _distance_first_order(system_eqs, grad_subst, xvars):
     return out
 
 
-def _robust_points(system, xvars, context, budget, seed):
-    """Verified points of the system: direct solve when it is
-    zero-dimensional and a separating form is certified, component sampling
-    otherwise (critical sets can be positive-dimensional in degenerate
-    configurations).  Any other failure raises."""
-    try:
-        return [rur_from_raw(s) for s in
-                solve_system(system, xvars, context=context, budget=budget, seed=seed)]
-    except SeparationError:
-        return sample_components(system, context=context, xvars=xvars,
-                                 budget=budget, seed=seed)
-
-
 def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
                   budget=DEFAULT_BUDGET, seed=0):
     """MinDi(Bas(P,Q), {x}): first-order critical points of the squared
@@ -179,7 +165,10 @@ def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
             eqs = [p.with_vars(merge_vars(p.vars, xvars)) for p in P] + \
                   [Q[i].with_vars(merge_vars(Q[i].vars, xvars)) for i in qsel]
             system = _distance_first_order(eqs, grads, xvars)
-            pts = _robust_points(system, xvars, ctx_plus, budget, seed)
+            # critical sets can be positive-dimensional in degenerate
+            # configurations: sampling meets each of their components
+            pts = sample_components(system, context=ctx_plus, xvars=xvars,
+                                    budget=budget, seed=seed)
             for w in pts:
                 if all(rur_sign(w, Q[i]) >= 0 for i in range(len(Q))):
                     out.append(flatten_rur(w, base.nlevels))
@@ -275,7 +264,7 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
         if all(not (p == q) for q in inter):
             inter.append(p)
     if inter:
-        for w in _robust_points(inter, xvars, base, budget, seed):
+        for w in sample_components(inter, context=base, xvars=xvars, budget=budget, seed=seed):
             if all(rur_sign(w, q) >= 0 for q in list(Q1) + list(Q2)):
                 out.append(w)
     return dedupe_points(out)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SeparationError
+from .errors import NotZeroDimensionalError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, resultant, subst_rational
 from . import realroots
@@ -22,7 +22,6 @@ from .realroots import (
     utrim,
 )
 from .solve import DEFAULT_BUDGET, RawSolution, solve_system, split_branches
-from .symbridge import is_zero_dimensional
 
 
 @dataclass(eq=False)
@@ -359,9 +358,13 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     """Finite point set meeting every semi-algebraically connected component
     of Z(system) (bounded; caller asserted).
 
-    A system with at least as many equations as variables whose ideal,
-    with the context's levels, is zero-dimensional is solved directly: each
-    of its points is a component.  The structured shapes of
+    This is the one place that decides between solving and sampling.  A
+    system with at least as many equations as variables goes to
+    solve_system first: each point of a finite zero set is a component.
+    Only NotZeroDimensionalError sends it on to sampling; a system with no
+    certified separating form raises SeparationError.  A proper ideal with
+    fewer generators than variables is never zero-dimensional (Krull), so
+    such a system is sampled at once.  The structured shapes of
     _sample_structured come next.  The general route deforms Q = sum of
     squares to Def(Q, zeta) and samples the first-coordinate critical
     points of the deformed hypersurface, then removes zeta with the limit
@@ -379,10 +382,13 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
         xvars = tuple(xv)
     if not system:
         raise ValueError("empty system")
-    if len(system) >= len(xvars) and is_zero_dimensional(
-            system + [lp for _v, lp, _s in context.levels], tuple(xvars) + tuple(context.tvars)):
-        sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)
-        return [rur_from_raw(s) for s in sols]
+    if len(system) >= len(xvars):
+        try:
+            sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)
+        except NotZeroDimensionalError:
+            pass
+        else:
+            return [rur_from_raw(s) for s in sols]
 
     structured = _sample_structured(system, context, xvars, budget, seed)
     if structured is not None:
@@ -422,14 +428,16 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
 
 def _sample_structured(system, context, xvars, budget, seed):
     """Direct sampling for the structured shapes that cover the golden
-    instances.  For a plane curve (one polynomial, two variables) and a
-    curve given by n-1 equations in n variables, a bounded component has
-    extrema of every coordinate, which satisfy the augmented critical
+    instances; sample_components calls it only for a system it does not
+    solve directly, one with fewer equations than variables or a zero set
+    that is not finite.  For a plane curve (one polynomial, two variables)
+    and a curve given by n-1 equations in n variables, a bounded component
+    has extrema of every coordinate, which satisfy the augmented critical
     system, so the union of its solutions meets every component.  Returns
-    None when no shape applies, or when the plane system, or the system of
-    every projection of the curve, is not zero-dimensional or has no
-    certified separating form; the caller then samples through the general
-    route."""
+    None when no shape applies, or when solve_system raises SeparationError
+    on the plane system, or on the system of every projection of the curve
+    (not zero-dimensional, or no certified separating form); the caller
+    then samples through the general route."""
     if len(xvars) == 2 and len(system) == 1:
         out = []
         # in branch order, so the points come out in the same order in every

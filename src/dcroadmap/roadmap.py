@@ -138,22 +138,14 @@ def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
     k = len(xvars)
     if kprime is None:
         kprime = max(k - 1, 1)
-    trees = []
-    if kprime <= 1:
-        # depth-0 recursion: the per-point trees all share the root basic
-        # set, so their leaf union equals one tree carrying every anchor
-        # (the additivity of Tree(V, A) in A)
-        trees.append(build_tree(system, list(A), kprime, xvars=xvars,
-                                budget=budget, seed=seed))
-    elif A:
-        for a in A:
-            trees.append(build_tree(system, [a], kprime, xvars=xvars,
-                                    budget=budget, seed=seed))
-    else:
-        trees.append(build_tree(system, [], kprime, xvars=xvars,
-                                budget=budget, seed=seed))
+    # one tree per point, or one tree with no points; at depth 0 the
+    # per-point trees all share the root basic set, so their leaf union
+    # equals one tree carrying every anchor (the additivity of Tree(V, A)
+    # in A)
+    groups = [[a] for a in A] if kprime > 1 and A else [list(A)]
     pieces = []
-    for tree in trees:
+    for group in groups:
+        tree = build_tree(system, group, kprime, xvars=xvars, budget=budget, seed=seed)
         for leaf in tree.leaves():
             anchors = list(leaf.A)
             piece = curve_segments(leaf.P, leaf.Q, leaf.base, leaf.xvars,

@@ -11,19 +11,24 @@ Pipeline per system:
 - make the eliminant squarefree at the context point and Thom-encode its
   real roots;
 - verify every candidate point exactly.
-This is the only route: a system whose ideal is not zero-dimensional raises
-SeparationError, which callers hand to component sampling
-(points.sample_components), and one past the shape basis's size bound
-raises ResourceBudgetError.  eliminate_to, an iterated resultant cascade,
-serves optimsub's pseudo-critical values.  Factoring, gcds and Groebner
-bases go through the sympy bridge, symbridge.
+A system in one variable keeps the real roots of its shortest polynomial
+at which the others vanish, with no form.  This is the only route: a
+system whose ideal is not zero-dimensional (a branch that leaves a
+coordinate free included) raises NotZeroDimensionalError, which
+points.sample_components, the one place that decides between solving and
+sampling, hands to component sampling; a system with no certified
+separating form within the retry budget raises a plain SeparationError,
+and one past the shape basis's size bound raises ResourceBudgetError.
+eliminate_to, an iterated resultant cascade, serves optimsub's
+pseudo-critical values.  Factoring, gcds and Groebner bases go through the
+sympy bridge, symbridge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceBudgetError, SeparationError
+from .errors import NotZeroDimensionalError, ResourceBudgetError, SeparationError
 from .infring import QQ
 from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subst_rational
 from .realroots import (
@@ -291,9 +296,10 @@ def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uva
     budget.retries forms, then SeparationError is raised.
 
     A branch whose ideal, with the context's levels, is not
-    zero-dimensional raises SeparationError at once: its points are
-    component sampling's (points.sample_components).  A branch past the
-    shape basis's size bound raises ResourceBudgetError."""
+    zero-dimensional, one that leaves a coordinate free included, raises
+    NotZeroDimensionalError at once: its points are component sampling's
+    (points.sample_components).  A branch past the shape basis's size bound
+    raises ResourceBudgetError."""
     xvars = tuple(xvars)
     if context is None:
         ring = system[0].ring if system else QRING
@@ -339,23 +345,12 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
             raise ValueError(f"polynomial involves unknown variables {pu - set(xvars) - set(context.tvars)}")
         kept.append(p)
     system = kept
-    used = set()
-    for p in system:
-        used |= p.used_vars()
-    active = [v for v in xvars if v in used]
-    if not active:
-        return []
-    missing = [v for v in xvars if v not in used]
-    if missing:
-        # a branch of a finite zero set never leaves a coordinate free; such
-        # branches are empty and contribute nothing
-        return []
-    if len(active) == 1:
-        return _solve_univariate(system, active[0], xvars, context, budget, uvar)
+    if len(xvars) == 1:
+        return _solve_univariate(system, xvars[0], context, uvar)
     last_err = None
     for attempt in range(budget.retries):
         try:
-            return _solve_branch_with_form(system, active, xvars, context, budget,
+            return _solve_branch_with_form(system, xvars, context, budget,
                                            seed + attempt + 1, uvar)
         except ArithmeticError as e:
             # a rejected form: a lex basis not in shape position, or no
@@ -365,7 +360,7 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
         f"separating form exhausted after {budget.retries} tries: {last_err}")
 
 
-def _solve_univariate(system, var, xvars, context, budget, uvar):
+def _solve_univariate(system, var, context, uvar):
     ops = context.ops()
     ups = [utrim(ops, _to_upoly(p, var, context)) for p in system]
     ups = [u for u in ups if len(u) > 1 or ops.ctx_sign(u[0]) != 0]
@@ -373,7 +368,7 @@ def _solve_univariate(system, var, xvars, context, budget, uvar):
         if len(u) == 1:
             return []
     if not ups:
-        return []
+        raise NotZeroDimensionalError(f"every polynomial vanishes at the context point: {var} is free")
     base = min(ups, key=len)
     fam = [u for u in ups if u is not base]
     rows = signs_at_encodings(_from_upoly(base, var, context), [_from_upoly(u, var, context) for u in fam], var, context)
@@ -385,74 +380,74 @@ def _solve_univariate(system, var, xvars, context, budget, uvar):
         ring = context.ring
         variables = tuple(context.tvars) + (uvar,)
         one = MPoly.const(ring, variables, 1)
-        coords = tuple(MPoly.var(ring, variables, uvar) if v == var else MPoly.zero(ring, variables) for v in xvars)
-        out.append(RawSolution(context, uvar, f.with_vars(variables), enc.signs, one, coords, tuple(xvars)))
+        coords = (MPoly.var(ring, variables, uvar),)
+        out.append(RawSolution(context, uvar, f.with_vars(variables), enc.signs, one, coords, (var,)))
     return out
 
 
-def _linear_form(ring, variables, active, c, uvar):
+def _linear_form(ring, variables, xvars, c, uvar):
     u = MPoly.var(ring, variables, uvar)
     acc = MPoly.zero(ring, variables)
     mult = 1
-    for v in active:
+    for v in xvars:
         acc = acc + MPoly.var(ring, variables, v).scale(QQ(mult))
         mult *= c
     return u - acc
 
 
-def _groebner_shape(full, active, context, uvar):
+def _groebner_shape(full, xvars, context, uvar):
     """Lex Groebner shape of the system and its context levels: the
-    eliminant in uvar and, per active variable, a relation linear in it over
-    uvar.  Returns (eliminant, {var: relation}), or UNIT for the unit ideal.
+    eliminant in uvar and, per variable of xvars, a relation linear in it
+    over uvar.  Returns (eliminant, {var: relation}), or UNIT for the unit
+    ideal.
 
     Raises ArithmeticError when the lex basis is not in shape position (the
-    form is rejected), SeparationError when the ideal is not
+    form is rejected), NotZeroDimensionalError when the ideal is not
     zero-dimensional (adding U - sum c^i x_i keeps an ideal zero-dimensional
     or not whatever c is, so no other form can help), and
     ResourceBudgetError when the system is past the size bound."""
     nterms = sum(len(p.terms) for p in full)
-    ngens = len(active) + context.nlevels
+    ngens = len(xvars) + context.nlevels
     if nterms > 4000 or ngens > 9:
         raise ResourceBudgetError(
             f"shape basis: {nterms} terms in {ngens} variables exceeds budget (4000 terms, 9 variables)")
     polys = list(full) + [lp for _v, lp, _s in context.levels]
-    gens = tuple(active) + tuple(context.tvars) + (uvar,)
+    gens = tuple(xvars) + tuple(context.tvars) + (uvar,)
     shape = shape_basis(polys, gens, uvar)
     if shape is None:
-        raise SeparationError("the system is not zero-dimensional")
-    if shape != UNIT and any(v not in shape[1] for v in active):
+        raise NotZeroDimensionalError("the system is not zero-dimensional")
+    if shape != UNIT and any(v not in shape[1] for v in xvars):
         # not in shape position: radicalize once through the squarefree
         # eliminant, then retry; a remaining failure means the separating
         # form candidate must be rejected (fast retry with next c)
         f = shape[0]
         g = gcd([f, f.deriv(uvar)])
         shape = shape_basis(polys + [f if g is None else _exact_poly_div(f, g)], gens, uvar)
-        if shape is None or (shape != UNIT and any(v not in shape[1] for v in active)):
+        if shape is None or (shape != UNIT and any(v not in shape[1] for v in xvars)):
             raise ArithmeticError("lex basis not in shape position (separating form rejected)")
     if shape == UNIT:
         return UNIT
     f, relations = shape
     fvars = tuple(context.tvars) + (uvar,)
-    return f.with_vars(fvars), {v: relations[v].with_vars(fvars + (v,)) for v in active}
+    return f.with_vars(fvars), {v: relations[v].with_vars(fvars + (v,)) for v in xvars}
 
 
-def _solve_branch_with_form(system, active, xvars, context, budget, c, uvar):
-    """The solutions of the branch, read with the separating form of
-    constant c.  _groebner_shape rejects a lex basis not in shape position,
-    so the eliminant f and, for each active v, a relation a_v(U)*v + b_v(U)
+def _solve_branch_with_form(system, xvars, context, budget, c, uvar):
+    """The solutions of the branch in xvars, read with the separating form
+    of constant c.  _groebner_shape rejects a lex basis not in shape
+    position, so the eliminant f and, for each v in xvars, a relation a_v(U)*v + b_v(U)
     lie in the ideal, and the assembly raises ArithmeticError unless
     a_v(r) != 0 at every real root r of f.  Every real solution is then the
     one point read at its value r of the form, and every point is verified
     exactly."""
     ring = context.ring
-    variables = tuple(dict.fromkeys(sum((list(p.vars) for p in system), list(context.tvars) + [uvar] + list(active))))
-    full = [p.with_vars(variables) for p in system] + [_linear_form(ring, variables, active, c, uvar)]
-    shape = _groebner_shape(full, active, context, uvar)
+    variables = tuple(dict.fromkeys(sum((list(p.vars) for p in system), list(context.tvars) + [uvar] + list(xvars))))
+    full = [p.with_vars(variables) for p in system] + [_linear_form(ring, variables, xvars, c, uvar)]
+    shape = _groebner_shape(full, xvars, context, uvar)
     if shape == UNIT:
         return []
     eliminant, relations = shape
-    return _assemble_from_relations(system, active, xvars, context, budget, uvar,
-                                    eliminant, relations)
+    return _assemble_from_relations(system, xvars, context, budget, uvar, eliminant, relations)
 
 
 def _squarefree_eliminant(A, uvar, context):
@@ -463,9 +458,9 @@ def _squarefree_eliminant(A, uvar, context):
     return _from_upoly(f_up, uvar, context)
 
 
-def _assemble_from_relations(system, active, xvars, context, budget, uvar, A, relations):
+def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations):
     """Verified solutions read at the real roots of the squarefree part f of
-    the eliminant A: each active v is -b_v/a_v there, from its relation
+    the eliminant A: each v in xvars is -b_v/a_v there, from its relation
     a_v(U)*v + b_v(U)."""
     ring = context.ring
     f = _squarefree_eliminant(A, uvar, context)
@@ -482,7 +477,7 @@ def _assemble_from_relations(system, active, xvars, context, budget, uvar, A, re
         # lookup from a point built on them matches the key by identity
         ctx_plus = _ext_context_for(ThomEncoding(context, uvar, f, enc.signs))
         assignment = {}
-        for v in active:
+        for v in xvars:
             g = relations[v]
             a = reduce_mod_f(g.coeff_of(v, 1), f, uvar, context)
             b = reduce_mod_f(g.coeff_of(v, 0), f, uvar, context)
@@ -490,13 +485,13 @@ def _assemble_from_relations(system, active, xvars, context, budget, uvar, A, re
                 raise ArithmeticError("no usable coordinate relation at a candidate root")
             assignment[v] = (a, b)
         denom = MPoly.const(ring, (uvar,), 1).with_vars(tuple(context.tvars) + (uvar,))
-        for v in active:
+        for v in xvars:
             denom = denom * _strip_to_ctx(assignment[v][0], ctx_plus)
         denom = reduce_mod_f(denom, f, uvar, context)
         coords = []
         for v in xvars:
             num = -_strip_to_ctx(assignment[v][1], ctx_plus)
-            for w in active:
+            for w in xvars:
                 if w != v:
                     num = num * _strip_to_ctx(assignment[w][0], ctx_plus)
             coords.append(reduce_mod_f(num, f, uvar, context))

@@ -175,14 +175,6 @@ def _zero_dimensional(basis, ngens):
     return len(bounded) == ngens
 
 
-def is_zero_dimensional(polys, gens):
-    """Whether polys have finitely many common zeros in the variables gens,
-    over the algebraic closure of the field of their other variables and
-    infinitesimals; the unit ideal, with none, counts."""
-    _conv, basis = _grevlex_basis(polys, gens)
-    return any(g.is_ground for g in basis) or _zero_dimensional(basis, len(gens))
-
-
 def shape_basis(polys, gens, uvar):
     """Lex Groebner shape of the ideal of polys in the variables gens (uvar
     last), over the field of their other variables and infinitesimals: a

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .divide import DivideInput, DivideOutput, divide, _fiber_var, _subst_block
-from .mpoly import MPoly
+from .divide import DivideInput, DivideOutput, divide, _fiber_context, _subst_block
 from .points import RealUnivRep, dedupe_points, points_equal
 from .realroots import TriangularContext
 from .solve import DEFAULT_BUDGET
@@ -102,10 +101,8 @@ def _expand(node: TreeNode, budget, seed):
     block = list(node.xvars[:ell])
     rest = tuple(node.xvars[ell:])
     for idx, w in enumerate(out.N):
-        tvar = _fiber_var(w)
-        ren = {w.uvar: MPoly.var(w.f.ring, (tvar,), tvar)}
-        lvl_poly = w.f.subst(ren)
-        ctx_w = node.base.to_ering().extend(tvar, lvl_poly, w.sigma)
+        # the context Divide's step 6 put w's fiber anchors over
+        ctx_w = _fiber_context(w, node.base.to_ering())
         P_m = [q for q in (_subst_block(pp, block, w) for pp in out.Ptilde)
                if not q.is_zero()]
         Q_m = [_subst_block(qq, block, w) for qq in out.Qtilde]

@@ -15,6 +15,17 @@ def test_components_of_the_unit_circle(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1"]
 
 
+@pytest.mark.parametrize("bound", [2, 3])
+def test_a_dimension_bound_past_the_divide_range_is_an_algorithm_error(tmp_path, capsys, bound):
+    # the circle's tree splits its two coordinates with p = 2 (bound 2) or
+    # p = 4 (bound 3, rounded up), and Divide needs p < k = 2
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
+    assert cli.main(["components", "-f", path, "--dim-bound", str(bound)]) == 3
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "p out of range" in got.err
+
+
 def test_malformed_line_is_a_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", "vars: x y\nx^2 + * y\n")
     assert cli.main(["components", "-f", path]) == 2

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dcroadmap.critloci import (
     GoodRankMatrix,
     charts,
@@ -98,6 +100,9 @@ def test_tilde_system_sphere():
               + MPoly.const(ERING, X3, (one - e) * z) * parse_poly("X3^6 + X3^2", X3).to_ering()
               - MPoly.const(ERING, X3, e) * parse_poly("X1^6 + 4*X2^6 + 9*X3^6", X3).to_ering())
     assert ptild == expect
+    # with p = k no coordinate is left to deform and H has no row for P~1
+    with pytest.raises(ValueError, match="p out of range"):
+        tilde_system(P, [], 3, 1, X3)
 
 
 def test_tilde_system_with_inequality():

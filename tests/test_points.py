@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcroadmap.errors import SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, merge_vars, parse_poly
 from dcroadmap.realroots import ThomEncoding, TriangularContext, compare_roots, thom_encodings
@@ -27,6 +28,7 @@ from dcroadmap.points import (
     rur_sign,
     sample_components,
 )
+from dcroadmap.solve import Budget
 
 X = ("X",)
 XY = ("x", "y")
@@ -446,6 +448,18 @@ def test_zero_dimensional_system_is_solved_directly(monkeypatch, equations, coun
     pts = sample_components(system, xvars=XY)
     assert len(pts) == count
     assert all(rur_sign(u, p) == 0 for u in pts for p in system)
+
+
+def test_a_zero_dimensional_system_with_no_certified_form_raises(monkeypatch):
+    # with no separating form to try the solver gives up on (1, 2); only a
+    # system that is not zero-dimensional goes on to sampling, so this one
+    # raises rather than reach the structured shapes
+    def no_sampling(*args):
+        raise AssertionError("a zero-dimensional system reached the structured shapes")
+
+    monkeypatch.setattr(points, "_sample_structured", no_sampling)
+    with pytest.raises(SeparationError):
+        sample_components([P("x - 1"), P("y - 2")], xvars=XY, budget=Budget(retries=0))
 
 
 # sign(root - q) from the level's Sturm chain against the general query

@@ -1,7 +1,7 @@
 import pytest
 
 from dcroadmap import solve
-from dcroadmap.errors import SeparationError
+from dcroadmap.errors import NotZeroDimensionalError, SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.optimsub import closest_pairs
@@ -37,10 +37,17 @@ def test_circle_line_intersection():
 
 
 def test_a_system_that_is_not_zero_dimensional_raises():
-    # the circle has infinitely many points; no finite list is its solution
-    # set, so the solver hands it to component sampling
-    with pytest.raises(SeparationError):
-        solve_system([P("x^2 + y^2 - 1")], XY)
+    # the circle and the line x = 0 have infinitely many points; no finite
+    # list is their solution set, so the solver hands them to component
+    # sampling.  The line is a branch that leaves y free.
+    for equations in (["x^2 + y^2 - 1"], ["x^2"], ["x*(x - 5)", "x*(x - 7)"]):
+        with pytest.raises(NotZeroDimensionalError):
+            solve_system([P(e) for e in equations], XY)
+
+
+def test_a_branch_with_no_points_that_leaves_a_coordinate_free_is_empty():
+    # x = 5 and x = 0 have no common point, whatever y is
+    assert solve_system([P("x - 5"), P("x")], XY) == []
 
 
 def test_closest_pairs_of_concentric_circles_raises():
@@ -144,9 +151,9 @@ def test_non_separating_form_is_rejected(monkeypatch):
     forms = _count_calls(monkeypatch, "_solve_branch_with_form")
     sols = solve_system([P("x^2 + y^2 - 1"), P("x + y - 1")], XY)
     assert len(forms) == 2
-    (args1, first), (args2, second) = forms  # args[5] is the form's constant c
-    assert args1[5] == 1 and isinstance(first, ArithmeticError)
-    assert args2[5] == 2 and isinstance(second, list) and len(second) == 2
+    (args1, first), (args2, second) = forms  # args[4] is the form's constant c
+    assert args1[4] == 1 and isinstance(first, ArithmeticError)
+    assert args2[4] == 2 and isinstance(second, list) and len(second) == 2
     points = set()
     for s in sols:
         ctx_plus = _eval_coords(s)

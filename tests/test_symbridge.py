@@ -1,4 +1,4 @@
-"""The sympy bridge: shape bases, zero-dimensionality, factoring and gcds.
+"""The sympy bridge: shape bases, factoring and gcds.
 
 The expected values are exact, numerators, factor order and signs included,
 since callers depend on all of them (branch order, Thom encodings and the
@@ -36,7 +36,6 @@ def test_shape_basis_over_a_parameter_field():
     assert list(relations) == ["x", "y"]
     assert _same(relations["x"], P("2*U^3 + 6*x*t - 8*t*U + 15*x - 11*U", XYTU))
     assert _same(relations["y"], P("-U^3 + 6*y*t + t*U + 15*y - 2*U", XYTU))
-    assert symbridge.is_zero_dimensional(system, XYU)
 
 
 def test_shape_basis_with_an_infinitesimal_coefficient():
@@ -55,10 +54,8 @@ def test_shape_basis_with_an_infinitesimal_coefficient():
 def test_unit_and_positive_dimensional_ideals():
     unit = [P("x^2 + y"), P("x^2 + y - 1")]
     assert symbridge.shape_basis(unit, XY, "y") == symbridge.UNIT
-    assert symbridge.is_zero_dimensional(unit, XY)
     curve = [P("x*y - 1")]
     assert symbridge.shape_basis(curve, XY, "y") is None
-    assert not symbridge.is_zero_dimensional(curve, XY)
 
 
 @pytest.mark.parametrize("text, want", [
