@@ -68,7 +68,8 @@ def divide(inp: DivideInput) -> DivideOutput:
     try:
         return _divide(inp)
     except (ResourceBudgetError, SeparationError, ArithmeticError, ValueError) as e:
-        raise ResourceBudgetError(str(e), node_path="".join(str(b) for b in inp.s)) from e
+        path = "".join(str(b) for b in inp.s) or "root"
+        raise ResourceBudgetError(str(e), node_path=path) from e
 
 
 def _divide(inp: DivideInput) -> DivideOutput:

@@ -194,8 +194,9 @@ class MPoly:
                     if pos[i] is None:
                         raise ValueError(f"variable {self.vars[i]} used but not in target")
                     new[pos[i]] = e
-            key = tuple(new)
-            out[key] = self.ring.add(out.get(key, self.ring.zero), c)
+            # distinct used variables go to distinct positions, so no two
+            # terms meet
+            out[tuple(new)] = c
         return MPoly(self.ring, variables, out)
 
     def used_vars(self):
@@ -208,6 +209,10 @@ class MPoly:
 
     @staticmethod
     def align(p, q):
+        """p and q over one ring (ERING when either is) and one variable
+        tuple (p's variables, then q's others)."""
+        if p.ring is not q.ring:
+            p, q = p.to_ering(), q.to_ering()
         if p.vars == q.vars:
             return p, q
         merged = list(p.vars) + [v for v in q.vars if v not in p.vars]
@@ -244,8 +249,7 @@ class MPoly:
         out = {}
         for m, c in self.terms.items():
             if m[i] == exp:
-                key = m[:i] + (0,) + m[i + 1:]
-                out[key] = self.ring.add(out.get(key, self.ring.zero), c)
+                out[m[:i] + (0,) + m[i + 1:]] = c
         return MPoly(self.ring, self.vars, out)
 
     def as_univariate(self, var):

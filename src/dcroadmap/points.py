@@ -365,10 +365,13 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     certified separating form raises SeparationError.  A proper ideal with
     fewer generators than variables is never zero-dimensional (Krull), so
     such a system is sampled at once.  The structured shapes of
-    _sample_structured come next.  The general route deforms Q = sum of
-    squares to Def(Q, zeta) and samples the first-coordinate critical
-    points of the deformed hypersurface, then removes zeta with the limit
-    algorithms."""
+    _sample_structured come next.  Every route rests on one argument: a
+    compact component attains its least first coordinate x1, and there the
+    projection to x1 is critical (the tangent lies in the hyperplane
+    x1 = const, or the point is singular).  So the critical points of that
+    one projection meet every component.  The general route deforms Q = sum
+    of squares to Def(Q, zeta) and samples the x1-critical points of the
+    deformed hypersurface, then removes zeta with the limit algorithms."""
     system = [p for p in system if not p.is_zero()]
     if context is None:
         ring = system[0].ring if system else QRING
@@ -430,29 +433,34 @@ def _sample_structured(system, context, xvars, budget, seed):
     """Direct sampling for the structured shapes that cover the golden
     instances; sample_components calls it only for a system it does not
     solve directly, one with fewer equations than variables or a zero set
-    that is not finite.  For a plane curve (one polynomial, two variables)
-    and a curve given by n-1 equations in n variables, a bounded component
-    has extrema of every coordinate, which satisfy the augmented critical
-    system, so the union of its solutions meets every component.  Returns
-    None when no shape applies, or when solve_system raises SeparationError
-    on the plane system, or on the system of every projection of the curve
-    (not zero-dimensional, or no certified separating form); the caller
-    then samples through the general route."""
+    that is not finite.  Both shapes first sample the critical points of
+    the projection to xvars[0], the coordinate curve_segments parametrises
+    over.  A plane curve (one polynomial, two variables) is solved factor
+    by factor: a compact component of Z(factor) attains its least xvars[0]
+    where the tangent is vertical or the point is singular, and both lie on
+    factor = d factor / d xvars[1] = 0.  A factor free of xvars[1] has no
+    compact component and gives no points.  A curve given by n-1 equations
+    in n variables is solved with its maximal Jacobian minor in the
+    variables other than xvars[0]; when that system fails, the minors that
+    leave out each later coordinate are tried in turn.  Returns None when
+    no shape applies, or when solve_system raises SeparationError on a
+    plane system, or on the system of every projection of the curve (not
+    zero-dimensional, or no certified separating form); the caller then
+    samples through the general route."""
     if len(xvars) == 2 and len(system) == 1:
         out = []
         # in branch order, so the points come out in the same order in every
         # process (set order would follow the variable names' string hashes)
         for factor in dict.fromkeys(f for br in split_branches(system, budget) for f in br):
-            for v in xvars:
-                d = factor.deriv(v)
-                if d.is_zero():
-                    continue
-                try:
-                    sols = solve_system([factor, d], xvars, context=context,
-                                        budget=budget, seed=seed)
-                except SeparationError:
-                    return None
-                out.extend(rur_from_raw(s) for s in sols)
+            d = factor.deriv(xvars[1])
+            if d.is_zero():
+                continue
+            try:
+                sols = solve_system([factor, d], xvars, context=context,
+                                    budget=budget, seed=seed)
+            except SeparationError:
+                return None
+            out.extend(rur_from_raw(s) for s in sols)
         return dedupe_points(out)
     if len(system) == len(xvars) - 1 and len(xvars) >= 3:
         out = []

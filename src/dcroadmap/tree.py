@@ -40,9 +40,6 @@ class TreeNode:
     def is_leaf(self):
         return 2 ** self.level >= self.kprime
 
-    def path(self):
-        return "".join(str(b) for b in self.s)
-
 
 @dataclass
 class Tree:

@@ -23,7 +23,7 @@ def test_a_dimension_bound_past_the_divide_range_is_an_algorithm_error(tmp_path,
     assert cli.main(["components", "-f", path, "--dim-bound", str(bound)]) == 3
     got = capsys.readouterr()
     assert got.out == ""
-    assert "p out of range" in got.err
+    assert "[node root] p out of range" in got.err
 
 
 def test_malformed_line_is_a_parse_error(tmp_path, capsys):

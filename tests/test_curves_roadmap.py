@@ -213,7 +213,7 @@ CROSSING = "(x^2 + y^2 - 1)*((x - 1)^2 + y^2 - 1)"
 TANGENT = "(x^2 + y^2 - 1)*((x - 2)^2 + y^2 - 1)"
 
 
-@pytest.fixture(scope="module", params=[(CROSSING, 10, 12), (TANGENT, 7, 8)],
+@pytest.fixture(scope="module", params=[(CROSSING, 10, 12), (TANGENT, 3, 4)],
                 ids=["crossing", "tangent"])
 def glued_pair(request):
     """The curve piece and graph of a circle pair, the expected graph size,
@@ -367,6 +367,35 @@ def test_tangent_pair_roadmap_makes_no_infinitesimal_products():
 def test_roadmap_quartic_has_one_component():
     quartic = P("x^4 + y^4 - 1")
     assert roadmap_bounded(quartic, sample_components([quartic])).component_count() == 1
+
+
+ELLIPSE = "x^2 + 4*y^2 - 4"
+
+
+def test_plane_anchors_are_the_x_extremes_of_an_ellipse():
+    A = sample_components([P(ELLIPSE)])
+    assert len(A) == 2
+    assert sorted(rur_sign(a, P("x")) for a in A) == [-1, 1]
+    for a in A:
+        assert rur_sign(a, P("x^2 - 4")) == 0
+        assert rur_sign(a, P("y")) == 0
+
+
+@pytest.mark.parametrize("text", [ELLIPSE, TANGENT], ids=["ellipse", "tangent"])
+def test_plane_anchors_are_critical_for_the_projection_to_x(text):
+    p = P(text)
+    A = sample_components([p])
+    assert A
+    for a in A:
+        assert rur_sign(a, p) == 0
+        assert rur_sign(a, p.deriv("y")) == 0
+
+
+def test_ellipse_roadmap_has_its_two_x_extremes_and_two_arcs():
+    p = P(ELLIPSE)
+    graph = roadmap_bounded(p, sample_components([p]))
+    assert (len(graph.vertices), len(graph.edges)) == (2, 2)
+    assert graph.component_count() == 1
 
 
 @pytest.mark.parametrize("name", ["signs_at_encodings", "thom_encodings"])

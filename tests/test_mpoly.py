@@ -195,3 +195,29 @@ def test_hash_agrees_with_equality_across_rings():
     assert p == p.to_ering()
     assert hash(p) == hash(p.to_ering())
     assert hash(p) == hash(p.with_vars(("y", "x")))
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_mixed_ring_arithmetic_is_over_the_infinitesimal_ring(op):
+    e1 = InfElem.sym(eps(1))
+    q = parse_poly("x^2 - y", ("x", "y"))
+    e = MPoly(ERING, ("y",), {(1,): e1, (0,): InfElem.const(2)})
+    for a, b in ((q, e), (e, q)):
+        r = a * b if op == "mul" else a + b
+        assert r.ring is ERING
+        assert all(isinstance(c, InfElem) for c in r.terms.values())
+        assert r.to_ering() is r
+    assert q * e == e * q
+    assert q + e == e + q
+
+
+def test_reindexing_copies_each_coefficient():
+    p = parse_poly("x^2*y - 3*x*y + 1/2", ("x", "y"))
+    r = p.with_vars(("z", "y", "x"))
+    assert r.vars == ("z", "y", "x")
+    assert r.terms == {(0, 1, 2): QQ(1), (0, 1, 1): QQ(-3), (0, 0, 0): QQ(1, 2)}
+    assert r.with_vars(("x", "y")) == p
+    assert p.coeff_of("x", 1).terms == {(0, 1): QQ(-3)}
+    assert p.coeff_of("y", 1) == parse_poly("x^2 - 3*x", ("x", "y"))
+    with pytest.raises(ValueError):
+        p.with_vars(("x",))
