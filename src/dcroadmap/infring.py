@@ -152,6 +152,9 @@ class InfElem:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_rational(self):
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
@@ -239,9 +242,9 @@ class InfElem:
         return result
 
     def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
+        if isinstance(other, RATIONAL_TYPES):
+            other = InfElem.const(other)
+        elif not isinstance(other, InfElem):
             return NotImplemented
         return self.terms == other.terms
 
@@ -328,22 +331,6 @@ class InfElem:
             out[tuple(sorted(new.items()))] = c
         return InfElem(out)
 
-    def normalize_by_order(self):
-        """Divide out the infinitesimal part of the leading monomial so that
-        the result has a nonzero term free of infinitesimals.  When o(f)
-        does not divide every term, fall back to the monomial content gcd;
-        raise "order not factorable" if even that leaves no eta-free term."""
-        if not self.terms:
-            raise ValueError("zero element has no order")
-        o = self.leading_support()
-        try:
-            g = self.div_monomial(o)
-        except ValueError:
-            g = self.div_monomial(self.monomial_content())
-        if () not in g.terms:
-            raise ValueError("order not factorable")
-        return g
-
     def subst_symbol(self, idx, value):
         """Exact substitution of a rational value for one symbol."""
         value = QQ(value)
@@ -354,10 +341,11 @@ class InfElem:
             out = out + InfElem({rest: c * value ** e})
         return out
 
-    def exact_div(self, other):
-        """Exact polynomial division (raises if not divisible)."""
+    def __truediv__(self, other):
+        """Exact polynomial division: ValueError when other does not divide
+        self."""
         other = _coerce(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError
         if other.is_rational():
             q = other.rational_value()

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over an exact coefficient ring.
 
-The coefficient ring is either exact rationals (QRING) or the infinitesimal
-ring (ERING); every algorithm is written against the ring operations plus
-sign.  Storage order for printing is graded lexicographic on the declared
-variable list.
+The coefficient ring is either exact rationals (QRING, `Fraction`
+coefficients) or the infinitesimal ring (ERING, `InfElem` coefficients).
+Coefficients are combined with Python's number operators (`+ - * /`, and
+`not c` for zero); a ring is only a tag that names the coefficient type and
+gives its zero, one, sign and embedding of the rationals.  Storage order for
+printing is graded lexicographic on the declared variable list.
 """
 
 from __future__ import annotations
@@ -21,28 +23,8 @@ class QRing:
     one = QQ(1)
 
     @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
     def sign(a):
         return 0 if a == 0 else (1 if a > 0 else -1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def exact_div(a, b):
-        return a / b
 
     @staticmethod
     def from_rational(q):
@@ -57,28 +39,8 @@ class ERing:
     one = InfElem.const(1)
 
     @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
     def sign(a):
         return a.sign()
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def exact_div(a, b):
-        return a.exact_div(b)
 
     @staticmethod
     def from_rational(q):
@@ -151,8 +113,11 @@ class MPoly:
     def __init__(self, ring, variables, terms):
         self.ring = ring
         self.vars = tuple(variables)
-        self.terms = {m: c for m, c in terms.items() if not ring.is_zero(c)}
+        self.terms = {m: c for m, c in terms.items() if c}
         self._hash = None
+
+    def __bool__(self):
+        return bool(self.terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -277,17 +242,20 @@ class MPoly:
         p, q = MPoly.align(self, other)
         out = dict(p.terms)
         for m, c in q.terms.items():
-            s = p.ring.add(out.get(m, p.ring.zero), c)
-            if p.ring.is_zero(s):
-                out.pop(m, None)
+            if m in out:
+                s = out[m] + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
             else:
-                out[m] = s
+                out[m] = c
         return MPoly(p.ring, p.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.ring, self.vars, {m: self.ring.neg(c) for m, c in self.terms.items()})
+        return MPoly(self.ring, self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -296,18 +264,22 @@ class MPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, RATIONAL_TYPES):
+            return self.scale(other)
         other = self._coerce(other)
         p, q = MPoly.align(self, other)
         out = {}
-        ring = p.ring
         for m1, c1 in p.terms.items():
             for m2, c2 in q.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = ring.add(out.get(m, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(m, None)
+                if m in out:
+                    s = out[m] + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
                 else:
-                    out[m] = s
+                    out[m] = c1 * c2
         return MPoly(p.ring, p.vars, out)
 
     __rmul__ = __mul__
@@ -325,11 +297,37 @@ class MPoly:
         return result
 
     def scale(self, c):
-        if not isinstance(c, RATIONAL_TYPES):
-            coeff = c
-        else:
-            coeff = self.ring.from_rational(c)
-        return MPoly(self.ring, self.vars, {m: self.ring.mul(v, coeff) for m, v in self.terms.items()})
+        """Every coefficient times c (a rational or a coefficient), in one
+        pass."""
+        if isinstance(c, RATIONAL_TYPES):
+            c = self.ring.from_rational(c)
+        return MPoly(self.ring, self.vars, {m: v * c for m, v in self.terms.items()})
+
+    def __truediv__(self, other):
+        """Exact division: ValueError when other does not divide self."""
+        num, den = MPoly.align(self, self._coerce(other))
+        if den.is_const():
+            c = den.const_value()
+            return num.map_coeffs(lambda x: x / c)
+        # univariate-style division along the first used variable of den
+        var = next(v for v in den.vars if den.degree(v) > 0)
+        ring = num.ring
+        out = MPoly.zero(ring, num.vars)
+        dc = den.as_univariate(var)
+        dd = len(dc) - 1
+        lead = dc[-1]
+        rem = num
+        while not rem.is_zero():
+            rc = rem.as_univariate(var)
+            rd = len(rc) - 1
+            if rd < dd:
+                raise ValueError("not exactly divisible")
+            q = rc[-1] / lead
+            xq = MPoly.var(ring, num.vars, var, rd - dd) if rd > dd else MPoly.const(ring, num.vars, 1)
+            piece = q * xq
+            out = out + piece
+            rem = rem - piece * den
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -360,19 +358,10 @@ class MPoly:
 
     def deriv(self, var):
         i = self.vars.index(var)
-        out = {}
-        ring = self.ring
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                key = m[:i] + (e - 1,) + m[i + 1:]
-                add = ring.mul(c, ring.from_rational(QQ(e)))
-                s = ring.add(out.get(key, ring.zero), add)
-                if ring.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return MPoly(ring, self.vars, out)
+        # lowering one exponent maps distinct terms to distinct terms
+        out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+               for m, c in self.terms.items() if m[i]}
+        return MPoly(self.ring, self.vars, out)
 
     def subst(self, mapping):
         """Substitute MPolys (or rationals) for variables, simultaneously."""
@@ -412,29 +401,22 @@ class MPoly:
     def eval_rational(self, assign):
         """Evaluate at rational values for all used variables; returns a ring
         element."""
-        ring = self.ring
-        acc = ring.zero
+        acc = self.ring.zero
         pw = {}
         for m, c in self.terms.items():
-            prod = ring.one
+            prod = QQ(1)
             for i, e in enumerate(m):
                 if e:
                     v = self.vars[i]
                     key = (v, e)
                     if key not in pw:
-                        pw[key] = ring.from_rational(QQ(assign[v]) ** e)
-                    prod = ring.mul(prod, pw[key])
-            acc = ring.add(acc, ring.mul(c, prod))
+                        pw[key] = QQ(assign[v]) ** e
+                    prod = prod * pw[key]
+            acc = acc + c * prod
         return acc
 
     def map_coeffs(self, fn, ring=None):
-        ring = ring or self.ring
-        out = {}
-        for m, c in self.terms.items():
-            nc = fn(c)
-            if not ring.is_zero(nc):
-                out[m] = ring.add(out.get(m, ring.zero), nc) if m in out else nc
-        return MPoly(ring, self.vars, out)
+        return MPoly(ring or self.ring, self.vars, {m: fn(c) for m, c in self.terms.items()})
 
     def to_ering(self):
         if self.ring is ERING:
@@ -529,7 +511,7 @@ def determinant(mat):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_poly_div(num, prev)
+                a[i][j] = num / prev
             a[i][k] = MPoly.zero(ring, variables)
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -548,37 +530,6 @@ def _cofactor_det(mat):
             term = -term
         acc = term if acc is None else acc + term
     return acc
-
-
-def _exact_poly_div(num, den):
-    """Exact division of MPolys (den divides num)."""
-    if den.is_const():
-        c = den.const_value()
-        ring = num.ring
-        return num.map_coeffs(lambda x: ring.exact_div(x, c))
-    num, den = MPoly.align(num, den)
-    # univariate-style division along the first used variable of den
-    for v in den.vars:
-        if den.degree(v) > 0:
-            var = v
-            break
-    ring = num.ring
-    out = MPoly.zero(ring, num.vars)
-    dc = den.as_univariate(var)
-    dd = len(dc) - 1
-    lead = dc[-1]
-    rem = num
-    while not rem.is_zero():
-        rc = rem.as_univariate(var)
-        rd = len(rc) - 1
-        if rd < dd:
-            raise ValueError("not exactly divisible")
-        q = _exact_poly_div(rc[-1], lead)
-        xq = MPoly.var(ring, num.vars, var, rd - dd) if rd > dd else MPoly.const(ring, num.vars, 1)
-        piece = q * xq
-        out = out + piece
-        rem = rem - piece * den
-    return out
 
 
 def jac_minor(G, system, sel, variables=None, var_window=None):

@@ -226,8 +226,7 @@ def limit_thom(enc: ThomEncoding, drop_from: int):
 
 
 def _ctx_trim_poly(poly, var, ctx):
-    ops = ctx.ops()
-    up = utrim(ops, _to_upoly(poly, var, ctx))
+    up = utrim(ctx, _to_upoly(poly, var, ctx))
     return _from_upoly(up, var, ctx)
 
 

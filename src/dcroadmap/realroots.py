@@ -2,8 +2,11 @@
 
 Tarski queries are computed from signed remainder sequences built with
 positively-scaled pseudo-remainders, so every computation stays inside the
-coefficient ring (rationals, infinitesimal polynomials, or polynomials over a
-triangular Thom encoding) and only the ring's sign operator is consulted.
+coefficient ring.  Univariate polynomials are dense coefficient lists over a
+TriangularContext: with no levels the coefficients are rationals or
+infinitesimal polynomials, otherwise MPolys in the context's triangular
+variables.  They are combined with Python's number operators, and only the
+context's sign at its fixed point (ctx.sign) is consulted.
 Signs at the real roots of P come from sign determination (BPR ch. 10):
 Der(P) is pushed once through the basis-growing method (never the full 3^s
 matrix), which leaves one root per sign condition; from then on the signs
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyEncodingError
 from .infring import QQ, InfElem
-from .mpoly import ERING, QRING, MPoly, _exact_poly_div, der_list
+from .mpoly import ERING, QRING, MPoly, der_list
 from .symbridge import gcd
 
 # ---------------------------------------------------------------------------
@@ -105,102 +108,23 @@ class BoundedCache:
         self._data.clear()
 
 
-# ---------------------------------------------------------------------------
-# coefficient-operation bundles
-
-
-class ScalarOps:
-    """Coefficients are bare ring elements (no triangular variables)."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero = ring.zero
-        self.one = ring.one
-
-    def is_lit_zero(self, c):
-        return self.ring.is_zero(c)
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.add(a, self.ring.neg(b))
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def scale(self, a, q):
-        return self.ring.mul(a, self.ring.from_rational(q))
-
-    def exact_div(self, a, b):
-        return self.ring.exact_div(a, b)
-
-    def from_int(self, n):
-        return self.ring.from_rational(QQ(n))
-
-    def ctx_sign(self, c):
-        return self.ring.sign(c)
-
-
-class PolyOps:
-    """Coefficients are MPolys in the triangular variables of a context
-    prefix; signs are evaluated at the point the prefix fixes."""
-
-    def __init__(self, context):
-        self.context = context
-        ring = context.ring
-        self.ring = ring
-        self.zero = MPoly.zero(ring, context.tvars)
-        self.one = MPoly.const(ring, context.tvars, 1)
-
-    def is_lit_zero(self, c):
-        return c.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, a, q):
-        return a.scale(q)
-
-    def exact_div(self, a, b):
-        return _exact_poly_div(a, b)
-
-    def from_int(self, n):
-        return MPoly.const(self.ring, self.context.tvars, QQ(n))
-
-    def ctx_sign(self, c):
-        return self.context.sign_mpoly(c)
-
-
 # MPoly coefficients take a gcd only from this many terms on, where chains
 # start to grow; below it their rational content alone is stripped.
 STRIP_MIN_TERMS = 60
 
 
-def content_strip(ops, coeffs):
+def content_strip(ctx, coeffs):
     """Divide the coefficients of a chain element by a common factor that is
-    positive at the context point, so every sign count is kept: first their
+    positive at the point ctx fixes, so every sign count is kept: first their
     rational content, then their gcd from the sympy bridge (which takes in
-    a common eta-monomial), made positive with ops.ctx_sign.  Rational
+    a common eta-monomial), made positive with ctx.sign.  Rational
     coefficients have only the content; MPoly coefficients take the gcd
     only from STRIP_MIN_TERMS terms on."""
-    nz = [c for c in coeffs if not ops.is_lit_zero(c)]
+    nz = [c for c in coeffs if c]
     if not nz:
         return coeffs
     scalar = not isinstance(nz[0], MPoly)
-    polys = [MPoly.const(ops.ring, (), c) for c in nz] if scalar else nz
+    polys = [MPoly.const(ctx.ring, (), c) for c in nz] if scalar else nz
     num, den = 0, 1
     for p in polys:
         for c in p.terms.values():
@@ -208,70 +132,64 @@ def content_strip(ops, coeffs):
                 num = math.gcd(num, int(q.numerator))
                 den = den * int(q.denominator) // math.gcd(den, int(q.denominator))
     factor = QQ(den, num)
-    coeffs = [c if ops.is_lit_zero(c) else ops.scale(c, factor) for c in coeffs]
-    if (scalar and ops.ring is QRING) or (not scalar and sum(len(p.terms) for p in nz) < STRIP_MIN_TERMS):
+    coeffs = [c * factor if c else c for c in coeffs]
+    if (scalar and ctx.ring is QRING) or (not scalar and sum(len(p.terms) for p in nz) < STRIP_MIN_TERMS):
         return coeffs
     g = gcd(polys)
     if g is None:
         return coeffs
     if scalar:
         g = g.const_value()
-    sg = ops.ctx_sign(g)
+    sg = ctx.sign(g)
     if sg == 0:
         return coeffs
     if sg < 0:
-        g = ops.neg(g)
-    return [c if ops.is_lit_zero(c) else ops.exact_div(c, g) for c in coeffs]
+        g = -g
+    return [c / g if c else c for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over a coefficient-ops bundle
+# univariate polynomials over a triangular context
 
 
 def utrim_literal(cs):
-    while len(cs) > 1 and _lit_zero(cs):
+    while len(cs) > 1 and not cs[-1]:
         cs = cs[:-1]
     return cs
 
 
-def _lit_zero(cs):
-    c = cs[-1]
-    return c.is_zero() if isinstance(c, (MPoly, InfElem)) else c == 0
-
-
-def utrim(ops, cs):
+def utrim(ctx, cs):
     """Drop leading coefficients that vanish at the context point."""
     cs = list(cs)
-    while len(cs) > 1 and ops.ctx_sign(cs[-1]) == 0:
+    while len(cs) > 1 and ctx.sign(cs[-1]) == 0:
         cs.pop()
-    if len(cs) == 1 and ops.ctx_sign(cs[0]) == 0:
-        return [ops.zero]
+    if len(cs) == 1 and ctx.sign(cs[0]) == 0:
+        return [ctx.zero]
     return cs
 
 
-def uis_zero(ops, cs):
-    return all(ops.ctx_sign(c) == 0 for c in cs)
+def uis_zero(ctx, cs):
+    return all(ctx.sign(c) == 0 for c in cs)
 
 
-def uderiv(ops, cs):
+def uderiv(ctx, cs):
     if len(cs) <= 1:
-        return [ops.zero]
-    return [ops.mul(ops.from_int(i), cs[i]) for i in range(1, len(cs))]
+        return [ctx.zero]
+    return [cs[i] * i for i in range(1, len(cs))]
 
 
-def umul(ops, a, b):
-    out = [ops.zero] * (len(a) + len(b) - 1)
+def umul(ctx, a, b):
+    out = [ctx.zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ops.is_lit_zero(ca):
+        if not ca:
             continue
         for j, cb in enumerate(b):
-            if ops.is_lit_zero(cb):
-                continue
-            out[i + j] = ops.add(out[i + j], ops.mul(ca, cb))
+            if cb:
+                out[i + j] = out[i + j] + ca * cb
     return utrim_literal(out)
 
 
-def _pos_prem(ops, A, B):
+def _pos_prem(ctx, A, B):
     """R = positive_constant * rem(A, B) computed with pseudo-divisions whose
     accumulated multiplier lc(B)^e has e even, so R is a positive multiple of
     the true remainder at the context point.  A and B must be ctx-trimmed."""
@@ -281,47 +199,47 @@ def _pos_prem(ops, A, B):
     steps = 0
     for i in range(n, m - 1, -1):
         coef = r[i]
-        r = [ops.mul(lc, x) for x in r]
+        r = [lc * x for x in r]
         steps += 1
-        if not ops.is_lit_zero(coef):
+        if coef:
             for j in range(m + 1):
-                r[i - m + j] = ops.sub(r[i - m + j], ops.mul(coef, B[j]))
-        r[i] = ops.zero
+                r[i - m + j] = r[i - m + j] - coef * B[j]
+        r[i] = ctx.zero
     if steps % 2 == 1:
-        r = [ops.mul(lc, x) for x in r]
-    r = r[:m] if m > 0 else [ops.zero]
+        r = [lc * x for x in r]
+    r = r[:m] if m > 0 else [ctx.zero]
     return utrim_literal(r)
 
 
-def sturm_chain(ops, P, Q):
+def sturm_chain(ctx, P, Q):
     """Signed remainder chain of (P, Q): successive elements are positive
     multiples of the classical signed remainders at the context point."""
-    chain = [utrim(ops, P)]
-    q = utrim(ops, Q)
-    if uis_zero(ops, q):
+    chain = [utrim(ctx, P)]
+    q = utrim(ctx, Q)
+    if uis_zero(ctx, q):
         return chain
     chain.append(q)
     while True:
         A, B = chain[-2], chain[-1]
         if len(B) == 1:
             break
-        R = _pos_prem(ops, A, B)
-        R = [ops.neg(c) for c in R]
-        R = content_strip(ops, R)
-        R = utrim(ops, R)
-        if uis_zero(ops, R):
+        R = _pos_prem(ctx, A, B)
+        R = [-c for c in R]
+        R = content_strip(ctx, R)
+        R = utrim(ctx, R)
+        if uis_zero(ctx, R):
             break
         chain.append(R)
     return chain
 
 
-def _sign_at_minus_inf(ops, cs):
-    s = ops.ctx_sign(cs[-1])
+def _sign_at_minus_inf(ctx, cs):
+    s = ctx.sign(cs[-1])
     return s if (len(cs) - 1) % 2 == 0 else -s
 
 
-def _sign_at_plus_inf(ops, cs):
-    return ops.ctx_sign(cs[-1])
+def _sign_at_plus_inf(ctx, cs):
+    return ctx.sign(cs[-1])
 
 
 def _variations(signs):
@@ -335,42 +253,42 @@ def _variations(signs):
     return v
 
 
-def _variation_drop(ops, chain):
+def _variation_drop(ctx, chain):
     """Var(-inf) - Var(+inf) of a signed remainder chain."""
-    lo = _variations([_sign_at_minus_inf(ops, c) for c in chain])
-    hi = _variations([_sign_at_plus_inf(ops, c) for c in chain])
+    lo = _variations([_sign_at_minus_inf(ctx, c) for c in chain])
+    hi = _variations([_sign_at_plus_inf(ctx, c) for c in chain])
     return lo - hi
 
 
-def tarski_query(ops, P, Q):
+def tarski_query(ctx, P, Q):
     """#{x : P(x)=0, Q(x)>0} - #{x : P(x)=0, Q(x)<0}, roots counted once."""
-    P = utrim(ops, P)
-    if uis_zero(ops, P):
+    P = utrim(ctx, P)
+    if uis_zero(ctx, P):
         raise ValueError("Tarski query of the zero polynomial")
     if len(P) == 1:
         return 0
-    G = umul(ops, uderiv(ops, P), utrim(ops, Q))
-    return _variation_drop(ops, sturm_chain(ops, P, G))
+    G = umul(ctx, uderiv(ctx, P), utrim(ctx, Q))
+    return _variation_drop(ctx, sturm_chain(ctx, P, G))
 
 
-def _sign_at_rational(ops, cs, q):
+def _sign_at_rational(ctx, cs, q):
     """Sign of the univariate polynomial cs at the rational q (Horner)."""
     v = cs[-1]
     for c in reversed(cs[:-1]):
-        v = ops.add(ops.scale(v, q), c)
-    return ops.ctx_sign(v)
+        v = v * q + c
+    return ctx.sign(v)
 
 
-def pos_reduce(ops, A, P):
+def pos_reduce(ctx, A, P):
     """A reduced mod P scaled by a positive constant (signs at roots of P are
     preserved)."""
-    A = utrim(ops, A)
-    P = utrim(ops, P)
+    A = utrim(ctx, A)
+    P = utrim(ctx, P)
     if len(A) < len(P):
         return A
-    r = _pos_prem(ops, A, P)
-    r = content_strip(ops, r)
-    return utrim(ops, r)
+    r = _pos_prem(ctx, A, P)
+    r = content_strip(ctx, r)
+    return utrim(ctx, r)
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +351,28 @@ class SignDetermination:
     (P, P') that counts the roots (empty when P is a constant).
 
     One object serves every root of P and every context with the same ring
-    and base key: build it only through shared_sign_determination.  It does
+    and key: build it only through shared_sign_determination.  It does
     not change after its constructor returns; the one thing that grows is
     `_query_cache`, the Tarski queries it has made, keyed by the value of
     the product polynomial, so sharing it changes no answer."""
 
-    def __init__(self, ops, P):
-        self.ops = ops
-        self.P = utrim(ops, P)
-        if uis_zero(ops, self.P):
+    def __init__(self, ctx, P):
+        self.ctx = ctx
+        self.P = utrim(ctx, P)
+        if uis_zero(ctx, self.P):
             raise ValueError("sign determination over the zero polynomial")
-        self.chain = sturm_chain(ops, self.P, uderiv(ops, self.P)) if len(self.P) > 1 else []
-        nroots = _variation_drop(ops, self.chain) if self.chain else 0
+        self.chain = sturm_chain(ctx, self.P, uderiv(ctx, self.P)) if len(self.P) > 1 else []
+        nroots = _variation_drop(ctx, self.chain) if self.chain else 0
         self.conds = [()] if nroots else []
         self.counts = [nroots] if nroots else []
-        self.prods = [[ops.one]]
+        self.prods = [[ctx.one]]
         self.matrix = [[1]]
         self.inverse = [[QQ(1)]]
         self._query_cache = {}
         self.ders = []
         d = self.P
         while len(d) > 1:
-            d = utrim(ops, uderiv(ops, d))
+            d = utrim(ctx, uderiv(ctx, d))
             self.ders.append(d)
         for d in self.ders:
             self._push(d)
@@ -469,14 +387,14 @@ class SignDetermination:
     def _taq(self, prod):
         key = _upoly_key(prod)
         if key not in self._query_cache:
-            self._query_cache[key] = tarski_query(self.ops, self.P, prod)
+            self._query_cache[key] = tarski_query(self.ctx, self.P, prod)
         return self._query_cache[key]
 
     def _solve(self, Qr, roots):
         """(M^-1 t)[j] for j in roots, where t[a] = TaQ(Qr * prods[a], P),
         and the reduced products Qr * prods[a] by a.  Only the products and
         queries with a non-zero coefficient are made."""
-        ops = self.ops
+        ctx = self.ctx
         prods = {}
         t = {}
         out = []
@@ -485,7 +403,7 @@ class SignDetermination:
             for a, c in enumerate(self.inverse[j]):
                 if c:
                     if a not in t:
-                        prods[a] = pos_reduce(ops, umul(ops, self.prods[a], Qr), self.P)
+                        prods[a] = pos_reduce(ctx, umul(ctx, self.prods[a], Qr), self.P)
                         t[a] = self._taq(prods[a])
                     v += c * t[a]
             out.append(v)
@@ -495,7 +413,7 @@ class SignDetermination:
         """Signs of Q at the roots with the given indices into `conds` (all
         roots by default), in that order."""
         roots = range(len(self.conds)) if roots is None else roots
-        out, _prods = self._solve(pos_reduce(self.ops, utrim(self.ops, Q), self.P), roots)
+        out, _prods = self._solve(pos_reduce(self.ctx, utrim(self.ctx, Q), self.P), roots)
         if any(s not in (-1, 0, 1) for s in out):
             raise ArithmeticError("sign determination gave a sign outside -1, 0, 1")
         return tuple(int(s) for s in out)
@@ -506,11 +424,11 @@ class SignDetermination:
         x_e = M^-1 (TaQ(Q^e * prods[a], P))_a, the roots of condition j split
         into counts[j] - x_2[j] where Q = 0 and (x_2[j] +- x_1[j]) / 2 where
         Q > 0 and Q < 0."""
-        ops = self.ops
+        ctx = self.ctx
         if not self.conds:
             return
-        Qr = pos_reduce(ops, utrim(ops, Q), self.P)
-        q2 = pos_reduce(ops, umul(ops, Qr, Qr), self.P)
+        Qr = pos_reduce(ctx, utrim(ctx, Q), self.P)
+        q2 = pos_reduce(ctx, umul(ctx, Qr, Qr), self.P)
         every = range(len(self.conds))
         x1, prods1 = self._solve(Qr, every)
         x2, prods2 = self._solve(q2, every)
@@ -545,16 +463,15 @@ class SignDetermination:
 _SD_CACHE = BoundedCache()
 
 
-def shared_sign_determination(ops, P):
-    """The SignDetermination of the ctx-trimmed P over ops, built once per
-    (ring, base context key, P): the roots of P and the contexts that fix
-    the same base point share it.  The ring is named because a context's
-    key() leaves it out."""
-    base = ops.context.key() if isinstance(ops, PolyOps) else ()
-    key = (ops.ring.name, base, _upoly_key(P))
+def shared_sign_determination(ctx, P):
+    """The SignDetermination of the ctx-trimmed P over ctx, built once per
+    (ring, context key, P): the roots of P and the contexts that fix the
+    same point share it.  The ring is named because a context's key() leaves
+    it out."""
+    key = (ctx.ring.name, ctx.key(), _upoly_key(P))
     sd = _SD_CACHE.get(key)
     if sd is None:
-        sd = SignDetermination(ops, P)
+        sd = SignDetermination(ctx, P)
         _SD_CACHE.put(key, sd)
     return sd
 
@@ -617,12 +534,22 @@ class TriangularContext:
 
     Level i fixes tvars[i] as a root (given by Thom signs) of a polynomial in
     tvars[:i+1].  The empty context (t = 0) represents the base ring.  Also
-    serves as the sign oracle for MPolys in the triangular variables."""
+    serves as the sign oracle for MPolys in the triangular variables.
+
+    Univariate work over the context has coefficients that are ring scalars
+    when it has no levels and MPolys in tvars otherwise; `zero`, `one` and
+    `sign` are the zero, the one and the sign at the fixed point of that
+    coefficient kind."""
 
     def __init__(self, ring, levels=(), parent=None):
         self.ring = ring
         self.levels = tuple(levels)  # (var, poly MPoly, signs tuple)
         self.tvars = tuple(lv[0] for lv in self.levels)
+        if self.levels:
+            self.zero = MPoly.zero(ring, self.tvars)
+            self.one = MPoly.const(ring, self.tvars, 1)
+        else:
+            self.zero, self.one = ring.zero, ring.one
         if parent is None and self.levels:
             parent = TriangularContext(ring, self.levels[:-1])
         # the context fixing all but the last level; prefixes walk up these
@@ -658,13 +585,12 @@ class TriangularContext:
     def nlevels(self):
         return len(self.levels)
 
-    def ops(self):
-        """Coefficient ops for univariate work over this context."""
-        if self.nlevels == 0:
-            return ScalarOps(self.ring)
-        return PolyOps(self)
-
     # -- sign oracle
+
+    def sign(self, c):
+        """Sign at the fixed point of a coefficient of univariate work over
+        this context."""
+        return self.sign_mpoly(c) if self.levels else self.ring.sign(c)
 
     def sign_mpoly(self, p):
         """Sign of p (an MPoly over ring in a subset of tvars) at the fixed
@@ -732,9 +658,8 @@ class _LevelSolver:
         self.signs = signs
         parent = context.prefix(context.nlevels - 1)
         self.parent = parent
-        self.ops = parent.ops()
-        self.F = utrim(self.ops, _to_upoly(fpoly, var, parent))
-        self.sd = shared_sign_determination(self.ops, self.F)
+        self.F = utrim(parent, _to_upoly(fpoly, var, parent))
+        self.sd = shared_sign_determination(parent, self.F)
         nder = len(self.sd.ders)
         target = (tuple(signs[1:]) + (0,) * nder)[:nder]
         # the conditions are in increasing order, so the root's index is
@@ -743,26 +668,26 @@ class _LevelSolver:
         if self.rank is None:
             raise EmptyEncodingError(f"no real root matches Thom signs {signs}")
         self.thom = (0,) + target
-        self.var_minus_inf = _variations([_sign_at_minus_inf(self.ops, c) for c in self.sd.chain])
+        self.var_minus_inf = _variations([_sign_at_minus_inf(parent, c) for c in self.sd.chain])
 
     def query(self, p):
         """Sign of MPoly p (involving the level variable) at the level root:
         one row of the inverse sign matrix."""
-        up = utrim(self.ops, _to_upoly(p, self.var, self.parent))
+        up = utrim(self.parent, _to_upoly(p, self.var, self.parent))
         if len(up) == 1:
-            return self.ops.ctx_sign(up[0])
+            return self.parent.sign(up[0])
         return self.sd.signs(up, [self.rank])[0]
 
     def sign_against(self, q):
         """Sign of (root - q) for a rational q.  By Sturm's theorem F has
         Var(-inf) - Var(q) roots below q when F(q) != 0; when q is a root
         of F, Thom's lemma orders the two roots by their derivative signs."""
-        ops = self.ops
-        signs = [_sign_at_rational(ops, c, q) for c in self.sd.chain]
+        parent = self.parent
+        signs = [_sign_at_rational(parent, c, q) for c in self.sd.chain]
         if signs[0] != 0:
             below = self.var_minus_inf - _variations(signs)
             return 1 if self.rank >= below else -1
-        thom_q = (0,) + tuple(_sign_at_rational(ops, d, q) for d in self.sd.ders)
+        thom_q = (0,) + tuple(_sign_at_rational(parent, d, q) for d in self.sd.ders)
         return _thom_compare(self.thom, thom_q)
 
 
@@ -817,8 +742,7 @@ def _from_upoly(cs, var, context, extra_vars=()):
 def tarski_query_mpoly(P, Q, var, context=None):
     """Tarski query of univariate MPolys over an optional triangular context."""
     context = context or TriangularContext(P.ring)
-    ops = context.ops()
-    return tarski_query(ops, _to_upoly(P, var, context), _to_upoly(Q, var, context))
+    return tarski_query(context, _to_upoly(P, var, context), _to_upoly(Q, var, context))
 
 
 def sign_determination(P, family, var, context=None):
@@ -837,9 +761,8 @@ def signs_at_encodings(P, family, var, context=None):
     increasing order.  The Thom signs cover Der(P) = (P, P', ..., P^(p))
     with entry 0 always 0; the family signs align with `family`."""
     context = context or TriangularContext(P.ring)
-    ops = context.ops()
-    up = utrim(ops, _to_upoly(P, var, context))
-    sd = shared_sign_determination(ops, up)
+    up = utrim(context, _to_upoly(P, var, context))
+    sd = shared_sign_determination(context, up)
     fam = [sd.signs(_to_upoly(q, var, context)) for q in family]
     Pn = _from_upoly(up, var, context)
     return [(ThomEncoding(context, var, Pn, (0,) + cond), tuple(s[i] for s in fam))

@@ -159,41 +159,12 @@ def cauchy_bound(F):
     """c(F) = (sum_{i>=q} |a_i/a_q|)^(-1) where q is the lowest nonzero
     index: F has no root in (0, c(F)].
 
-    Accepts a univariate MPoly, an InfElem in one symbol, or a tuple of
-    (exponent, coefficient) pairs."""
+    F is a univariate polynomial as log_signs records it: a tuple of
+    (exponent, rational coefficient) pairs."""
     coeffs = {}
-    if isinstance(F, MPoly):
-        used = [v for v in F.vars if F.degree(v) > 0]
-        if len(used) > 1:
-            raise ValueError("cauchy_bound needs a univariate input")
-        if not used:
-            coeffs[0] = F.const_value() if not F.is_zero() else None
-            if coeffs[0] is None:
-                raise ValueError("cauchy_bound of zero")
-        else:
-            v = used[0]
-            for e in range(F.degree(v) + 1):
-                c = F.coeff_of(v, e)
-                if not c.is_zero():
-                    coeffs[e] = c.const_value()
-    elif isinstance(F, InfElem):
-        idxs = F.support_indices()
-        if len(idxs) > 1:
-            raise ValueError("cauchy_bound needs a univariate input")
-        if not idxs:
-            if F.is_zero():
-                raise ValueError("cauchy_bound of zero")
-            coeffs[0] = F.rational_value()
-        else:
-            i = next(iter(idxs))
-            for e in range(F.degree_in(i) + 1):
-                c = F.coeff_of(i, e)
-                if not c.is_zero():
-                    coeffs[e] = c.rational_value()
-    else:
-        for e, c in F:
-            if c != 0:
-                coeffs[e] = QQ(c)
+    for e, c in F:
+        if c != 0:
+            coeffs[e] = QQ(c)
     if not coeffs:
         raise ValueError("cauchy_bound of zero")
     q = min(coeffs)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import NotZeroDimensionalError, ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import QRING, MPoly, _exact_poly_div, fresh_var, resultant, subst_rational
+from .mpoly import QRING, MPoly, fresh_var, resultant, subst_rational
 from .realroots import (
     BoundedCache,
     ThomEncoding,
@@ -162,7 +162,7 @@ def _sqfree_in_var(p, var):
     g = gcd([p, d])
     if g is None or g.degree(var) == 0:
         return p
-    return _exact_poly_div(p, g)
+    return p / g
 
 
 def _pair_eliminate(polys, var, budget, what):
@@ -236,8 +236,8 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate"):
         except _CommonFactor as cf:
             sub1 = [p for p in polys if not (p == cf.a) and not (p == cf.b)] + [cf.gcd]
             out1 = eliminate_to(sub1, keep, xvars, budget, what)
-            co_a = _exact_poly_div(cf.a, cf.gcd)
-            co_b = _exact_poly_div(cf.b, cf.gcd)
+            co_a = cf.a / cf.gcd
+            co_b = cf.b / cf.gcd
             sub2 = [p for p in polys if not (p == cf.a) and not (p == cf.b)] + [co_a, co_b]
             out2 = eliminate_to(sub2, keep, xvars, budget, what)
             return out1 + out2
@@ -251,12 +251,12 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate"):
 # squarefree part over a context
 
 
-def squarefree_upoly(ops, A):
+def squarefree_upoly(ctx, A):
     """Positive multiple of the squarefree part of A at the context point."""
-    A = utrim(ops, A)
+    A = utrim(ctx, A)
     if len(A) <= 2:
         return A
-    chain = sturm_chain(ops, A, uderiv(ops, A))
+    chain = sturm_chain(ctx, A, uderiv(ctx, A))
     g = chain[-1]
     if len(g) == 1:
         return A
@@ -264,22 +264,22 @@ def squarefree_upoly(ops, A):
     n, m = len(A) - 1, len(g) - 1
     lc = g[-1]
     r = list(A)
-    q = [ops.zero] * (n - m + 1)
+    q = [ctx.zero] * (n - m + 1)
     steps = 0
     for i in range(n, m - 1, -1):
         coef = r[i]
-        r = [ops.mul(lc, x) for x in r]
-        q = [ops.mul(lc, x) for x in q]
+        r = [lc * x for x in r]
+        q = [lc * x for x in q]
         steps += 1
-        q[i - m] = ops.add(q[i - m], coef)
-        if not ops.is_lit_zero(coef):
+        q[i - m] = q[i - m] + coef
+        if coef:
             for j in range(m + 1):
-                r[i - m + j] = ops.sub(r[i - m + j], ops.mul(coef, g[j]))
-        r[i] = ops.zero
+                r[i - m + j] = r[i - m + j] - coef * g[j]
+        r[i] = ctx.zero
     if steps % 2 == 1:
-        q = [ops.mul(lc, x) for x in q]
-    q = content_strip(ops, q)
-    return utrim(ops, q)
+        q = [lc * x for x in q]
+    q = content_strip(ctx, q)
+    return utrim(ctx, q)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +361,8 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
 
 
 def _solve_univariate(system, var, context, uvar):
-    ops = context.ops()
-    ups = [utrim(ops, _to_upoly(p, var, context)) for p in system]
-    ups = [u for u in ups if len(u) > 1 or ops.ctx_sign(u[0]) != 0]
+    ups = [utrim(context, _to_upoly(p, var, context)) for p in system]
+    ups = [u for u in ups if len(u) > 1 or context.sign(u[0]) != 0]
     for u in ups:
         if len(u) == 1:
             return []
@@ -422,7 +421,7 @@ def _groebner_shape(full, xvars, context, uvar):
         # form candidate must be rejected (fast retry with next c)
         f = shape[0]
         g = gcd([f, f.deriv(uvar)])
-        shape = shape_basis(polys + [f if g is None else _exact_poly_div(f, g)], gens, uvar)
+        shape = shape_basis(polys + [f if g is None else f / g], gens, uvar)
         if shape is None or (shape != UNIT and any(v not in shape[1] for v in xvars)):
             raise ArithmeticError("lex basis not in shape position (separating form rejected)")
     if shape == UNIT:
@@ -451,8 +450,7 @@ def _solve_branch_with_form(system, xvars, context, budget, c, uvar):
 
 
 def _squarefree_eliminant(A, uvar, context):
-    ops = context.ops()
-    f_up = squarefree_upoly(ops, _to_upoly(A, uvar, context))
+    f_up = squarefree_upoly(context, _to_upoly(A, uvar, context))
     if len(f_up) == 1:
         return None
     return _from_upoly(f_up, uvar, context)
@@ -528,42 +526,18 @@ def _mod_dense(num, den):
 
 
 def reduce_mod_f(p, f, uvar, context):
-    """p reduced modulo f in uvar, coefficient-wise over the other variables.
+    """p reduced modulo f in uvar.
 
-    Over a level-free rational context this is exact field reduction (values
+    Over a level-free rational context, where p and f are polynomials in
+    uvar alone and f is not constant, this is exact field reduction (values
     at roots of f unchanged); over towers p is returned unreduced (the
     scaling bookkeeping is not worth it at current scales)."""
     if context.nlevels > 0 or p.ring is not QRING or f.ring is not QRING:
         return p
     if p.degree(uvar) < f.degree(uvar):
         return p
-    fd = _dense_in(f, uvar) if set(f.used_vars()) <= {uvar} else None
-    if fd is None or len(fd) < 2:
-        return p
-    other = [v for v in p.vars if v != uvar and p.degree(v) > 0]
-    if not other:
-        return MPoly.from_univariate(
-            [MPoly.const(QRING, p.vars, c) for c in _mod_dense(_dense_in(p, uvar), fd)], uvar
-        ).with_vars(p.vars)
-    if len(other) > 1:
-        return p
-    v = other[0]
-    rows = []
-    for e in range(p.degree(v) + 1):
-        ce = p.coeff_of(v, e)
-        dense = []
-        for k in range(ce.degree(uvar) + 1):
-            cc = ce.coeff_of(uvar, k)
-            dense.append(cc.const_value() if not cc.is_zero() else QQ(0))
-        rows.append(_mod_dense(dense, fd))
-    out = MPoly.zero(QRING, p.vars)
-    for e, dense in enumerate(rows):
-        for k, c in enumerate(dense):
-            if c != 0:
-                out = out + MPoly(QRING, p.vars,
-                                  {tuple(k if w == uvar else (e if w == v else 0)
-                                         for w in p.vars): c})
-    return out
+    rem = _mod_dense(_dense_in(p, uvar), _dense_in(f, uvar))
+    return MPoly.from_univariate([MPoly.const(QRING, p.vars, c) for c in rem], uvar).with_vars(p.vars)
 
 
 def _strip_to_ctx(p, ctx_plus):

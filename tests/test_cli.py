@@ -1,6 +1,7 @@
 import pytest
 
 from dcroadmap import cli, curves
+from dcroadmap.roadmap import load_components_from_json
 
 
 def _write(tmp_path, name, text):
@@ -12,6 +13,20 @@ def _write(tmp_path, name, text):
 def test_components_of_the_unit_circle(tmp_path, capsys):
     path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
     assert cli.main(["components", "-f", path]) == 0
+    assert capsys.readouterr().out.split() == ["1"]
+
+
+def test_components_writes_the_roadmap_json(tmp_path, capsys):
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
+    out = tmp_path / "out.json"
+    assert cli.main(["components", "-f", path, "-o", str(out)]) == 0
+    assert capsys.readouterr().out.split() == ["1"]
+    assert load_components_from_json(out.read_text(encoding="utf-8")) == 1
+
+
+def test_components_without_anchors(tmp_path, capsys):
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
+    assert cli.main(["components", "-f", path, "--no-anchors"]) == 0
     assert capsys.readouterr().out.split() == ["1"]
 
 

@@ -94,10 +94,13 @@ def test_vertices_that_meet_in_the_limit_are_glued():
 
 
 def test_cauchy_bound_examples():
-    e = ("e",)
-    assert cauchy_bound(parse_poly("e - 2*e^3", e)) == QQ(1, 3)
-    assert cauchy_bound(parse_poly("5", e)) == QQ(1)
-    assert cauchy_bound(parse_poly("e^2", e)) == QQ(1)
+    # (exponent, coefficient) pairs, as log_signs records them
+    assert cauchy_bound(((1, QQ(1)), (3, QQ(-2)))) == QQ(1, 3)  # e - 2*e^3
+    assert cauchy_bound(((0, QQ(5)),)) == QQ(1)
+    assert cauchy_bound(((2, QQ(1)),)) == QQ(1)
+    for zero in ((), ((1, QQ(0)),)):
+        with pytest.raises(ValueError):
+            cauchy_bound(zero)
 
 
 def test_roadmap_circle():

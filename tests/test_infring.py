@@ -58,20 +58,8 @@ def test_lim_from_examples():
     f = InfElem.const(2) + 3 * E1 + Z2
     assert f.lim_from(zeta(2).global_index) == InfElem.const(2) + 3 * E1
     assert f.lim_from(1) == InfElem.const(2)
-    g = (E1 - 2 * E1 ** 2).normalize_by_order()
+    g = ONE - 2 * E1
     assert g.lim_from(1) == ONE
-
-
-def test_normalize_by_order_examples():
-    assert (E1 - 2 * E1 ** 3).normalize_by_order() == ONE - 2 * E1 ** 2
-    f = InfElem.const(3) + E1
-    assert f.normalize_by_order() == f
-    assert (E1 * E2 + E1 * E2 ** 2).normalize_by_order() == ONE + E2
-
-
-def test_normalize_not_factorable():
-    with pytest.raises(ValueError, match="order not factorable"):
-        (E1 + E2).normalize_by_order()
 
 
 def test_sign_multiplicative_randomized():
@@ -137,9 +125,19 @@ def test_repr_ordering():
 
 def test_exact_div():
     f = (ONE + E1) * (2 * Z1 - E1 ** 2)
-    assert f.exact_div(ONE + E1) == 2 * Z1 - E1 ** 2
+    assert f / (ONE + E1) == 2 * Z1 - E1 ** 2
+    assert (2 * Z1) / 2 == Z1
+    assert (2 * Z1) / QQ(2, 3) == 3 * Z1
     with pytest.raises(ValueError):
-        (ONE + E1).exact_div(E1)
+        (ONE + E1) / E1
+    with pytest.raises(ZeroDivisionError):
+        ONE / InfElem()
+
+
+def test_truth_value_is_nonzero():
+    assert not InfElem()
+    assert not (E1 - E1)
+    assert ONE and E1 and -Z1 * E2
 
 
 def test_sign_log_records_univariate_blocks():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -183,6 +184,43 @@ def test_ering_polynomials():
     assert q == MPoly(ERING, ("X",), {(1,): InfElem.const(2)})
     r = resultant(p, q, "X")
     assert r.const_value() == -4 * e1
+
+
+def test_truth_value_is_nonzero():
+    p = P("X1^2 - X2")
+    assert p and p.to_ering()
+    assert not (p - p)
+    assert not MPoly.zero(ERING, V)
+
+
+def test_division_is_exact():
+    a, b = P("X1 - X2"), P("X1^2 + X2 + 1/3")
+    assert (a * b) / a == b
+    assert (a * b).to_ering() / b == a
+    assert P("2*X1 - 4/3*X2") / QQ(2, 3) == P("3*X1 - 2*X2")
+    assert P("2*X1") / MPoly.const(QRING, (), 2) == P("X1")
+    with pytest.raises(ValueError):
+        b / a
+    with pytest.raises(ValueError):
+        P("X1 + 1") / P("X2")
+
+
+@pytest.mark.parametrize("ring, kind", [(QRING, Fraction), (ERING, InfElem)], ids=["QRING", "ERING"])
+def test_arithmetic_keeps_the_coefficient_type_of_the_ring(ring, kind):
+    # a QRING polynomial holds only Fractions and an ERING one only InfElems,
+    # whatever mix of int and Fraction operands reaches them
+    p, q = P("X1^2 - 3/2*X1*X2 + 2"), P("X1 - X2")
+    if ring is ERING:
+        p, q = p.to_ering(), q.to_ering()
+    results = [p + q, p - q, p * q, -p, p ** 2,
+               p + 2, 2 + p, p - QQ(1, 3), 1 - p, p * 3, QQ(1, 3) * p,
+               p.scale(2), p.scale(QQ(2, 5)), p.deriv("X1"), p.deriv("X2"),
+               p.subst({"X2": q}), p.subst({"X1": QQ(1, 2)}), p.subst({"X1": 3}),
+               (p * q) / q, p / 2, p / QQ(3, 4)]
+    for r in results:
+        assert r.ring is ring
+        assert r.terms and all(type(c) is kind for c in r.terms.values())
+    assert type(p.eval_rational({"X1": 1, "X2": QQ(1, 2)})) is kind
 
 
 def test_grlex_printing():

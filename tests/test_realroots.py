@@ -10,8 +10,6 @@ from dcroadmap import realroots
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.realroots import (
     STRIP_MIN_TERMS,
-    PolyOps,
-    ScalarOps,
     TriangularContext,
     compare_roots,
     content_strip,
@@ -208,9 +206,9 @@ def test_encodings_and_a_sign_at_each_root_build_one_sign_determination(monkeypa
     built = []
 
     class Counted(realroots.SignDetermination):
-        def __init__(self, ops, P):
+        def __init__(self, ctx, P):
             built.append(P)
-            super().__init__(ops, P)
+            super().__init__(ctx, P)
 
     monkeypatch.setattr(realroots, "SignDetermination", Counted)
     realroots._SD_CACHE.clear()
@@ -247,18 +245,18 @@ def test_compare_roots_with_equal_first_roots_share_one_context(monkeypatch):
 
 
 def test_rings_do_not_share_a_sign_determination():
-    q = shared_sign_determination(ScalarOps(QRING), [QQ(-2), QQ(0), QQ(1)])
-    e = shared_sign_determination(ScalarOps(ERING),
+    q = shared_sign_determination(TriangularContext(QRING), [QQ(-2), QQ(0), QQ(1)])
+    e = shared_sign_determination(TriangularContext(ERING),
                                   [InfElem.const(-2), InfElem(), InfElem.const(1)])
     assert q is not e
-    assert (q.ops.ring, e.ops.ring) == (QRING, ERING)
+    assert (q.ctx.ring, e.ctx.ring) == (QRING, ERING)
     assert q.conds == e.conds
 
 
 def test_a_new_input_empties_the_sign_determination_cache():
     @per_input_caches
     def entry(system):
-        return shared_sign_determination(ScalarOps(QRING), [QQ(-3), QQ(0), QQ(1)])
+        return shared_sign_determination(TriangularContext(QRING), [QQ(-3), QQ(0), QQ(1)])
 
     first = entry(("sign determination input", 1))
     assert entry(("sign determination input", 1)) is first
@@ -280,12 +278,12 @@ def test_content_strip_infelem_two_symbol_factor():
     g = z1 + e1  # positive, in both symbols
     cofactors = [one + e1, z1 - InfElem.const(2), InfElem.const(3) * e1 * e1 - z1, InfElem()]
     coeffs = [InfElem.const(QQ(5, 7)) * g * h for h in cofactors]
-    ops = ScalarOps(ERING)
-    out = content_strip(ops, coeffs)
+    ctx = TriangularContext(ERING)
+    out = content_strip(ctx, coeffs)
     ratios = {_positive_multiple(o, h) for o, h in zip(out, cofactors) if not h.is_zero()}
     assert len(ratios) == 1
     assert out[-1].is_zero()
-    assert [ops.ctx_sign(o) for o in out] == [ops.ctx_sign(c) for c in coeffs]
+    assert [ctx.sign(o) for o in out] == [ctx.sign(c) for c in coeffs]
 
 
 def test_content_strip_mpoly_factor_negative_at_the_point():
@@ -298,11 +296,10 @@ def test_content_strip_mpoly_factor_negative_at_the_point():
                  for k in range(1, 6)]
     coeffs = [(g * h).scale(QQ(3, 2)) for h in cofactors]
     assert sum(len(c.terms) for c in coeffs) >= STRIP_MIN_TERMS
-    ops = PolyOps(ctx)
-    out = content_strip(ops, coeffs)
+    out = content_strip(ctx, coeffs)
     ratios = {_positive_multiple(o, -h) for o, h in zip(out, cofactors)}
     assert len(ratios) == 1
-    assert [ops.ctx_sign(o) for o in out] == [ops.ctx_sign(c) for c in coeffs]
+    assert [ctx.sign(o) for o in out] == [ctx.sign(c) for c in coeffs]
 
 
 def _sign(v):
