@@ -2,16 +2,19 @@
 decomposition along the first free coordinate, sign subdivision, exact
 endpoints read at their fiber, and limits.
 
-Every critical parameter value gets one context, which fixes it as a tower
-level.  The fiber's points are found and deduplicated there and flattened
-once, as vertices.  A segment endpoint is the limit of its branch, taken in
-the same context and matched among that fiber's points there, so the
-endpoint is the fiber's vertex object; only an endpoint that matches none
-(in a fiber that is not finite) stays a point of its own.  The limit is read
-at the fiber itself, by continuity and Thom's lemma, whenever the fiber
-polynomial keeps its degree there and the coordinate denominator does not
-vanish; only otherwise is it taken through a transient innermost
-infinitesimal."""
+The fibers over the critical parameter values are solved flat, over the base
+context: the encoding polynomial r of each value is solved once with each
+piece, and every point found goes to the value whose Thom signs its
+parameter coordinate has, so the fiber's points are vertices as they come
+out.  A segment endpoint is glued to its fiber by signs read at these
+vertices: by continuity and Thom's lemma, whenever the fiber polynomial
+keeps its degree there and the coordinate denominator does not vanish, the
+endpoint is the one vertex whose fiber coordinate has the branch's relaxed
+Thom signs and whose coordinates are the branch's own.  Only otherwise is
+it the limit through a transient innermost infinitesimal, taken over a
+tower context that fixes the value and flattened once; an endpoint that
+matches no vertex (in a fiber that is not finite) stays a point of its
+own."""
 
 from __future__ import annotations
 
@@ -22,9 +25,10 @@ import functools
 
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, MPoly, fresh_var, merge_vars, resultant, subst_rational
+from .mpoly import ERING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
 from .points import (
     RealUnivRep,
+    _has_thom_signs,
     _restore_ring,
     coordinate_encoding_cached,
     dedupe_points,
@@ -90,13 +94,19 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
 
     Every piece (one per subset Q' of Q promoted to equations) is subdivided
     at the union of all pieces' critical parameter values, and each endpoint
-    is glued to a point of the fiber over its value.  anchors are points
-    (RURs over context) whose parameter values also become segment
-    boundaries."""
+    is glued to a point of the fiber over its value.  The fibers are solved
+    flat, over context: each critical value's encoding polynomial r is
+    solved once with each piece, and every point found goes to the value
+    whose Thom signs its parameter coordinate has, so the vertices are RURs
+    over context as they come out.  An endpoint is glued by signs read at
+    these vertices (_branch_ends), and by a limit only where that does not
+    apply (_glued_endpoint).  anchors are points (RURs over context) whose
+    parameter values also become segment boundaries."""
     xvars = tuple(xvars)
     if len(xvars) > 3:
         raise ResourceBudgetError(
             f"curve extraction with {len(xvars) - 1} fiber variables exceeds the supported range")
+    x = xvars[0]
     pieces = []
     point_sets = []
     for qsize in range(len(Q) + 1):
@@ -113,10 +123,10 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
                 if param is None:
                     point_sets.append(_finite_fallback(V, rest, context, xvars, budget, seed))
                     continue
-                f, coords, uvar, must_vanish = param
+                f, coords, uvar, must_vanish, uform = param
                 crit = _critical_parameters(f, coords, must_vanish, rest, anchors,
                                             context, xvars, uvar, budget)
-                pieces.append((V, rest, f, coords, uvar, must_vanish, crit))
+                pieces.append((V, rest, f, coords, uvar, must_vanish, uform, crit))
     cross = []
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
@@ -128,32 +138,48 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             if fi == fj_r:
                 continue
             r = _budgeted_resultant(fi, fj_r, ui, budget)
-            x = xvars[0]
             if not r.is_zero() and r.degree(x) > 0:
                 cross.extend(thom_encodings(r.with_vars(merge_vars(context.tvars, (x,))), x, context))
-    all_crit = _sorted_unique_encodings([e for pc in pieces for e in pc[6]] + cross)
+    all_crit = _sorted_unique_encodings([e for pc in pieces for e in pc[-1]] + cross)
     tname = fresh_var("Tx", set(context.tvars).union(
         xvars, *(p.vars for p in list(P) + list(Q)), *(pc[2].vars for pc in pieces)))
-    # per critical value: its context and the (fiber point, vertex) pairs
-    # found there so far, one pair per distinct point
-    fibers = [(_fiber_context(context, tname, enc), []) for enc in all_crit]
+    # per critical value: its encoding and the distinct points over it
+    fibers = [(enc, []) for enc in all_crit]
+    owners = {}
+    for enc, kept in fibers:
+        r = enc.poly.with_vars(merge_vars(context.tvars, (x,)))
+        owners.setdefault(r, []).append((enc, kept))
+    for (V, rest, *_param) in pieces:
+        for r, owned in owners.items():
+            for u in sample_components(list(V) + [r], context=context, xvars=xvars,
+                                       budget=budget, seed=seed):
+                if not all(rur_sign(u, q) >= 0 for q in rest):
+                    continue
+                # a root of r that another polynomial's encoding fixes is
+                # that polynomial's to find
+                kept = next((kept for enc, kept in owned
+                             if _has_thom_signs(u, r, x, enc.signs)), None)
+                if kept is not None and not any(points_equal(u, w) for w in kept):
+                    kept.append(u)
     segments = []
-    for (V, rest, f, coords, uvar, must_vanish, _own) in pieces:
-        for ctx, kept in fibers:
-            for u in _fiber_points(V, rest, ctx, xvars, budget, seed):
-                if not any(points_equal(u, w) for w, _v in kept):
-                    kept.append((u, _with_param_coordinate(u, xvars, context)))
+    for (_V, rest, f, coords, uvar, must_vanish, uform, _crit) in pieces:
+        own = []  # (index of the interval's lower end, segment)
         for i in range(len(all_crit) - 1):
             sample = rational_between(all_crit[i], all_crit[i + 1])
-            for seg in _segments_on_interval(f, coords, must_vanish, rest,
-                                             all_crit[i], all_crit[i + 1],
-                                             sample, context, xvars, uvar):
-                seg.lo_point = _glued_endpoint(seg, fibers[i], +1)
-                seg.hi_point = _glued_endpoint(seg, fibers[i + 1], -1)
-                segments.append(seg)
+            own.extend((i, seg) for seg in _segments_on_interval(
+                f, coords, must_vanish, rest, all_crit[i], all_crit[i + 1],
+                sample, context, xvars, uvar))
+        # the piece's sign reads at each fiber its segments end in, shared by
+        # every segment ending there
+        ends = {j: _branch_ends(f, coords, uvar, uform, xvars, fibers[j][1])
+                for j in sorted({j for i, _seg in own for j in (i, i + 1)})}
+        for i, seg in own:
+            seg.lo_point = _glued_endpoint(seg, ends[i], fibers[i], tname, +1)
+            seg.hi_point = _glued_endpoint(seg, ends[i + 1], fibers[i + 1], tname, -1)
+            segments.append(seg)
     # points over distinct critical values differ in the parameter, so only
     # the isolated points need comparing with the fibers' vertices
-    vertices = [v for _ctx, kept in fibers for _u, v in kept]
+    vertices = [v for _enc, kept in fibers for v in kept]
     isolated = dedupe_points([u for ps in point_sets for u in ps.vertices])
     isolated = [u for u in isolated if not any(points_equal(u, v) for v in vertices)]
     return CurvePiece(segments, isolated + vertices, distinct=True)
@@ -177,7 +203,8 @@ def _finite_fallback(V, signs_family, context, xvars, budget, seed):
 def _parametrize_fiber(V, context, xvars, budget, seed):
     """Shape parametrization of the fiber over the function field of the
     parameter: f(x, U) plus rational coordinate functions for the fiber
-    variables.  Returns None when the fiber ideal is the unit ideal."""
+    variables, and U as a form in them (the fiber variable itself, or
+    y + c*z).  Returns None when the fiber ideal is the unit ideal."""
     x = xvars[0]
     fibers = tuple(xvars[1:])
     ring = V[0].ring
@@ -195,7 +222,8 @@ def _parametrize_fiber(V, context, xvars, budget, seed):
         one = MPoly.const(ring, variables, 1)
         coords = (one, MPoly.var(ring, variables, uvar))
         must_vanish = [p for p in V if not (p == f)]
-        return fu.with_vars(merge_vars(fu.vars, variables)), coords, uvar, must_vanish
+        return (fu.with_vars(merge_vars(fu.vars, variables)), coords, uvar, must_vanish,
+                MPoly.var(ring, (z,), z))
     # two fiber variables: separating form over the parameter field
     for c in (1, 2, 3, 5, 7, 11, 13, 17):
         shape = _shape_over_parameter(V, fibers, context, x, uvar, c)
@@ -203,7 +231,8 @@ def _parametrize_fiber(V, context, xvars, budget, seed):
             return None
         if shape is not None:
             f, coords = shape
-            return f, coords, uvar, list(V)
+            y, z = (MPoly.var(ring, fibers, v) for v in fibers)
+            return f, coords, uvar, list(V), y + z.scale(QQ(c))
     raise SeparationError("no separating form for the fiber parametrization")
 
 
@@ -327,36 +356,6 @@ def _fiber_context(context, tname, enc):
     return _ext_context_for(ThomEncoding(context, tname, lvl, enc.signs))
 
 
-def _fiber_points(V, signs_family, ctx, xvars, budget, seed):
-    """All basic-set points whose parameter is the value ctx fixes last, as
-    RURs over ctx in the fiber coordinates xvars[1:]."""
-    x = xvars[0]
-    rest = xvars[1:]
-    tname = ctx.tvars[-1]
-    sub = {x: MPoly.var(V[0].ring, (tname,), tname)}
-    Vx = [p.subst(sub) if x in p.vars else p for p in V]
-    Vx = [p for p in Vx if not p.is_zero()]
-    if not rest:
-        return []
-    pts = sample_components(Vx, context=ctx, xvars=rest, budget=budget, seed=seed)
-    signs_x = [q.subst(sub) if x in q.vars else q for q in signs_family]
-    return [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_x)]
-
-
-def _with_param_coordinate(u, xvars, context):
-    """Prepend the (tower-fixed) parameter value as coordinate 1 and collapse
-    back onto the original context."""
-    tname = u.base.tvars[-1]
-    ring = u.f.ring
-    variables = merge_vars(u.f.vars, (tname,))
-    F = [u.F[0].with_vars(variables)]
-    F.append(MPoly.var(ring, variables, tname) * u.F[0].with_vars(variables))
-    for g in u.F[1:]:
-        F.append(g.with_vars(variables))
-    lifted = RealUnivRep(u.base, u.uvar, u.f, u.sigma, tuple(F), tuple(xvars))
-    return flatten_rur(lifted, context.nlevels)
-
-
 _KIND_GEQ = "geq"
 _KIND_ZERO = "zero"
 _KIND_DEN = "den"
@@ -407,64 +406,57 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
     return out
 
 
-def _glued_endpoint(seg, fiber, direction):
-    """The endpoint of a branch in the fiber (ctx, kept) over it: the vertex
-    of the kept fiber point it equals, or, when it equals none, the endpoint
-    itself over ctx; None when _endpoint_limit finds none.  A failed Thom
+def _glued_endpoint(seg, ends, fiber, tname, direction):
+    """The endpoint of a branch in the fiber (enc, vertices) over it: the
+    vertex it equals, or, when it equals none, the endpoint itself over the
+    base context; None when _endpoint_limit finds none.  A failed Thom
     enumeration, limit or comparison raises.
 
-    The endpoint is read at the fiber by continuity when that applies
-    (_endpoint_by_continuity); otherwise, where the fiber polynomial's
-    leading coefficient or the coordinate denominator vanishes there, it is
-    the limit through a transient infinitesimal (_endpoint_limit)."""
-    ctx, kept = fiber
-    end = _endpoint_by_continuity(seg, ctx) or _endpoint_limit(seg, ctx, direction)
+    ends are the vertices that can end a branch of seg's piece by continuity
+    with their sign reads (_branch_ends); the endpoint is the one whose signs
+    relax the branch's Thom signs rho.  Only where the fiber polynomial's
+    leading coefficient or the coordinate denominator vanishes, or no vertex
+    passes, is it the limit through a transient infinitesimal
+    (_endpoint_limit), taken over the tower context that fixes the fiber's
+    value as tname and flattened once."""
+    for v, signs in ends:
+        rho = tuple(seg.rho) + (0,) * (len(signs) - len(seg.rho))
+        if all(s in (r, 0) for s, r in zip(signs, rho)):
+            return v
+    enc, vertices = fiber
+    ctx = _fiber_context(enc.context, tname, enc)
+    end = _endpoint_limit(seg, ctx, direction)
     if end is None:
         return None
-    end = _restore_ring(end, ctx)
-    # the parameter coordinate is the level ctx fixes, the same for all
-    on_fiber = RealUnivRep(end.base, end.uvar, end.f, end.sigma,
-                           (end.F[0],) + end.F[2:], end.xvars[1:])
-    for u, vertex in kept:
-        if points_equal(on_fiber, u):
-            return vertex
-    return end
+    end = flatten_rur(_restore_ring(end, ctx), enc.context.nlevels)
+    return next((v for v in vertices if points_equal(end, v)), end)
 
 
-def _endpoint_by_continuity(seg, ctx):
-    """The endpoint of a branch at the parameter value c that ctx fixes
-    last, read at c itself, or None when this does not apply.
+def _branch_ends(f, coords, uvar, uform, xvars, vertices):
+    """The vertices of the fiber over c, the parameter value they share,
+    that can end a branch of the piece (f, coords) by continuity, each with
+    the signs of Der_U f at (c, U(v)), U being the form uform in the fiber
+    variables; empty when the rule does not apply.  Every check is a sign
+    read at a vertex, over the base context.
 
-    When lc_U f(c) != 0 the branch stays bounded near c, so it has a limit
-    s, a real root of f(c, U).  The branch has Thom signs rho over Der_U f
-    on its open interval, so by continuity each sign of Der_U f(c, U) at s
-    is rho's or 0.  By Thom's lemma the points where f(c,.)', ..., f(c,.)^(d)
+    When lc_U f(c) != 0 a branch stays bounded near c, so it has a limit s,
+    a real root of f(c, U).  The branch has Thom signs rho over Der_U f on
+    its open interval, so by continuity each sign of Der_U f(c, U) at s is
+    rho's or 0.  By Thom's lemma the points where f(c,.)', ..., f(c,.)^(d)
     have these relaxed signs form an interval, on which f(c,.) is monotone,
     so s is the only root of f(c, U) with them.  When the coordinate
     denominator does not vanish at (c, s), the endpoint is the branch's own
-    value (c, coords(c, s)), again by continuity."""
-    e_ctx = ctx.to_ering() if seg.f.ring is ERING else ctx
-    x, uvar = seg.param_var, seg.uvar
-    tname = e_ctx.tvars[-1]
-    at_c = {x: MPoly.var(seg.f.ring, (tname,), tname)}
-    variables = merge_vars(e_ctx.tvars, (uvar,))
-    f_c = seg.f.subst(at_c).with_vars(variables)
-    d = f_c.degree(uvar)
-    if e_ctx.sign_mpoly(f_c.coeff_of(uvar, d).with_vars(e_ctx.tvars)) == 0:
-        return None
-    encs = thom_encodings(f_c, uvar, e_ctx)
-    rho = tuple(seg.rho) + (0,) * (d + 1 - len(seg.rho))
-    target = next((enc for enc in encs
-                   if all(s in (r, 0) for s, r in zip(enc.signs, rho))), None)
-    if target is None:
-        return None
-    den, *nums = ((g.subst(at_c) if x in g.vars else g).with_vars(variables)
-                  for g in seg.coords)
-    at_s = _ext_context_for(target)
-    if at_s.sign_mpoly(den.with_vars(at_s.tvars)) == 0:
-        return None
-    F = (den, MPoly.var(den.ring, variables, tname) * den, *nums)
-    return RealUnivRep(e_ctx, uvar, target.poly, target.signs, F, seg.xvars)
+    value (c, coords(c, s)), again by continuity: the one vertex v with
+    U(v) = s and den * w = num_w at v for each fiber variable w."""
+    if not vertices or rur_sign(vertices[0], f.coeff_of(uvar, f.degree(uvar))) == 0:
+        return []
+    at_u = {uvar: uform}
+    f_u, *ders = (g.subst(at_u) for g in der_list(f, uvar))
+    den, *nums = (g.subst(at_u) for g in coords)
+    on_branch = [den * MPoly.var(den.ring, (w,), w) - num for w, num in zip(xvars[1:], nums)]
+    return [(v, (0,) + tuple(rur_sign(v, g) for g in ders)) for v in vertices
+            if rur_sign(v, f_u) == 0 and rur_sign(v, den) != 0
+            and all(rur_sign(v, g) == 0 for g in on_branch)]
 
 
 _ENDPOINT_CACHE = BoundedCache()
@@ -475,9 +467,10 @@ def _endpoint_limit(seg, ctx, direction):
     evaluate the branch at that value +/- mu for a fresh innermost
     infinitesimal mu and take the limit mu -> 0.  The fallback of
     _glued_endpoint, where the fiber polynomial's leading coefficient or the
-    coordinate denominator vanishes at the endpoint; None for a branch that
-    is unbounded there, or whose signs no shifted fiber root has.  A failed
-    Thom enumeration or limit raises.
+    coordinate denominator vanishes at the endpoint, or where no fiber vertex
+    passes the continuity checks; None for a branch that is unbounded there,
+    or whose signs no shifted fiber root has.  A failed Thom enumeration or
+    limit raises.
 
     The shifted-fiber Thom enumeration is cached per (fiber polynomial,
     endpoint, direction) since every branch of the same piece shares it."""

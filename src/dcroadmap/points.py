@@ -297,6 +297,12 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
     """u over the base's parent context: the last level's root and u's root
     are paired into one root of a new eliminant over the parent.
 
+    Its callers are limit_point, for tower levels that carry dropped
+    symbols, and flatten_rur, which divide, optimsub, roadmap and the limit
+    fallback of curves._glued_endpoint call; curve extraction solves its
+    fibers flat and glues endpoints by signs, so it collapses no level
+    whenever that fallback is not taken.
+
     The pairing system (the level polynomial and u.f) holds no Thom signs of
     either level, so its solutions are kept in a value-keyed cache: every
     root of one level polynomial, and every point over those roots with the

@@ -1,11 +1,12 @@
 """Final assembly: per-leaf curve extraction, limits, the roadmap graph, the
 bounded and general top-level algorithms, and connectivity queries.
 
-Segment endpoints arrive glued: curve_segments matches each one in its
-fiber's context and hands back the fiber's vertex object, so assembly gives
-an endpoint the id of that vertex.  The first piece's vertices, known to be
-distinct, are kept without comparison; later pieces' vertices and the
-anchors are still compared with every vertex kept so far."""
+Segment endpoints arrive glued: curve_segments reads each one's signs at
+its fiber's vertices, which are flat over the leaf's context, and hands back
+the vertex object, so assembly gives an endpoint the id of that vertex.  The
+first piece's vertices, known to be distinct, are kept without comparison;
+later pieces' vertices and the anchors are still compared with every vertex
+kept so far."""
 
 from __future__ import annotations
 

@@ -59,6 +59,12 @@ class Budget:
     # (lex basis not in shape position) before one is certified
     retries: int = 8
 
+    def __post_init__(self):
+        # with no form tried, no branch could tell a system that is not
+        # zero-dimensional from one with no certified form
+        if self.retries < 1:
+            raise ValueError(f"Budget.retries must be at least 1, not {self.retries}")
+
     def check_matrix(self, size, what):
         if size > self.max_sylvester:
             raise ResourceBudgetError(f"{what}: Sylvester matrix {size}x{size} exceeds budget {self.max_sylvester}")

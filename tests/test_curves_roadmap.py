@@ -7,7 +7,14 @@ import pytest
 from dcroadmap import curves, points
 from dcroadmap.infring import QQ, InfElem, eps
 from dcroadmap.mpoly import ERING, MPoly, QRING, parse_poly
-from dcroadmap.points import RealUnivRep, _restore_ring, points_equal, rur_sign, sample_components
+from dcroadmap.points import (
+    RealUnivRep,
+    _restore_ring,
+    flatten_rur,
+    points_equal,
+    rur_sign,
+    sample_components,
+)
 from dcroadmap.realroots import TriangularContext, compare_roots, thom_encodings
 from dcroadmap.curves import CurvePiece, curve_segments, limit_curve
 from dcroadmap.solve import solve_system
@@ -169,22 +176,18 @@ def test_roadmap_json_roundtrip_deterministic():
     assert load_components_from_json(s1) == 1
 
 
-def test_endpoint_level_name_is_independent_of_the_hash_seed():
-    # the tower variable that fixes a critical value, shared by its fiber's
-    # points and the segment endpoints glued there, is named from the
-    # variables in use, not from a polynomial's hash, which follows
-    # PYTHONHASHSEED
+def test_fiber_vertices_and_endpoints_are_independent_of_the_hash_seed():
+    # the fiber vertices come out of the flat solves in branch order, and
+    # each endpoint is glued to one of them; neither may follow a string
+    # hash, which changes with PYTHONHASHSEED
     script = (
         "from dcroadmap import curves\n"
         "from dcroadmap.mpoly import QRING, parse_poly\n"
         "from dcroadmap.realroots import TriangularContext\n"
-        "fiber_points = curves._fiber_points\n"
-        "def spy(V, signs_family, ctx, *rest):\n"
-        "    print(ctx.tvars)\n"
-        "    return fiber_points(V, signs_family, ctx, *rest)\n"
-        "curves._fiber_points = spy\n"
-        "p = parse_poly('x^2 + y^2 - 1', ('x', 'y'))\n"
+        f"p = parse_poly('{CROSSING}', ('x', 'y'))\n"
         "piece = curves.curve_segments([p], [], TriangularContext(QRING), ('x', 'y'))\n"
+        "for v in piece.vertices:\n"
+        "    print(v.uvar, v.f, v.sigma, v.F)\n"
         "print([(piece.vertices.index(s.lo_point), piece.vertices.index(s.hi_point))\n"
         "       for s in piece.segments])\n")
     src = os.path.dirname(os.path.dirname(curves.__file__))
@@ -214,16 +217,20 @@ def test_sorted_unique_encodings_keeps_one_encoding_per_root():
 # two unit circles crossing at two points, and two touching at one
 CROSSING = "(x^2 + y^2 - 1)*((x - 1)^2 + y^2 - 1)"
 TANGENT = "(x^2 + y^2 - 1)*((x - 2)^2 + y^2 - 1)"
+XYZ = ("x", "y", "z")
+GREAT_CIRCLE = ["x^2 + y^2 + z^2 - 4", "z"]
 
 
-@pytest.fixture(scope="module", params=[(CROSSING, 10, 12), (TANGENT, 3, 4)],
-                ids=["crossing", "tangent"])
+@pytest.fixture(scope="module", params=[([CROSSING], XY, 10, 12), ([TANGENT], XY, 3, 4),
+                                        (GREAT_CIRCLE, XYZ, 2, 2)],
+                ids=["crossing", "tangent", "great-circle"])
 def glued_pair(request):
-    """The curve piece and graph of a circle pair, the expected graph size,
-    and the tower collapses made while extracting and while assembling."""
-    text, nv, ne = request.param
-    p = P(text)
-    A = sample_components([p])
+    """The curve piece and graph of a circle pair (or of a great circle),
+    the expected graph size, and the tower collapses made while extracting
+    and while assembling."""
+    texts, xvars, nv, ne = request.param
+    system = [parse_poly(t, xvars) for t in texts]
+    A = sample_components(system, xvars=xvars)
     collapses = {"segments": 0, "assembly": 0}
     stage = ["segments"]
     collapse = points._collapse_last_level
@@ -234,21 +241,21 @@ def glued_pair(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(points, "_collapse_last_level", counted)
-        piece = curve_segments([p], [], TriangularContext(QRING), XY, anchors=A)
+        piece = curve_segments(system, [], TriangularContext(QRING), xvars, anchors=A)
         stage[0] = "assembly"
-        graph = assemble_graph([piece], A, XY)
-    return p, piece, graph, (nv, ne), collapses
+        graph = assemble_graph([piece], A, xvars)
+    return system, piece, graph, (nv, ne), collapses
 
 
 def test_glued_pair_graph(glued_pair):
-    p, _piece, graph, size, _collapses = glued_pair
+    system, _piece, graph, size, _collapses = glued_pair
     assert (len(graph.vertices), len(graph.edges)) == size
     assert graph.component_count() == 1
-    assert all(rur_sign(v, p) == 0 for v in graph.vertices)
+    assert all(rur_sign(v, p) == 0 for v in graph.vertices for p in system)
 
 
 def test_segment_endpoints_are_fiber_vertices(glued_pair):
-    _p, piece, graph, _size, _collapses = glued_pair
+    _system, piece, graph, _size, _collapses = glued_pair
     assert piece.segments
     for seg in piece.segments:
         for pt in (seg.lo_point, seg.hi_point):
@@ -256,30 +263,77 @@ def test_segment_endpoints_are_fiber_vertices(glued_pair):
     assert all(lo is not None and hi is not None for _seg, lo, hi in graph.edges)
 
 
-def test_one_collapse_per_fiber_point_and_none_for_endpoints(glued_pair):
-    _p, piece, _graph, _size, collapses = glued_pair
-    assert 0 < collapses["segments"] <= len(piece.vertices)
-    assert collapses["assembly"] == 0
+def test_extraction_and_assembly_collapse_no_tower_level(glued_pair):
+    # the fibers are solved over the base context and every endpoint here is
+    # glued by signs read at their vertices, so no tower is ever flattened
+    _system, piece, _graph, _size, collapses = glued_pair
+    assert piece.vertices
+    assert collapses == {"segments": 0, "assembly": 0}
+
+
+def _flat_fiber_solves(system, xvars, anchors):
+    """The graph of one curve piece and the systems curve_segments hands to
+    sample_components."""
+    solved = []
+    sample = curves.sample_components
+
+    def spy(fiber_system, *args, **kwargs):
+        solved.append(fiber_system)
+        return sample(fiber_system, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "sample_components", spy)
+        piece = curve_segments(system, [], TriangularContext(QRING), xvars, anchors=anchors)
+    return assemble_graph([piece], anchors, xvars), solved
+
+
+def test_unit_circle_fibers_kept_under_the_discriminant_and_the_anchors():
+    # the anchors' x-values +-1 repeat the discriminant's roots, so each of
+    # the two fibers is kept once, under the polynomial whose encoding of
+    # its value comes first, and the other polynomial is never solved
+    circle = P("x^2 + y^2 - 1")
+    graph, solved = _flat_fiber_solves([circle], XY, sample_components([circle]))
+    assert len(solved) == 1
+    assert (len(graph.vertices), len(graph.edges)) == (2, 2)
+    assert graph.component_count() == 1
+    assert all(rur_sign(v, circle) == 0 for v in graph.vertices)
+
+
+def test_conjugate_critical_values_share_one_flat_solve():
+    # x^2 + y^2 = 2 at z = 1: the critical values -sqrt 2 and sqrt 2 are the
+    # roots of one irreducible quadratic, so one solve serves both fibers
+    system = [parse_poly("x^2 + y^2 + z^2 - 3", XYZ), parse_poly("z - 1", XYZ)]
+    graph, solved = _flat_fiber_solves(system, XYZ, sample_components(system, xvars=XYZ))
+    assert len(solved) == 1
+    assert (len(graph.vertices), len(graph.edges)) == (2, 2)
+    assert graph.component_count() == 1
+    assert all(rur_sign(v, p) == 0 for v in graph.vertices for p in system)
 
 
 def _endpoints_by_both_routes(system, xvars):
-    """(fiber context, endpoint by continuity, endpoint by the limit over
-    D[mu]) for every endpoint curve_segments glues."""
+    """(endpoint glued by signs, endpoint by the limit over D[mu] flattened
+    onto the base context, the fiber's vertices) for every endpoint
+    curve_segments glues."""
     calls = []
     glued = curves._glued_endpoint
 
-    def spy(seg, fiber, direction):
-        calls.append((seg, fiber[0], direction))
-        return glued(seg, fiber, direction)
+    def spy(seg, ends, fiber, tname, direction):
+        end = glued(seg, ends, fiber, tname, direction)
+        calls.append((seg, fiber, tname, direction, end))
+        return end
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curves, "_glued_endpoint", spy)
         curve_segments(system, [], TriangularContext(QRING), xvars)
-    return [(ctx, curves._endpoint_by_continuity(seg, ctx), curves._endpoint_limit(seg, ctx, d))
-            for seg, ctx, d in calls]
+    out = []
+    for seg, (enc, vertices), tname, direction, end in calls:
+        ctx = curves._fiber_context(enc.context, tname, enc)
+        limit = curves._endpoint_limit(seg, ctx, direction)
+        assert limit is not None
+        out.append((end, flatten_rur(_restore_ring(limit, ctx), enc.context.nlevels), vertices))
+    return out
 
 
-XYZ = ("x", "y", "z")
 
 
 @pytest.mark.parametrize("system, xvars", [
@@ -289,34 +343,36 @@ XYZ = ("x", "y", "z")
 ], ids=["tangent", "crossing", "great-circle"])
 def test_endpoint_by_continuity_is_the_limit(system, xvars):
     # every fiber polynomial here has a constant leading coefficient and
-    # denominator, so the continuity route applies to every endpoint,
-    # turning points (a double root of f(c, U)) and crossings included
+    # denominator, so every endpoint is glued by signs at a fiber vertex,
+    # turning points (a double root of f(c, U)) and crossings included, and
+    # it is the point the limit route finds
     ends = _endpoints_by_both_routes(system, xvars)
     assert ends
-    for ctx, by_continuity, by_limit in ends:
-        assert by_continuity is not None and by_limit is not None
-        assert points_equal(_restore_ring(by_continuity, ctx), _restore_ring(by_limit, ctx))
+    for by_signs, by_limit, vertices in ends:
+        assert any(by_signs is v for v in vertices)
+        assert points_equal(by_signs, by_limit)
 
 
 def test_branches_meeting_at_a_double_root_end_at_it():
-    # f = U^2 - x: over x in (0, 1) the branches U = -sqrt(x) and sqrt(x)
-    # both end at the double root U = 0 of f(0, U), whose signs (0, 0, +)
-    # relax each branch's (0, -+1, +)
+    # f = U^2 - x with U = y: over x in (0, 1) the branches U = -sqrt(x) and
+    # sqrt(x) both end at the double root U = 0 of f(0, U), whose signs
+    # (0, 0, +) relax each branch's (0, -+1, +); the point (0, 1) of the same
+    # fiber is no root of f(0, U)
     xu = ("x", "Uc_")
     f = parse_poly("Uc_^2 - x", xu)
     coords = (parse_poly("1", xu), parse_poly("Uc_", xu))
     base = TriangularContext(QRING)
-    ctx = base.extend("Tx", parse_poly("Tx", ("Tx",)), (0, 1))
-    ends = []
+    origin, off_curve = (points.rur_from_raw(s) for q in ("y", "y - 1")
+                         for s in solve_system([P("x"), P(q)], XY))
+    fiber = (thom_encodings(P("x", ("x",)), "x", base)[0], [off_curve, origin])
+    ends = curves._branch_ends(f, coords, "Uc_", P("y"), XY, fiber[1])
+    assert ends == [(origin, (0, 0, 1))]
+    ctx = curves._fiber_context(base, "Tx", fiber[0])
     for enc in thom_encodings(parse_poly("Uc_^2 - 1", ("Uc_",)), "Uc_", base):
         seg = curves.CurveSegmentRep(base, "x", "Uc_", f, enc.signs, coords, XY)
-        by_continuity = curves._endpoint_by_continuity(seg, ctx)
-        assert by_continuity is not None
-        assert points_equal(by_continuity, curves._endpoint_limit(seg, ctx, +1))
-        ends.append(by_continuity)
-    assert ends[0].sigma == ends[1].sigma == (0, 0, 1)
-    assert points_equal(ends[0], ends[1])
-    assert rur_sign(ends[0], P("y")) == 0
+        assert curves._glued_endpoint(seg, ends, fiber, "Tx", +1) is origin
+        limit = _restore_ring(curves._endpoint_limit(seg, ctx, +1), ctx)
+        assert points_equal(flatten_rur(limit), origin)
 
 
 def test_endpoint_where_the_leading_coefficient_vanishes_is_a_limit():

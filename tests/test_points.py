@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcroadmap.errors import SeparationError
+from dcroadmap.errors import NotZeroDimensionalError, SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, merge_vars, parse_poly
 from dcroadmap.realroots import ThomEncoding, TriangularContext, compare_roots, thom_encodings
-from dcroadmap import points, realroots
+from dcroadmap import points, realroots, solve
 from dcroadmap.points import (
     BoundedCache,
     RealUnivRep,
@@ -451,15 +451,20 @@ def test_zero_dimensional_system_is_solved_directly(monkeypatch, equations, coun
 
 
 def test_a_zero_dimensional_system_with_no_certified_form_raises(monkeypatch):
-    # with no separating form to try the solver gives up on (1, 2); only a
-    # system that is not zero-dimensional goes on to sampling, so this one
-    # raises rather than reach the structured shapes
+    # every separating form is rejected, so the solver gives up on (1, 2);
+    # only a system that is not zero-dimensional goes on to sampling, so this
+    # one raises rather than reach the structured shapes
     def no_sampling(*args):
         raise AssertionError("a zero-dimensional system reached the structured shapes")
 
+    def rejected(*args):
+        raise ArithmeticError("the lex basis is not in shape position")
+
     monkeypatch.setattr(points, "_sample_structured", no_sampling)
-    with pytest.raises(SeparationError):
-        sample_components([P("x - 1"), P("y - 2")], xvars=XY, budget=Budget(retries=0))
+    monkeypatch.setattr(solve, "_groebner_shape", rejected)
+    with pytest.raises(SeparationError) as err:
+        sample_components([P("x - 1"), P("y - 2")], xvars=XY, budget=Budget(retries=2))
+    assert not isinstance(err.value, NotZeroDimensionalError)
 
 
 # sign(root - q) from the level's Sturm chain against the general query

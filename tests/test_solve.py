@@ -45,6 +45,16 @@ def test_a_system_that_is_not_zero_dimensional_raises():
             solve_system([P(e) for e in equations], XY)
 
 
+def test_a_budget_tries_at_least_one_separating_form():
+    # a budget with no form to try would read every system as one with no
+    # certified form, the line x^2 = 0 included; with one form the solver
+    # still tells that the line is not zero-dimensional
+    with pytest.raises(ValueError, match="retries"):
+        solve.Budget(retries=0)
+    with pytest.raises(NotZeroDimensionalError):
+        solve_system([P("x^2")], XY, budget=solve.Budget(retries=1))
+
+
 def test_a_branch_with_no_points_that_leaves_a_coordinate_free_is_empty():
     # x = 5 and x = 0 have no common point, whatever y is
     assert solve_system([P("x - 5"), P("x")], XY) == []
