@@ -479,7 +479,7 @@ def _endpoint_limit(seg, ctx, direction):
     mu = extra_symbol(f"inf{mu_idx}", mu_idx)
     x = seg.param_var
     tname = ctx.tvars[-1]
-    key = (ctx.ring.name, ctx.key(), x, seg.uvar, seg.f, seg.coords, direction)
+    key = (ctx, x, seg.uvar, seg.f, seg.coords, direction)
     cached = _ENDPOINT_CACHE.get(key)
     if cached is not None:
         e_ctx, shift, f_shift, coords_shift, encs = cached

@@ -172,14 +172,6 @@ class InfElem:
                 out.add(idx)
         return out
 
-    def degree_in(self, symbol_index):
-        d = 0
-        for m in self.terms:
-            for idx, e in m:
-                if idx == symbol_index and e > d:
-                    d = e
-        return d
-
     def coeff_of(self, symbol_index, exp):
         """Coefficient of symbol^exp, an InfElem in the remaining symbols."""
         out = {}

@@ -22,7 +22,7 @@ from .points import (
     sample_components,
 )
 from .realroots import TriangularContext, compare_roots, thom_encodings
-from .solve import DEFAULT_BUDGET, _fingerprint, eliminate_to, factor_mpoly, solve_system, split_branches
+from .solve import DEFAULT_BUDGET, eliminate_to, factor_mpoly, solve_system, split_branches
 
 
 @dataclass
@@ -88,7 +88,7 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
                 if not elims:
                     continue
                 f = min(elims, key=lambda p: p.degree(zvar))
-                for fac, _m in factor_mpoly(f, req.budget):
+                for fac, _m in factor_mpoly(f):
                     if fac.degree(zvar) == 0:
                         continue
                     fz = fac.subst({zvar: MPoly.var(ERING, (zvar,), zvar)}) \
@@ -226,16 +226,13 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
         back = {w: MPoly.var(p.ring, xvars, v) for v, w in zip(xvars, yvars) if w in p.vars}
         return p.subst(back) if back else p
 
-    def branch_key(polys, rename_back=False):
-        ps = [unrename(p) for p in polys] if rename_back else list(polys)
-        return frozenset(_fingerprint(p) for p in ps)
     for q1size in range(len(Q1) + 1):
         for q1sel in combinations(range(len(Q1)), q1size):
             for q2size in range(len(Q2) + 1):
                 for q2sel in combinations(range(len(Q2)), q2size):
                   for bx in x_branches:
                     for by in y_branches:
-                        if q1sel == q2sel and branch_key(bx) == branch_key(by, rename_back=True):
+                        if q1sel == q2sel and frozenset(bx) == frozenset(map(unrename, by)):
                             # identical piece against itself: every needed
                             # minimizer lies on the diagonal, sampled below
                             continue

@@ -312,7 +312,7 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
     var_t, f_t, signs_t = ctx.levels[-1]
     parent = ctx.prefix(ctx.nlevels - 1)
     wvar = fresh_var("W", set(u.base.tvars) | {u.uvar} | set(u.f.vars))
-    key = (parent.ring.name, parent.key(), var_t, f_t, u.uvar, u.f.ring.name, u.f, wvar)
+    key = (parent, var_t, f_t, u.uvar, u.f, u.f.ring, wvar)
     sols = _PAIRING_CACHE.get(key)
     if sols is None:
         sols = solve_system([f_t, u.f], (var_t, u.uvar), context=parent, uvar=wvar)
@@ -369,14 +369,15 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     Only NotZeroDimensionalError sends it on to sampling; a system with no
     certified separating form raises SeparationError.  A proper ideal with
     fewer generators than variables is never zero-dimensional (Krull), so
-    such a system is sampled at once.  The structured shapes of
-    _sample_structured come next.  Every route rests on one argument: a
-    compact component attains its least first coordinate x1, and there the
-    projection to x1 is critical (the tangent lies in the hyperplane
-    x1 = const, or the point is singular).  So the critical points of that
-    one projection meet every component.  The general route deforms Q = sum
-    of squares to Def(Q, zeta) and samples the x1-critical points of the
-    deformed hypersurface, then removes zeta with the limit algorithms."""
+    such a system is sampled at once.  A curve of n - 1 equations in n
+    variables, a plane curve included, then goes to _sample_structured.
+    Every route rests on one argument: a compact component attains its
+    least first coordinate x1, and there the projection to x1 is critical
+    (the tangent lies in the hyperplane x1 = const, or the point is
+    singular).  So the critical points of that one projection meet every
+    component.  The general route deforms Q = sum of squares to Def(Q,
+    zeta) and samples the x1-critical points of the deformed hypersurface,
+    then removes zeta with the limit algorithms."""
     system = [p for p in system if not p.is_zero()]
     if context is None:
         ring = system[0].ring if system else QRING
@@ -435,61 +436,46 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
 
 
 def _sample_structured(system, context, xvars, budget, seed):
-    """Direct sampling for the structured shapes that cover the golden
-    instances; sample_components calls it only for a system it does not
-    solve directly, one with fewer equations than variables or a zero set
-    that is not finite.  Both shapes first sample the critical points of
-    the projection to xvars[0], the coordinate curve_segments parametrises
-    over.  A plane curve (one polynomial, two variables) is solved factor
-    by factor: a compact component of Z(factor) attains its least xvars[0]
-    where the tangent is vertical or the point is singular, and both lie on
-    factor = d factor / d xvars[1] = 0.  A factor free of xvars[1] has no
-    compact component and gives no points.  A curve given by n-1 equations
-    in n variables is solved with its maximal Jacobian minor in the
-    variables other than xvars[0]; when that system fails, the minors that
-    leave out each later coordinate are tried in turn.  Returns None when
-    no shape applies, or when solve_system raises SeparationError on a
-    plane system, or on the system of every projection of the curve (not
+    """Direct sampling for the structured shape that covers the golden
+    instances, a curve given by n - 1 equations in n >= 2 variables;
+    sample_components calls it only for a system it does not solve
+    directly, one with fewer equations than variables or a zero set that is
+    not finite.  Each branch first samples the critical points of the
+    projection to xvars[0], the coordinate curve_segments parametrises over:
+    it is solved with its maximal Jacobian minor in the variables other than
+    xvars[0].  A compact component of the branch attains its least xvars[0]
+    where that minor vanishes (the tangent lies in the hyperplane
+    xvars[0] = const) or the point is singular, and both lie on the system.
+    For a plane curve, one polynomial in (x, y), the branches are its
+    irreducible factors and the minor is d factor / dy.  When a system
+    fails, the minors that leave out each later coordinate are tried in
+    turn.  Returns None when no shape applies, or when solve_system raises
+    SeparationError on the system of every projection of a branch (not
     zero-dimensional, or no certified separating form); the caller then
     samples through the general route."""
-    if len(xvars) == 2 and len(system) == 1:
-        out = []
-        # in branch order, so the points come out in the same order in every
-        # process (set order would follow the variable names' string hashes)
-        for factor in dict.fromkeys(f for br in split_branches(system, budget) for f in br):
-            d = factor.deriv(xvars[1])
-            if d.is_zero():
+    if len(system) != len(xvars) - 1:
+        return None
+    out = []
+    for br in split_branches(system, budget):
+        done = False
+        for drop in range(len(xvars)):
+            window = [v for i, v in enumerate(xvars) if i != drop]
+            sel = JacobianSelector(window, list(range(1, len(br) + 1)))
+            one = MPoly.const(br[0].ring, br[0].vars, 1)
+            minor = jac_minor(one, br, sel)
+            if minor.is_zero():
                 continue
             try:
-                sols = solve_system([factor, d], xvars, context=context,
+                sols = solve_system(list(br) + [minor], xvars, context=context,
                                     budget=budget, seed=seed)
             except SeparationError:
-                return None
+                continue
             out.extend(rur_from_raw(s) for s in sols)
-        return dedupe_points(out)
-    if len(system) == len(xvars) - 1 and len(xvars) >= 3:
-        out = []
-        for br in split_branches(system, budget):
-            done = False
-            for drop in range(len(xvars)):
-                window = [v for i, v in enumerate(xvars) if i != drop]
-                sel = JacobianSelector(window, list(range(1, len(br) + 1)))
-                one = MPoly.const(br[0].ring, br[0].vars, 1)
-                minor = jac_minor(one, br, sel)
-                if minor.is_zero():
-                    continue
-                try:
-                    sols = solve_system(list(br) + [minor], xvars, context=context,
-                                        budget=budget, seed=seed)
-                except SeparationError:
-                    continue
-                out.extend(rur_from_raw(s) for s in sols)
-                done = True
-                break
-            if not done:
-                return None
-        return dedupe_points(out)
-    return None
+            done = True
+            break
+        if not done:
+            return None
+    return dedupe_points(out)
 
 
 def _restore_ring(u: RealUnivRep, context: TriangularContext) -> RealUnivRep:
@@ -509,8 +495,9 @@ _COORD_CACHE = BoundedCache()
 
 
 def _rur_key(u: RealUnivRep):
-    """Value key of the data a point's coordinates depend on."""
-    return (u.base.ring.name, u.base.key(), u.uvar, u.f.ring.name, u.f, u.sigma, u.F)
+    """Value key of the data a point's coordinates depend on; it names the
+    ring of f, which a coordinate's encoding is computed in."""
+    return (u.base, u.uvar, u.f, u.f.ring, u.sigma, u.F)
 
 
 def coordinate_encoding_cached(u: RealUnivRep, i: int):
@@ -546,7 +533,7 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
         return False
     if (u.f.ring is ERING) != (v.f.ring is ERING):
         u, v = _to_ering_rur(u), _to_ering_rur(v)
-    if u.base.key() != v.base.key():
+    if u.base != v.base:
         return False
     for i in range(1, n + 1):
         enc = coordinate_encoding_cached(u, i)

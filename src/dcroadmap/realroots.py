@@ -16,8 +16,9 @@ triangular context, sign(root - q) for a rational q comes from the level's
 Sturm chain evaluated at q.
 
 One sign determination serves every root of P and every context that fixes
-the same base point: it is built once per (ring, base context key, P) and
-kept in a value-keyed BoundedCache, the one cache scheme of the package.
+the same base point: it is built once per (base context, P) and kept in a
+value-keyed BoundedCache, the one cache scheme of the package.  A context
+is its own key: two contexts with the same ring and levels are equal.
 A context extended by one encoded root is kept the same way, so equal roots
 share one extension and its sign cache.
 Every BoundedCache holds the work of one input only; per_input_caches
@@ -32,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import EmptyEncodingError
-from .infring import QQ, InfElem
+from .infring import QQ
 from .mpoly import ERING, QRING, MPoly, der_list
 from .symbridge import gcd
 
@@ -82,8 +83,10 @@ def per_input_caches(entry):
 class BoundedCache:
     """Least-recently-used map holding at most CACHE_BOUND entries.
 
-    Keys are values (rings by name, contexts by key(), polynomials, signs and
-    variable names), so equal inputs built afresh hit the same entry."""
+    Keys are values (contexts, polynomials, signs and variable names, which
+    all compare by value), so equal inputs built afresh hit the same entry.
+    A key names a polynomial's ring where the cached value carries that
+    polynomial, since polynomials equal in value compare equal across rings."""
 
     def __init__(self):
         self._data = OrderedDict()
@@ -350,11 +353,11 @@ class SignDetermination:
     rows of M^-1.  `ders` is Der(P) without P, `chain` the Sturm chain of
     (P, P') that counts the roots (empty when P is a constant).
 
-    One object serves every root of P and every context with the same ring
-    and key: build it only through shared_sign_determination.  It does
-    not change after its constructor returns; the one thing that grows is
-    `_query_cache`, the Tarski queries it has made, keyed by the value of
-    the product polynomial, so sharing it changes no answer."""
+    One object serves every root of P and every context equal to ctx: build
+    it only through shared_sign_determination.  It does not change after its
+    constructor returns; the one thing that grows is `_query_cache`, the
+    Tarski queries it has made, keyed by the product polynomial's
+    coefficients, so sharing it changes no answer."""
 
     def __init__(self, ctx, P):
         self.ctx = ctx
@@ -385,7 +388,7 @@ class SignDetermination:
         self.inverse = [self.inverse[j] for j in order]
 
     def _taq(self, prod):
-        key = _upoly_key(prod)
+        key = tuple(prod)
         if key not in self._query_cache:
             self._query_cache[key] = tarski_query(self.ctx, self.P, prod)
         return self._query_cache[key]
@@ -465,27 +468,14 @@ _SD_CACHE = BoundedCache()
 
 def shared_sign_determination(ctx, P):
     """The SignDetermination of the ctx-trimmed P over ctx, built once per
-    (ring, context key, P): the roots of P and the contexts that fix the
-    same point share it.  The ring is named because a context's key() leaves
-    it out."""
-    key = (ctx.ring.name, ctx.key(), _upoly_key(P))
+    (context, P): the roots of P and the equal contexts that fix the same
+    point share it."""
+    key = (ctx, tuple(P))
     sd = _SD_CACHE.get(key)
     if sd is None:
         sd = SignDetermination(ctx, P)
         _SD_CACHE.put(key, sd)
     return sd
-
-
-def _upoly_key(cs):
-    out = []
-    for c in cs:
-        if isinstance(c, MPoly):
-            out.append(("m", tuple(sorted(c.terms.items(), key=lambda kv: kv[0]))))
-        elif isinstance(c, InfElem):
-            out.append(("e", tuple(sorted(c.terms.items()))))
-        else:
-            out.append(("q", c))
-    return tuple(out)
 
 
 def _thom_compare(sa, sb):
@@ -539,7 +529,10 @@ class TriangularContext:
     Univariate work over the context has coefficients that are ring scalars
     when it has no levels and MPolys in tvars otherwise; `zero`, `one` and
     `sign` are the zero, the one and the sign at the fixed point of that
-    coefficient kind."""
+    coefficient kind.
+
+    A context is a value: two with the same ring and levels are equal and
+    hash alike, so a context is its own cache key."""
 
     def __init__(self, ring, levels=(), parent=None):
         self.ring = ring
@@ -555,7 +548,7 @@ class TriangularContext:
         # the context fixing all but the last level; prefixes walk up these
         # links, so every descendant shares its ancestors' sign caches
         self._parent = parent
-        self._key = None
+        self._hash = None
         self._solver = None
         self._sign_cache = {}
 
@@ -602,9 +595,8 @@ class TriangularContext:
             return 0
         if p.is_const():
             return self.ring.sign(p.const_value())
-        key = (p.vars, _mpoly_key(p))
-        if key in self._sign_cache:
-            return self._sign_cache[key]
+        if p in self._sign_cache:
+            return self._sign_cache[p]
         var, fpoly, signs = self.levels[-1]
         parent = self.prefix(self.nlevels - 1)
         pv = p.with_vars(self.tvars)
@@ -612,7 +604,7 @@ class TriangularContext:
             s = parent.sign_mpoly(_forget_var(pv, var, parent))
         else:
             s = self.level_solver().query(pv)
-        self._sign_cache[key] = s
+        self._sign_cache[p] = s
         return s
 
     def level_solver(self):
@@ -627,25 +619,19 @@ class TriangularContext:
         parts = [f"{v}: root of {p}" for v, p, s in self.levels]
         return "TriangularContext(" + "; ".join(parts) + ")"
 
-    def key(self):
-        """Value key of the levels (the ring is not part of it)."""
-        if self._key is None:
-            self._key = tuple((v, p.vars, _mpoly_key(p), s) for v, p, s in self.levels)
-        return self._key
+    def __eq__(self, other):
+        if not isinstance(other, TriangularContext):
+            return NotImplemented
+        return self is other or (self.ring is other.ring and self.levels == other.levels)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.ring, self.levels))
+        return self._hash
 
 
 def _forget_var(p, var, parent):
     return p.coeff_of(var, 0).with_vars(parent.tvars)
-
-
-def _mpoly_key(p):
-    return tuple(sorted(((m, _coeff_key(c)) for m, c in p.terms.items()), key=lambda kv: kv[0]))
-
-
-def _coeff_key(c):
-    if isinstance(c, InfElem):
-        return tuple(sorted(c.terms.items()))
-    return c
 
 
 class _LevelSolver:
@@ -695,14 +681,15 @@ _EXT_CTX_CACHE = BoundedCache()
 
 
 def _ext_context_for(enc: ThomEncoding):
-    """The context of an encoding extended by its root, from a value-keyed
-    cache, so equal encodings built at different sites share one context and
-    its sign cache."""
-    ctx = enc.context
-    key = (ctx.ring.name, ctx.key(), enc.var, enc.poly.ring.name, enc.poly, enc.signs)
+    """The context of an encoding extended by its root, from a cache keyed
+    by the encoding itself (its context, variable, polynomial and signs) and
+    the polynomial's ring, which the extension's level carries: equal
+    encodings built at different sites share one context and its sign
+    cache."""
+    key = (enc, enc.poly.ring)
     hit = _EXT_CTX_CACHE.get(key)
     if hit is None:
-        hit = ctx.extend(enc.var, enc.poly, enc.signs)
+        hit = enc.context.extend(enc.var, enc.poly, enc.signs)
         _EXT_CTX_CACHE.put(key, hit)
     return hit
 
@@ -773,7 +760,7 @@ def compare_roots(a, b):
     """Order of the real numbers encoded by a and b: -1, 0, or +1.  The
     signs of Der(b.poly) at a's root are read in the context a's root
     extends (the shared extension), and Thom's lemma orders the two roots."""
-    if a.context.key() != b.context.key():
+    if a.context != b.context:
         raise ValueError("compare_roots requires a common context")
     if a.var == b.var and a.poly == b.poly:
         if a.signs == b.signs:

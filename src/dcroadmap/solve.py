@@ -37,7 +37,6 @@ from .realroots import (
     TriangularContext,
     _ext_context_for,
     _from_upoly,
-    _mpoly_key,
     _to_upoly,
     content_strip,
     signs_at_encodings,
@@ -77,11 +76,11 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawSolution:
     """One verified solution: root of (eliminant, signs) in the fresh
     variable uvar; coordinate i of the point is coords[i]/denom at the
-    root."""
+    root.  Equal data make equal solutions."""
 
     context: TriangularContext
     uvar: str
@@ -99,15 +98,16 @@ class RawSolution:
 _FACTOR_CACHE = BoundedCache()
 
 
-def factor_mpoly(p, budget=DEFAULT_BUDGET):
+def factor_mpoly(p):
     """Irreducible factors of p over the rationals (eta symbols treated as
     extra variables); returns a list of (factor, multiplicity).  Falls back
-    to [(p, 1)] when over budget.  Each polynomial is factored once per
-    input: the factors are kept by (ring, variables, p), since they come
-    back in p's ring over p's variables."""
+    to [(p, 1)] when p has more than 400 terms or total degree above 80.
+    Each polynomial is factored once per input: the factors are kept by
+    (p, ring, variables), since they come back in p's ring over p's
+    variables."""
     if len(p.terms) > 400 or p.total_degree() > 80:
         return [(p, 1)]
-    key = (p.ring.name, p.vars, p)
+    key = (p, p.ring, p.vars)
     hit = _FACTOR_CACHE.get(key)
     if hit is None:
         hit = tuple(factor(p))
@@ -124,7 +124,7 @@ def split_branches(system, budget=DEFAULT_BUDGET):
     one irreducible factor per polynomial."""
     factored = []
     for p in system:
-        fs = [f for f, _m in factor_mpoly(p, budget)]
+        fs = [f for f, _m in factor_mpoly(p)]
         fs = [f for f in fs if not f.is_const()]
         if not fs:
             return []  # a nonzero constant: empty variety
@@ -137,23 +137,12 @@ def split_branches(system, budget=DEFAULT_BUDGET):
     branches = [[]]
     for fs in factored:
         branches = [br + [f] for br in branches for f in fs]
-    seen = set()
-    out = []
+    # a branch is its set of factors: the first one met with each set is
+    # kept, each factor once
+    out = {}
     for br in branches:
-        key = frozenset(_fingerprint(f) for f in br)
-        if key not in seen:
-            seen.add(key)
-            dedup = []
-            for f in br:
-                if all(not (f == g) for g in dedup):
-                    dedup.append(f)
-            out.append(dedup)
-    return out
-
-
-def _fingerprint(p):
-    used = tuple(sorted(p.used_vars()))
-    return (used, _mpoly_key(p.with_vars(used) if used else p))
+        out.setdefault(frozenset(br), list(dict.fromkeys(br)))
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +313,7 @@ def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uva
     out = []
     for branch in split_branches(system, budget):
         out.extend(_solve_branch(branch, xvars, context, budget, seed, uvar))
-    return _dedupe_solutions(out, context)
-
-
-def _dedupe_solutions(sols, context):
-    seen = set()
-    out = []
-    for s in sols:
-        coords = tuple(sorted(zip(s.xvars, s.coords), key=lambda vc: vc[0]))
-        key = (coords, s.uvar, s.eliminant, s.signs, s.denom)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _solve_branch(system, xvars, context, budget, seed, uvar):

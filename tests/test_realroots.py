@@ -244,6 +244,39 @@ def test_compare_roots_with_equal_first_roots_share_one_context(monkeypatch):
     assert len(realroots._EXT_CTX_CACHE) == 1
 
 
+def _sqrt2_context(ring, variables):
+    f = parse_poly("X^2 - 2", variables)
+    return TriangularContext(ring).extend("X", f if ring is QRING else f.to_ering(), (0, 1, 1))
+
+
+def test_contexts_built_separately_from_equal_levels_are_equal():
+    # the same level, parsed twice and over two variable tuples
+    a = _sqrt2_context(QRING, X)
+    b = _sqrt2_context(QRING, ("T", "X"))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a.prefix(0) == TriangularContext(QRING)
+    assert a != TriangularContext(QRING).extend("X", P("X^2 - 2"), (0, -1, 1))
+
+
+def test_a_rational_and_an_infinitesimal_context_with_equal_levels_differ():
+    q, e = _sqrt2_context(QRING, X), _sqrt2_context(ERING, X)
+    # the levels are equal in value; the ring tells the contexts apart
+    assert q.levels == e.levels
+    assert q != e
+    assert TriangularContext(QRING) != TriangularContext(ERING)
+
+
+def test_equal_encodings_built_at_two_sites_share_one_extension():
+    realroots._EXT_CTX_CACHE.clear()
+    at_encoding = thom_encodings(P("X^2 - 2"), "X")[1]
+    at_hand = realroots.ThomEncoding(TriangularContext(QRING), "X",
+                                     parse_poly("X^2 - 2", ("X", "T")), (0, 1, 1))
+    assert at_encoding is not at_hand and at_encoding == at_hand
+    assert realroots._ext_context_for(at_encoding) is realroots._ext_context_for(at_hand)
+    assert len(realroots._EXT_CTX_CACHE) == 1
+
+
 def test_rings_do_not_share_a_sign_determination():
     q = shared_sign_determination(TriangularContext(QRING), [QQ(-2), QQ(0), QQ(1)])
     e = shared_sign_determination(TriangularContext(ERING),

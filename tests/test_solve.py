@@ -80,6 +80,17 @@ def test_factor_split():
     assert values == {1, 2}
 
 
+def test_split_branches_returns_each_branch_once():
+    # the factors of the second polynomial come in the other order, over
+    # the other variable tuple; the branch {x - y, x + y} is met twice
+    a, b = P("x - y"), P("x + y")
+    system = [P("(x - y)*(x + y)"), P("(x + y)*(x - y)", ("y", "x"))]
+    branches = solve.split_branches(system)
+    assert len(branches) == 3
+    assert {frozenset(br) for br in branches} == {frozenset({a, b}), frozenset({a}), frozenset({b})}
+    assert all(len(br) == len(set(br)) for br in branches)
+
+
 def test_solve_over_triangular_context():
     ctx0 = TriangularContext(QRING)
     f = parse_poly("T1^2 - 2", ("T1",))
