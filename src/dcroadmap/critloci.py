@@ -16,21 +16,12 @@ class GoodRankMatrix:
 
     Every square submatrix drawn from columns 1..k is a generalized
     Vandermonde matrix, hence nonsingular (the constant column j=0 is not
-    part of the rank property).  Row 0 may be overridden by b0 = (1,...,k)
-    for the sweep polynomial."""
+    part of the rank property)."""
 
-    def __init__(self, nrows_minus_1, k, row0_override=False):
+    def __init__(self, nrows_minus_1, k):
         self.N = nrows_minus_1
         self.k = k
-        self.rows = []
-        for i in range(self.N + 1):
-            if i == 0 and row0_override:
-                self.rows.append([1] + [j for j in range(1, k + 1)])
-            else:
-                self.rows.append([j ** (i + 1) for j in range(0, k + 1)])
-
-    def entry(self, i, j):
-        return self.rows[i][j]
+        self.rows = [[j ** (i + 1) for j in range(0, k + 1)] for i in range(self.N + 1)]
 
     def h_poly(self, i, variables, exponent, ring=QRING):
         """H_i = h_{i,0} + sum_j h_{i,j} X_j^exponent over the variable list."""

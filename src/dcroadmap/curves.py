@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import functools
-
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
@@ -40,7 +38,6 @@ from .points import (
     max_symbol_index,
     points_equal,
     rational_between,
-    rur_from_raw,
     rur_sign,
     sample_components,
 )
@@ -49,11 +46,12 @@ from .realroots import (
     ThomEncoding,
     TriangularContext,
     _ext_context_for,
+    _sorted_unique_encodings,
     compare_roots,
     signs_at_encodings,
     thom_encodings,
 )
-from .solve import DEFAULT_BUDGET, solve_system, split_branches
+from .solve import DEFAULT_BUDGET, split_branches
 from .symbridge import UNIT, shape_basis
 
 
@@ -81,11 +79,14 @@ class CurveSegmentRep:
 
 @dataclass
 class CurvePiece:
-    """Decomposition result for one leaf basic set."""
+    """Decomposition result for one leaf basic set: its segments and its
+    vertices, the isolated points and the fiber points segments end at.
+    The vertices are distinct points, so assembly compares each only with
+    other pieces' vertices.  A segment endpoint is one of them unless it
+    matched none (_glued_endpoint)."""
 
     segments: list
-    vertices: list  # RURs (isolated points and all endpoint targets)
-    distinct: bool = False  # the vertices are known to be distinct points
+    vertices: list  # RURs
 
 
 def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed=0):
@@ -108,7 +109,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             f"curve extraction with {len(xvars) - 1} fiber variables exceeds the supported range")
     x = xvars[0]
     pieces = []
-    point_sets = []
+    isolated = []  # the points of branches with no curve
     for qsize in range(len(Q) + 1):
         for qsel in combinations(range(len(Q)), qsize):
             V0 = list(P) + [Q[i] for i in qsel]
@@ -116,12 +117,9 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             if not V0:
                 continue
             for V in split_branches(V0, budget):
-                if len(xvars) == 1:
-                    point_sets.append(_points_only(V, rest, context, xvars, budget, seed))
-                    continue
-                param = _parametrize_fiber(V, context, xvars, budget, seed)
+                param = None if len(xvars) == 1 else _parametrize_fiber(V, context, xvars, budget, seed)
                 if param is None:
-                    point_sets.append(_finite_fallback(V, rest, context, xvars, budget, seed))
+                    isolated.extend(_isolated_points(V, rest, context, xvars, budget, seed))
                     continue
                 f, coords, uvar, must_vanish, uform = param
                 crit = _critical_parameters(f, coords, must_vanish, rest, anchors,
@@ -180,24 +178,17 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
     # points over distinct critical values differ in the parameter, so only
     # the isolated points need comparing with the fibers' vertices
     vertices = [v for _enc, kept in fibers for v in kept]
-    isolated = dedupe_points([u for ps in point_sets for u in ps.vertices])
+    isolated = dedupe_points(isolated)
     isolated = [u for u in isolated if not any(points_equal(u, v) for v in vertices)]
-    return CurvePiece(segments, isolated + vertices, distinct=True)
+    return CurvePiece(segments, isolated + vertices)
 
 
-def _points_only(V, signs_family, context, xvars, budget, seed):
-    pts = []
-    for s in solve_system(V, xvars, context=context, budget=budget, seed=seed):
-        u = rur_from_raw(s)
-        if all(rur_sign(u, q) >= 0 for q in signs_family):
-            pts.append(u)
-    return CurvePiece([], pts)
-
-
-def _finite_fallback(V, signs_family, context, xvars, budget, seed):
+def _isolated_points(V, signs_family, context, xvars, budget, seed):
+    """The points of a branch V with no curve over the parameter (a fiber
+    ideal that is the unit ideal, or no fiber variable) where every member
+    of signs_family is >= 0, from sample_components."""
     pts = sample_components(V, context=context, xvars=xvars, budget=budget, seed=seed)
-    pts = [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_family)]
-    return CurvePiece([], pts)
+    return [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_family)]
 
 
 def _parametrize_fiber(V, context, xvars, budget, seed):
@@ -337,15 +328,6 @@ def _along_curve(s, coords, xvars, uvar):
         return s if not s.is_const() else None
     reps = [coords[1 + fibers.index(v)] for v in block]
     return subst_rational(s, block, (coords[0], reps))
-
-
-def _sorted_unique_encodings(encs):
-    """The encoded values in increasing order, one encoding per value."""
-    out = []
-    for e in sorted(encs, key=functools.cmp_to_key(compare_roots)):
-        if not out or compare_roots(out[-1], e) != 0:
-            out.append(e)
-    return out
 
 
 def _fiber_context(context, tname, enc):
@@ -550,8 +532,9 @@ def limit_curve(pieces: CurvePiece, drop_from: int, budget=DEFAULT_BUDGET):
         new.hi_point = hi
         segments.append(new)
     # limits of distinct points, and the ends of a collapsed segment, can meet
-    return CurvePiece(segments, vertices,
-                      distinct=pieces.distinct and vertices == pieces.vertices)
+    if vertices != pieces.vertices:
+        vertices = dedupe_points(vertices)
+    return CurvePiece(segments, vertices)
 
 
 def _segment_has_symbols(seg, drop_from):

@@ -472,7 +472,7 @@ def der_list(P, var):
 
 
 class JacobianSelector:
-    """Row subset J of variable indices, column subset J' of [0, m] where
+    """Row subset J of variable names, column subset J' of [0, m] where
     column 0 is the gradient of G."""
 
     def __init__(self, rows, cols):
@@ -532,34 +532,27 @@ def _cofactor_det(mat):
     return acc
 
 
-def jac_minor(G, system, sel, variables=None, var_window=None):
+def jac_minor(G, system, sel):
     """det of the selected submatrix of the Jacobian [grad G | grad P_1 ...].
 
-    sel.rows are variable NAMES (or indices into var_window), sel.cols are
-    function indices with 0 meaning G.  Empty selection yields 1.
+    sel.rows are variable names, sel.cols are function indices with 0
+    meaning G.  Empty selection yields 1.
     """
     base = G
     for p in system:
         base, _ = MPoly.align(base, p)
     ring = base.ring
     allvars = base.vars
-    rows = []
     for r in sel.rows:
-        if isinstance(r, str):
-            rows.append(r)
-        else:
-            window = var_window if var_window is not None else allvars
-            rows.append(window[r])
-    for r in rows:
         if r not in allvars:
-            raise IndexError(f"row variable {r} out of window")
+            raise IndexError(f"row variable {r} is not a variable of the polynomials")
     cols = [G] + list(system)
     for c in sel.cols:
         if not 0 <= c < len(cols):
             raise IndexError("column index out of range")
-    if not rows:
+    if not sel.rows:
         return MPoly.const(ring, allvars, 1)
-    mat = [[cols[c].deriv(r).with_vars(allvars) for c in sel.cols] for r in rows]
+    mat = [[cols[c].deriv(r).with_vars(allvars) for c in sel.cols] for r in sel.rows]
     return determinant(mat)
 
 

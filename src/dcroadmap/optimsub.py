@@ -4,7 +4,6 @@ via first-order systems for the squared-distance objective."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -17,11 +16,10 @@ from .points import (
     flatten_rur,
     limit_thom,
     max_symbol_index,
-    rur_from_raw,
     rur_sign,
     sample_components,
 )
-from .realroots import TriangularContext, compare_roots, thom_encodings
+from .realroots import TriangularContext, _sorted_unique_encodings, thom_encodings
 from .solve import DEFAULT_BUDGET, eliminate_to, factor_mpoly, solve_system, split_branches
 
 
@@ -47,7 +45,8 @@ class PseudoCriticalRequest:
 
 def pseudo_critical_values(req: PseudoCriticalRequest):
     """A finite set of Thom encodings over the base containing every
-    (B,G)-pseudo-critical value of the family.
+    (B,G)-pseudo-critical value of the family, in increasing order, one
+    encoding per value.
 
     For each I subset of [1,s] (card <= k) and sign pattern sigma, the
     gamma-perturbed family P_i + gamma*sigma(i)*H_i is formed, the critical
@@ -97,19 +96,7 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
                         lim = limit_thom(enc, gidx)
                         if lim is not None:
                             values.append(lim)
-    out = []
-    for v in values:
-        if all(compare_roots(v, w) != 0 for w in out):
-            out.append(v)
-    out.sort(key=_root_sort_key(out))
-    return out
-
-
-def _root_sort_key(roots):
-    def cmp(a, b):
-        return compare_roots(a, b)
-
-    return functools.cmp_to_key(cmp)
+    return _sorted_unique_encodings(values)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +229,7 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                             [Q2r[i].with_vars(merge_vars(Q2r[i].vars, allv)) for i in q2sel]
                         system = _distance_first_order(eqs, grads, list(xvars) + list(yvars))
                         system = [p.with_vars(merge_vars(p.vars, satv)) for p in system] + [saturation]
-                        pts = [rur_from_raw(s) for s in
-                               solve_system(system, satv, context=base, budget=budget, seed=seed)]
-                        for w in pts:
+                        for w in solve_system(system, satv, context=base, budget=budget, seed=seed):
                             ok1 = all(rur_sign(w, Q1[i].with_vars(merge_vars(Q1[i].vars, allv))) >= 0
                                       for i in range(len(Q1)))
                             ok2 = all(rur_sign(w, rename(Q2[i]).with_vars(merge_vars(rename(Q2[i]).vars, allv))) >= 0

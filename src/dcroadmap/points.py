@@ -1,10 +1,9 @@
-"""Algebraic point representations: real univariate representations over
-triangular Thom encodings, bounded algebraic sampling, and the limit
-algorithms that remove infinitesimals from point descriptions."""
+"""Work on points, the real univariate representations over triangular
+Thom encodings (solve.RealUnivRep): signs, coordinates and exact
+comparison, bounded algebraic sampling, and the limit algorithms that remove
+infinitesimals from point descriptions."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NotZeroDimensionalError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
@@ -21,42 +20,7 @@ from .realroots import (
     thom_encodings,
     utrim,
 )
-from .solve import DEFAULT_BUDGET, RawSolution, solve_system, split_branches
-
-
-@dataclass(eq=False)
-class RealUnivRep:
-    """k-real univariate representation over a triangular Thom encoding.
-
-    The associated point is (f_1/f_0, ..., f_k/f_0) evaluated at the root x
-    of f(theta, uvar) selected by sigma."""
-
-    base: TriangularContext
-    uvar: str
-    f: MPoly
-    sigma: tuple
-    F: tuple  # (f0, f1, ..., fk)
-    xvars: tuple
-
-    @property
-    def k(self):
-        return len(self.F) - 1
-
-    def extended_context(self):
-        """The base extended by the root, from the shared context cache."""
-        return _ext_context_for(ThomEncoding(self.base, self.uvar, self.f, self.sigma))
-
-    def coordinate(self, i):
-        """(numerator, denominator) of coordinate i (1-based)."""
-        return self.F[i], self.F[0]
-
-    def __repr__(self):
-        return f"RUR({self.uvar}: {self.f}; {self.xvars})"
-
-
-def rur_from_raw(raw: RawSolution) -> RealUnivRep:
-    return RealUnivRep(raw.context, raw.uvar, raw.eliminant, raw.signs,
-                       (raw.denom,) + tuple(raw.coords), raw.xvars)
+from .solve import DEFAULT_BUDGET, RealUnivRep, solve_system, split_branches
 
 
 def project_rur(u: RealUnivRep, p: int) -> RealUnivRep:
@@ -304,10 +268,11 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
     whenever that fallback is not taken.
 
     The pairing system (the level polynomial and u.f) holds no Thom signs of
-    either level, so its solutions are kept in a value-keyed cache: every
-    root of one level polynomial, and every point over those roots with the
-    same eliminant, share one solve, and each point picks its own solution
-    by the signs."""
+    either level, so its solutions, points over the parent, are kept in a
+    value-keyed cache: every root of one level polynomial, and every point
+    over those roots with the same eliminant, share one solve.  Each point
+    takes the one solution at which both levels' Thom signs hold, read at
+    that solution itself."""
     ctx = u.base
     var_t, f_t, signs_t = ctx.levels[-1]
     parent = ctx.prefix(ctx.nlevels - 1)
@@ -318,7 +283,7 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
         sols = solve_system([f_t, u.f], (var_t, u.uvar), context=parent, uvar=wvar)
         _PAIRING_CACHE.put(key, sols)
     # the solution whose coordinates (var_t, uvar) are the roots both levels fix
-    matches = [cand for cand in map(rur_from_raw, sols)
+    matches = [cand for cand in sols
                if _has_thom_signs(cand, f_t, var_t, signs_t)
                and _has_thom_signs(cand, u.f, u.uvar, u.sigma)]
     if len(matches) != 1:
@@ -397,7 +362,7 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
         except NotZeroDimensionalError:
             pass
         else:
-            return [rur_from_raw(s) for s in sols]
+            return sols
 
     structured = _sample_structured(system, context, xvars, budget, seed)
     if structured is not None:
@@ -420,8 +385,7 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     crit = [Def] + [Def.deriv(v) for v in xvars[1:]]
     sols = solve_system(crit, xvars, context=e_context, budget=budget, seed=seed)
     out = []
-    for raw in sols:
-        cand = rur_from_raw(raw)
+    for cand in sols:
         lim = limit_point(cand, zeta_idx)
         if lim is None:
             continue
@@ -470,7 +434,7 @@ def _sample_structured(system, context, xvars, budget, seed):
                                     budget=budget, seed=seed)
             except SeparationError:
                 continue
-            out.extend(rur_from_raw(s) for s in sols)
+            out.extend(sols)
             done = True
             break
         if not done:
@@ -494,14 +458,8 @@ def _restore_ring(u: RealUnivRep, context: TriangularContext) -> RealUnivRep:
 _COORD_CACHE = BoundedCache()
 
 
-def _rur_key(u: RealUnivRep):
-    """Value key of the data a point's coordinates depend on; it names the
-    ring of f, which a coordinate's encoding is computed in."""
-    return (u.base, u.uvar, u.f, u.f.ring, u.sigma, u.F)
-
-
 def coordinate_encoding_cached(u: RealUnivRep, i: int):
-    key = (_rur_key(u), i)
+    key = (u, i)
     enc = _COORD_CACHE.get(key)
     if enc is None:
         enc = rur_coordinate_encoding(u, i)
@@ -543,30 +501,25 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
 
 
 def dedupe_points(points):
-    """Deduplicate RURs: cheap syntactic key first, then exact coordinate
+    """The distinct points among RURs, each kept at its first occurrence:
+    equal values first (a point is its own key), then exact coordinate
     comparison across the survivors."""
-    seen = set()
-    out = []
-    for u in points:
-        key = _rur_key(u)
-        if key not in seen:
-            seen.add(key)
-            out.append(u)
     uniq = []
-    for u in out:
+    for u in dict.fromkeys(points):
         if not any(points_equal(u, v) for v in uniq):
             uniq.append(u)
     return uniq
 
 
-def rur_coordinate_encoding(u: RealUnivRep, i: int, yvar="Y_"):
+def rur_coordinate_encoding(u: RealUnivRep, i: int):
     """The i-th coordinate (1-based) of u as a Thom encoding over u.base:
-    (g, signs of Der(g) at the coordinate), where g in yvar is the resultant
-    eliminating the RUR root from yvar * f_0 - f_i, trimmed at the base
+    (g, signs of Der(g) at the coordinate), where g in Y_ is the resultant
+    eliminating the RUR root from Y_ * f_0 - f_i, trimmed at the base
     point.  By Thom's lemma these signs fix the coordinate among g's roots,
     so they are read at u's point itself, in u's extension context, and g's
     other roots are never encoded."""
     ctx = u.base
+    yvar = "Y_"
     ring = u.f.ring
     variables = tuple(dict.fromkeys(list(u.f.vars) + [yvar]))
     y = MPoly.var(ring, variables, yvar)

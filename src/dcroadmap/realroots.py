@@ -780,6 +780,16 @@ def compare_roots(a, b):
     return _thom_compare(av, bv)
 
 
+def _sorted_unique_encodings(encs):
+    """The encoded values in increasing order, one encoding per value: the
+    first of each value's encodings in encs (the sort is stable)."""
+    out = []
+    for e in sorted(encs, key=functools.cmp_to_key(compare_roots)):
+        if not out or compare_roots(out[-1], e) != 0:
+            out.append(e)
+    return out
+
+
 def triangular_sign(h, tt):
     """Sign of the polynomial h at the point fixed by the triangular Thom
     encoding tt (spec op)."""

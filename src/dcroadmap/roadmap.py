@@ -1,12 +1,14 @@
 """Final assembly: per-leaf curve extraction, limits, the roadmap graph, the
 bounded and general top-level algorithms, and connectivity queries.
 
-Segment endpoints arrive glued: curve_segments reads each one's signs at
-its fiber's vertices, which are flat over the leaf's context, and hands back
-the vertex object, so assembly gives an endpoint the id of that vertex.  The
-first piece's vertices, known to be distinct, are kept without comparison;
-later pieces' vertices and the anchors are still compared with every vertex
-kept so far."""
+Points are values (solve.RealUnivRep), so assembly keeps one dict from
+vertex to id.  Segment endpoints arrive glued: curve_segments reads each
+one's signs at its fiber's vertices, which are flat over the leaf's context,
+and hands back that vertex, so an endpoint finds its id by value.  A piece's
+vertices are distinct points, so each is compared by points_equal only with
+earlier pieces' vertices; anchors and other endpoints are looked up by value
+first, then by points_equal.  A connectivity query scans the vertices with
+points_equal."""
 
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .points import (
     dedupe_points,
     flatten_rur,
     points_equal,
-    rur_from_raw,
     rur_sign,
 )
 from .realroots import TriangularContext, per_input_caches
@@ -86,47 +87,53 @@ def _canonicalize(u: RealUnivRep) -> RealUnivRep:
     return u
 
 
-class _VertexTable:
-    def __init__(self):
-        self.vertices = []
+def _vertex_id(u, vertices, ids):
+    """The id of the vertex u is: looked up by value in ids (vertex -> id)
+    first, then by points_equal among vertices; None when it is none of
+    them."""
+    i = ids.get(u)
+    if i is None:
+        i = next((j for j, v in enumerate(vertices) if points_equal(u, v)), None)
+    return i
 
-    def append(self, u: RealUnivRep):
-        """Keep u as a new vertex, known to differ from every kept one."""
-        self.vertices.append(_canonicalize(u))
-        return len(self.vertices) - 1
 
-    def add(self, u: RealUnivRep):
-        u = _canonicalize(u)
-        for i, v in enumerate(self.vertices):
-            if points_equal(u, v):
-                return i
-        self.vertices.append(u)
-        return len(self.vertices) - 1
+def _add_vertex(u, vertices, ids, among=None):
+    """The id of u's vertex: u is looked up as given, then canonicalized by
+    _vertex_id among `among` (every vertex by default), and a point that is
+    none of them becomes a new vertex.  Both forms of u map to the id."""
+    i = ids.get(u)
+    if i is None:
+        c = _canonicalize(u)
+        i = _vertex_id(c, vertices if among is None else among, ids)
+        if i is None:
+            i = len(vertices)
+            vertices.append(c)
+        ids[u] = ids[c] = i
+    return i
 
 
 def assemble_graph(pieces, anchors, xvars):
-    """Glue curve pieces into a roadmap graph: vertices and anchors are
-    deduplicated by exact coordinate comparison, edges join segment endpoint
-    vertices.  The first piece's vertices, when known distinct, are kept
-    without comparing them.  An endpoint that is one of its piece's vertex
-    objects takes that vertex's id; any other endpoint is looked up like a
-    vertex."""
-    table = _VertexTable()
-    vid = {}  # id(vertex object) -> vertex id
-    for n, piece in enumerate(pieces):
-        keep = table.append if n == 0 and piece.distinct else table.add
+    """Glue curve pieces into a roadmap graph: a dict maps each vertex to
+    its id, and edges join segment endpoint vertices.
+
+    A piece's vertices are distinct points, so each is compared only with
+    the earlier pieces' vertices.  Anchors and endpoints are looked up by
+    value first, then by points_equal, so an endpoint that is one of its
+    piece's vertices takes that vertex's id without a comparison."""
+    vertices = []
+    ids = {}  # each vertex, as its piece gives it and as kept -> its id
+    for piece in pieces:
+        earlier = list(vertices)
         for u in piece.vertices:
-            vid[id(u)] = keep(u)
-    anchor_ids = [table.add(a) for a in anchors]
+            _add_vertex(u, vertices, ids, earlier)
+    anchor_ids = [_add_vertex(a, vertices, ids) for a in anchors]
 
     def endpoint_id(pt):
-        if pt is None:
-            return None
-        return vid[id(pt)] if id(pt) in vid else table.add(pt)
+        return None if pt is None else _add_vertex(pt, vertices, ids)
 
     edges = [(seg, endpoint_id(seg.lo_point), endpoint_id(seg.hi_point))
              for piece in pieces for seg in piece.segments]
-    return RoadmapGraph(len(xvars), tuple(xvars), table.vertices, edges, anchor_ids)
+    return RoadmapGraph(len(xvars), tuple(xvars), vertices, edges, anchor_ids)
 
 
 @per_input_caches
@@ -235,9 +242,7 @@ def _lift_points(system, A, sph, allv, budget, seed):
             sols = solve_system([eq], (newv,), context=e_ctx, budget=budget, seed=seed)
         except (SeparationError, ResourceBudgetError):
             sols = []
-        for s in sols:
-            lifted = rur_from_raw(s)
-            out.append(_combine_coords(a, lifted, allv))
+        out.extend(_combine_coords(a, lifted, allv) for lifted in sols)
     return dedupe_points(out)
 
 
@@ -277,13 +282,13 @@ def _subst_poly(p, idx, value):
 def _substitute_and_project(graph, idx, value, xvars):
     """eps := value in every datum, drop the lifted coordinate, re-glue."""
     k = len(xvars)
-    table = _VertexTable()
+    vertices, ids = [], {}
     vid_map = {}
     for old_id, u in enumerate(graph.vertices):
         f2 = _subst_poly(u.f, idx, value)
         F2 = tuple(_subst_poly(g, idx, value) for g in u.F[: k + 1])
         nu = RealUnivRep(TriangularContext(QRING), u.uvar, f2, u.sigma, F2, tuple(xvars))
-        vid_map[old_id] = table.add(nu)
+        vid_map[old_id] = _add_vertex(nu, vertices, ids)
     edges = []
     for seg, lo, hi in graph.edges:
         f2 = _subst_poly(seg.f, idx, value)
@@ -291,18 +296,18 @@ def _substitute_and_project(graph, idx, value, xvars):
         nseg = CurveSegmentRep(TriangularContext(QRING), seg.param_var, seg.uvar,
                                f2, seg.rho, coords2, tuple(xvars),
                                lo=None, hi=None)
-        nseg.lo_point = table.vertices[vid_map[lo]] if lo is not None else None
-        nseg.hi_point = table.vertices[vid_map[hi]] if hi is not None else None
+        nseg.lo_point = vertices[vid_map[lo]] if lo is not None else None
+        nseg.hi_point = vertices[vid_map[hi]] if hi is not None else None
         edges.append((nseg, vid_map.get(lo), vid_map.get(hi)))
-    return RoadmapGraph(k, tuple(xvars), table.vertices, edges,
+    return RoadmapGraph(k, tuple(xvars), vertices, edges,
                         [vid_map[i] for i in graph.anchor_ids])
 
 
 def connectivity(graph: RoadmapGraph, u1: RealUnivRep, u2: RealUnivRep):
     """Whether u1 and u2 lie in the same component of the roadmap; on
     success also returns the vertex/edge path."""
-    id1 = _locate(graph, u1)
-    id2 = _locate(graph, u2)
+    # a scan with points_equal: the graph holds no value index
+    id1, id2 = (_vertex_id(flatten_rur(u), graph.vertices, {}) for u in (u1, u2))
     if id1 is None or id2 is None:
         raise ValueError("point not anchored; rebuild with point in A")
     if graph._find(id1) != graph._find(id2):
@@ -330,14 +335,6 @@ def connectivity(graph: RoadmapGraph, u1: RealUnivRep, u2: RealUnivRep):
         cur = parent
     path.reverse()
     return True, [("vertex", id2)] if not path else path + [("vertex", id2)]
-
-
-def _locate(graph, u):
-    uu = flatten_rur(u)
-    for i, v in enumerate(graph.vertices):
-        if points_equal(uu, v):
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------

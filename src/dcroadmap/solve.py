@@ -1,5 +1,7 @@
 """Internal exact solver: finite solution sets of polynomial systems over a
-triangular context, reported as verified univariate-representation data.
+triangular context, reported as verified real univariate representations
+(RealUnivRep, defined here: the one point type, a value, that every module
+uses for the points it finds, compares and returns).
 
 Pipeline per system:
 - split into branches by the irreducible factors of every polynomial;
@@ -26,7 +28,7 @@ sympy bridge, symbridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotZeroDimensionalError, ResourceBudgetError, SeparationError
 from .infring import QQ
@@ -76,19 +78,50 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class RawSolution:
-    """One verified solution: root of (eliminant, signs) in the fresh
-    variable uvar; coordinate i of the point is coords[i]/denom at the
-    root.  Equal data make equal solutions."""
+@dataclass(frozen=True, eq=False)
+class RealUnivRep:
+    """k-real univariate representation over a triangular Thom encoding,
+    the one point type: the point is (F[1]/F[0], ..., F[k]/F[0]) in the
+    coordinates xvars, evaluated at the root of f in uvar over base that
+    the Thom signs sigma select.
 
-    context: TriangularContext
+    The data alone fix the point (Thom's lemma), so a point is a value:
+    two with the same fields and the same ring of f are equal and hash
+    alike, and a point is its own cache and dedupe key.  Points that are
+    not equal may still be the same point (points.points_equal)."""
+
+    base: TriangularContext
     uvar: str
-    eliminant: MPoly
-    signs: tuple
-    denom: MPoly
-    coords: tuple
+    f: MPoly
+    sigma: tuple
+    F: tuple  # (f0, f1, ..., fk)
     xvars: tuple
+    _hash: int = field(default=None, init=False, repr=False)
+
+    @property
+    def k(self):
+        return len(self.F) - 1
+
+    def extended_context(self):
+        """The base extended by the root, from the shared context cache."""
+        return _ext_context_for(ThomEncoding(self.base, self.uvar, self.f, self.sigma))
+
+    def _value(self):
+        # MPoly equality ignores the ring, so the ring of f is named too
+        return (self.base, self.uvar, self.f, self.f.ring, self.sigma, self.F, self.xvars)
+
+    def __eq__(self, other):
+        if not isinstance(other, RealUnivRep):
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._value()))
+        return self._hash
+
+    def __repr__(self):
+        return f"RUR({self.uvar}: {self.f}; {self.xvars})"
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +315,7 @@ def squarefree_upoly(ctx, A):
 
 
 def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uvar=None):
-    """All solutions of a finite zero set, as verified RawSolutions.
+    """All solutions of a finite zero set, as verified RealUnivReps.
 
     Each branch tries separating forms U = x_1 + c*x_2 + c^2*x_3 + ... for
     c = seed + 1, seed + 2, ...  A form whose lex Groebner basis is in shape
@@ -361,9 +394,8 @@ def _solve_univariate(system, var, context, uvar):
         f = enc.poly.subst({var: MPoly.var(enc.poly.ring, (uvar,), uvar)})
         ring = context.ring
         variables = tuple(context.tvars) + (uvar,)
-        one = MPoly.const(ring, variables, 1)
-        coords = (MPoly.var(ring, variables, uvar),)
-        out.append(RawSolution(context, uvar, f.with_vars(variables), enc.signs, one, coords, (var,)))
+        F = (MPoly.const(ring, variables, 1), MPoly.var(ring, variables, uvar))
+        out.append(RealUnivRep(context, uvar, f.with_vars(variables), enc.signs, F, (var,)))
     return out
 
 
@@ -478,7 +510,7 @@ def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations)
             coords.append(reduce_mod_f(num, f, uvar, context))
         # verify membership exactly
         if _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
-            out.append(RawSolution(context, uvar, f, enc.signs, denom, tuple(coords), tuple(xvars)))
+            out.append(RealUnivRep(context, uvar, f, enc.signs, (denom,) + tuple(coords), tuple(xvars)))
     return out
 
 

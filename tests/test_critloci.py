@@ -28,15 +28,15 @@ def test_sweep_poly_examples():
 
 def test_good_rank_matrix_entries_and_rank():
     H = GoodRankMatrix(3, 4)
-    assert H.entry(0, 2) == 2
-    assert H.entry(1, 3) == 9
-    assert H.entry(2, 2) == 8
+    assert H.rows[0][2] == 2
+    assert H.rows[1][3] == 9
+    assert H.rows[2][2] == 8
     rng = random.Random(5)
     for _ in range(50):
         size = rng.randint(1, 4)
         rows = sorted(rng.sample(range(4), size))
         cols = sorted(rng.sample(range(1, 5), size))
-        mat = [[MPoly.const(QRING, (), H.entry(i, j)) for j in cols] for i in rows]
+        mat = [[MPoly.const(QRING, (), H.rows[i][j]) for j in cols] for i in rows]
         assert not determinant(mat).is_zero()
 
 
@@ -67,8 +67,8 @@ def test_crit_system_circle_g_x1():
     sols = solve_system(crit_minor_system(P, G, 0, X2), X2)
     assert len(sols) == 2
     for s in sols:
-        ctxp = s.context.extend(s.uvar, s.eliminant, s.signs)
-        assert ctxp.sign_mpoly((s.coords[1]).with_vars(ctxp.tvars)) == 0  # X2 = 0
+        ctxp = s.base.extend(s.uvar, s.f, s.sigma)
+        assert ctxp.sign_mpoly((s.F[2]).with_vars(ctxp.tvars)) == 0  # X2 = 0
 
 
 def test_crit_system_circle_sweep_sixth_degree():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dcroadmap import curves, points
+from dcroadmap import curves, points, roadmap
 from dcroadmap.infring import QQ, InfElem, eps
 from dcroadmap.mpoly import ERING, MPoly, QRING, parse_poly
 from dcroadmap.points import (
@@ -80,13 +80,12 @@ def test_limit_curve_identity_on_rational_input():
     out = limit_curve(piece, 1)
     assert len(out.segments) == len(piece.segments)
     assert len(out.vertices) == len(piece.vertices)
-    assert piece.distinct and out.distinct
+    assert out.vertices == piece.vertices
 
 
 def test_vertices_that_meet_in_the_limit_are_glued():
     # T = eps and T = -eps are distinct points whose limits are both 0, so
-    # the limit piece no longer says its vertices are distinct, and assembly
-    # compares them into one vertex
+    # the limit piece holds them as one vertex, and so does the graph
     t = ("T",)
 
     def near_zero(sign):
@@ -94,10 +93,60 @@ def test_vertices_that_meet_in_the_limit_are_glued():
         return RealUnivRep(TriangularContext(ERING), "T", f, (0, 1),
                            (MPoly.const(ERING, t, 1), MPoly.var(ERING, t, "T")), ("x",))
 
-    piece = CurvePiece([], [near_zero(1), near_zero(-1)], distinct=True)
+    piece = CurvePiece([], [near_zero(1), near_zero(-1)])
     out = limit_curve(piece, eps(1).global_index)
-    assert len(out.vertices) == 2 and not out.distinct
+    assert len(out.vertices) == 1
     assert len(assemble_graph([out], [], ("x",)).vertices) == 1
+
+
+def test_limit_curve_keeps_one_vertex_where_two_meet_as_points():
+    # T = eps and 2T = -eps have the limit 0 but keep different polynomials,
+    # so their limits are unequal values that points_equal finds equal
+    t = ("T",)
+
+    def near_zero(scale, sign):
+        f = MPoly.var(ERING, t, "T").scale(QQ(scale)) + MPoly.const(ERING, t, InfElem.sym(eps(1)) * sign)
+        return RealUnivRep(TriangularContext(ERING), "T", f, (0, 1),
+                           (MPoly.const(ERING, t, 1), MPoly.var(ERING, t, "T")), ("x",))
+
+    drop = eps(1).global_index
+    u, v = near_zero(1, 1), near_zero(2, -1)
+    lim_u, lim_v = points.limit_point(u, drop), points.limit_point(v, drop)
+    assert lim_u != lim_v and points_equal(lim_u, lim_v)
+    out = limit_curve(CurvePiece([], [u, v]), drop)
+    assert out.vertices == [lim_u]
+
+
+def test_pieces_that_share_a_point_share_its_vertex():
+    # (1, 0) is a vertex of both pieces, in two representations that are
+    # unequal values (the second's F is doubled); assembly keeps one vertex,
+    # gives each endpoint its vertex's id, and compares each vertex of the
+    # second piece with the first piece's two vertices only
+    def point(x_eq):
+        return solve_system([P(x_eq), P("y")], XY)[0]
+
+    left, right, far = point("x + 1"), point("x - 1"), point("x - 2")
+    right2 = RealUnivRep(right.base, right.uvar, right.f, right.sigma,
+                         tuple(g.scale(QQ(2)) for g in right.F), right.xvars)
+    assert right2 != right and points_equal(right2, right)
+
+    def segment(lo, hi):
+        seg = curves.CurveSegmentRep(right.base, "x", "Uc_", P("y"), (0, 1), (P("1"), P("0")), XY)
+        seg.lo_point, seg.hi_point = lo, hi
+        return seg
+
+    first, second = segment(left, right), segment(right2, far)
+    pieces = [CurvePiece([first], [left, right]), CurvePiece([second], [right2, far])]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roadmap, "points_equal", lambda a, b: calls.append(1) or points_equal(a, b))
+        # the anchor is a copy of `right` built from its data: found by value
+        anchor = RealUnivRep(*(getattr(right, f) for f in ("base", "uvar", "f", "sigma", "F", "xvars")))
+        graph = assemble_graph(pieces, [anchor], XY)
+    assert graph.vertices == [left, right, far]
+    assert graph.edges == [(first, 0, 1), (second, 1, 2)]
+    assert graph.anchor_ids == [1] and graph.component_count() == 1
+    assert len(calls) == 4
 
 
 def test_cauchy_bound_examples():
@@ -362,8 +411,7 @@ def test_branches_meeting_at_a_double_root_end_at_it():
     f = parse_poly("Uc_^2 - x", xu)
     coords = (parse_poly("1", xu), parse_poly("Uc_", xu))
     base = TriangularContext(QRING)
-    origin, off_curve = (points.rur_from_raw(s) for q in ("y", "y - 1")
-                         for s in solve_system([P("x"), P(q)], XY))
+    origin, off_curve = (s for q in ("y", "y - 1") for s in solve_system([P("x"), P(q)], XY))
     fiber = (thom_encodings(P("x", ("x",)), "x", base)[0], [off_curve, origin])
     ends = curves._branch_ends(f, coords, "Uc_", P("y"), XY, fiber[1])
     assert ends == [(origin, (0, 0, 1))]
@@ -380,7 +428,7 @@ def test_endpoint_where_the_leading_coefficient_vanishes_is_a_limit():
     # the branch y = (sqrt(1 + 4x) - 1)/(2x) tends to 1 and the other one is
     # unbounded; only the limit over D[mu] finds these endpoints
     f = P("x*y^2 + y - 1")
-    at_one = [points.rur_from_raw(s) for s in solve_system([f, P("x - 1")], XY)]
+    at_one = solve_system([f, P("x - 1")], XY)
     limits = []
     endpoint_limit = curves._endpoint_limit
 

@@ -1,10 +1,11 @@
-"""Contexts, polynomials, Thom encodings and solutions compare and hash by
+"""Contexts, polynomials, Thom encodings and points compare and hash by
 value, so each is its own cache and dedupe key.  So no code in
-src/dcroadmap builds a second identity for them: no `.key()` calls, no ring
-named by its `.name` outside a `__repr__` (a key holds the ring itself), and
-the names _mpoly_key, _coeff_key, _upoly_key and _fingerprint do not come
-back.  This is an AST check, so it also covers the modules that no other
-test runs."""
+src/dcroadmap builds a second identity for them: no `.key()` calls, no
+`id(...)` calls, no ring named by its `.name` outside a `__repr__` (a key
+holds the ring itself), and the names _mpoly_key, _coeff_key, _upoly_key,
+_fingerprint, _rur_key, rur_from_raw, RawSolution and _VertexTable do not
+come back.  This is an AST check, so it also covers the modules that no
+other test runs."""
 
 import ast
 import pathlib
@@ -12,7 +13,8 @@ import pathlib
 import dcroadmap.mpoly
 
 PACKAGE = pathlib.Path(dcroadmap.mpoly.__file__).parent
-KEY_BUILDERS = {"_mpoly_key", "_coeff_key", "_upoly_key", "_fingerprint"}
+KEY_BUILDERS = {"_mpoly_key", "_coeff_key", "_upoly_key", "_fingerprint",
+                "_rur_key", "rur_from_raw", "RawSolution", "_VertexTable"}
 
 
 def _ring_name(node):
@@ -34,6 +36,9 @@ def _second_identities(source, name):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "key":
             found.append(f"{where}: {ast.unparse(node)}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "id":
+            found.append(f"{where}: {ast.unparse(node)}")
         if _ring_name(node) and id(node) not in in_repr:
             found.append(f"{where}: {ast.unparse(node)}")
         named = (getattr(node, "id", None), getattr(node, "attr", None),
@@ -52,17 +57,25 @@ def test_no_second_value_identity():
 def test_the_check_sees_each_form():
     source = """
 from .realroots import _mpoly_key
+from .points import rur_from_raw as raw
 def _fingerprint(p): pass
 key = (ctx.key(), p.ring.name, ring.name)
 x = solve._upoly_key
 y = _coeff_key(c)
+vid = {id(u): 0}
+class RawSolution: pass
+class _VertexTable: pass
+def _rur_key(u): pass
 class C:
     def __repr__(self):
         return self.ring.name
 key = (ctx, p, p.ring)
 sorted(xs, key=len)
 name = p.name
+ids = {u: 0}
+u.id
 """
     assert sorted(hit.split(": ")[1] for hit in _second_identities(source, "m")) == [
-        "_coeff_key", "_fingerprint", "_mpoly_key", "_upoly_key", "ctx.key()",
-        "p.ring.name", "ring.name"]
+        "RawSolution", "_VertexTable", "_coeff_key", "_fingerprint", "_mpoly_key",
+        "_rur_key", "_upoly_key", "ctx.key()", "id(u)", "p.ring.name", "ring.name",
+        "rur_from_raw"]

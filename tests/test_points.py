@@ -24,7 +24,6 @@ from dcroadmap.points import (
     project_rur,
     rational_between,
     rur_coordinate_encoding,
-    rur_from_raw,
     rur_sign,
     sample_components,
 )

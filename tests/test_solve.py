@@ -20,7 +20,7 @@ def P(t, v=XY):
 def _eval_coords(sol):
     """Coordinates of a solution as (denominator sign-checked) pairs for
     verification through triangular_sign."""
-    ctx_plus = sol.context.extend(sol.uvar, sol.eliminant, sol.signs)
+    ctx_plus = sol.base.extend(sol.uvar, sol.f, sol.sigma)
     return ctx_plus
 
 
@@ -30,9 +30,9 @@ def test_circle_line_intersection():
     for s in sols:
         ctx_plus = _eval_coords(s)
         # check x == y and x^2 + y^2 == 1 via the coordinates
-        num = s.coords[0] - s.coords[1]
+        num = s.F[1] - s.F[2]
         assert ctx_plus.sign_mpoly(num.with_vars(ctx_plus.tvars)) == 0
-        lhs = s.coords[0] ** 2 + s.coords[1] ** 2 - s.denom ** 2
+        lhs = s.F[1] ** 2 + s.F[2] ** 2 - s.F[0] ** 2
         assert ctx_plus.sign_mpoly(lhs.with_vars(ctx_plus.tvars)) == 0
 
 
@@ -55,6 +55,35 @@ def test_a_budget_tries_at_least_one_separating_form():
         solve_system([P("x^2")], XY, budget=solve.Budget(retries=1))
 
 
+def _sqrt2(ring=QRING, xvars=("x",), sigma=(0, 1)):
+    """The point x = sqrt(2) (x = -sqrt(2) for sigma (0, -1)), built afresh
+    from its data."""
+    u = ("U",)
+    f, one, root = (parse_poly(t, u) for t in ("U^2 - 2", "1", "U"))
+    if ring is ERING:
+        f, one, root = f.to_ering(), one.to_ering(), root.to_ering()
+    return solve.RealUnivRep(TriangularContext(QRING), "U", f, sigma, (one, root), xvars)
+
+
+def test_points_built_from_equal_data_are_equal_and_hash_alike():
+    a, b = _sqrt2(), _sqrt2()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and len(dict.fromkeys([a, b, a])) == 1
+    assert a != _sqrt2(sigma=(0, -1)) and a != _sqrt2(xvars=("y",))
+    # the solver's points are values too: two solves give equal lists
+    system = [P("x^2 + y^2 - 1"), P("x - y")]
+    assert solve_system(system, XY) == solve_system(system, XY)
+
+
+def test_the_same_polynomials_over_two_rings_give_unequal_points():
+    # MPoly equality ignores the ring, a point's does not: the two points
+    # are compared over the infinitesimal ring only by points_equal
+    rational, infinitesimal = _sqrt2(), _sqrt2(ERING)
+    assert rational.f == infinitesimal.f and rational.F == infinitesimal.F
+    assert rational != infinitesimal
+    assert len({rational, infinitesimal}) == 2
+
+
 def test_a_branch_with_no_points_that_leaves_a_coordinate_free_is_empty():
     # x = 5 and x = 0 have no common point, whatever y is
     assert solve_system([P("x - 5"), P("x")], XY) == []
@@ -74,7 +103,7 @@ def test_factor_split():
     for s in sols:
         ctx_plus = _eval_coords(s)
         for q in (1, 2):
-            num = s.coords[0] - s.denom.scale(QQ(q))
+            num = s.F[1] - s.F[0].scale(QQ(q))
             if ctx_plus.sign_mpoly(num.with_vars(ctx_plus.tvars)) == 0:
                 values.add(q)
     assert values == {1, 2}
@@ -101,8 +130,8 @@ def test_solve_over_triangular_context():
     sols = solve_system(system, ("x", "y"), context=ctx)
     assert len(sols) == 2  # y = +-2^(1/4)
     for s in sols:
-        ctx_plus = s.context.extend(s.uvar, s.eliminant, s.signs)
-        num = s.coords[1] ** 4 - 2 * s.denom ** 4
+        ctx_plus = s.base.extend(s.uvar, s.f, s.sigma)
+        num = s.F[2] ** 4 - 2 * s.F[0] ** 4
         assert ctx_plus.sign_mpoly(num.with_vars(ctx_plus.tvars)) == 0
 
 
@@ -179,8 +208,8 @@ def test_non_separating_form_is_rejected(monkeypatch):
     for s in sols:
         ctx_plus = _eval_coords(s)
         for x, y in ((1, 0), (0, 1)):
-            if all(ctx_plus.sign_mpoly((c - s.denom.scale(QQ(q))).with_vars(ctx_plus.tvars)) == 0
-                   for c, q in zip(s.coords, (x, y))):
+            if all(ctx_plus.sign_mpoly((c - s.F[0].scale(QQ(q))).with_vars(ctx_plus.tvars)) == 0
+                   for c, q in zip(s.F[1:], (x, y))):
                 points.add((x, y))
     assert len(sols) == 2 and points == {(1, 0), (0, 1)}
 
