@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .infring import QQ, InfElem, delta, eps, gamma, zeta
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor
+from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor, merge_vars
 
 
 class GoodRankMatrix:
@@ -73,15 +73,15 @@ def crit_system(system, G, l, variables=None, lambda_prefix="lam"):
     lam_vars = tuple(f"{lambda_prefix}{j}" for j in range(m + 1))
     allvars = variables + lam_vars
     ring = G.ring
-    out = [p.with_vars(_merge(p.vars, allvars)) for p in system]
+    out = [p.with_vars(merge_vars(p.vars, allvars)) for p in system]
     for i in range(l, k):
         v = variables[i]
         acc = MPoly.zero(ring, allvars)
         for j, p in enumerate(system, start=1):
             lam = MPoly.var(ring, allvars, lam_vars[j])
-            acc = acc + lam * p.deriv(v).with_vars(_merge(p.vars, allvars))
+            acc = acc + lam * p.deriv(v).with_vars(merge_vars(p.vars, allvars))
         lam0 = MPoly.var(ring, allvars, lam_vars[0])
-        acc = acc - lam0 * G.deriv(v).with_vars(_merge(G.vars, allvars))
+        acc = acc - lam0 * G.deriv(v).with_vars(merge_vars(G.vars, allvars))
         out.append(acc)
     norm = MPoly.const(ring, allvars, -1)
     for j in range(m + 1):
@@ -89,10 +89,6 @@ def crit_system(system, G, l, variables=None, lambda_prefix="lam"):
         norm = norm + lam * lam
     out.append(norm)
     return out, lam_vars
-
-
-def _merge(a, b):
-    return tuple(dict.fromkeys(list(a) + list(b)))
 
 
 def crit_minor_system(system, G, l, variables):

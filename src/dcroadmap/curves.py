@@ -14,7 +14,12 @@ Thom signs and whose coordinates are the branch's own.  Only otherwise is
 it the limit through a transient innermost infinitesimal, taken over a
 tower context that fixes the value and flattened once; an endpoint that
 matches no vertex (in a fiber that is not finite) stays a point of its
-own."""
+own.
+
+limit_curve removes infinitesimals from a piece with the two limits of
+points, limit_point and limit_thom.  Both return what carries no dropped
+infinitesimal unchanged, so the rule for eta-free input lives there and
+not here."""
 
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from .infring import QQ, InfElem, extra_symbol
 from .mpoly import ERING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
 from .points import (
     RealUnivRep,
+    _divide_eta_content,
     _has_thom_signs,
     _restore_ring,
     coordinate_encoding_cached,
@@ -495,78 +501,42 @@ def _endpoint_limit(seg, ctx, direction):
     return limit_point(u, mu_idx)
 
 
-def limit_curve(pieces: CurvePiece, drop_from: int, budget=DEFAULT_BUDGET):
-    """Limits of curve pieces: endpoints and vertices through the limit of a
-    bounded point; segments whose endpoints collapse are emitted as vertices.
+def limit_curve(pieces: CurvePiece, drop_from: int):
+    """Limits of curve pieces as the infinitesimals with index >= drop_from
+    go to 0: each vertex and segment endpoint through limit_point, each
+    parameter bound through limit_thom, and each segment's polynomials
+    through drop_symbols once their eta content is divided out, the
+    coordinate tuple's as a whole so that its ratios stay (as limit_point
+    does).  A segment whose bounds meet in the limit, or whose fiber
+    polynomial loses the fiber variable, is kept as its endpoints only.
 
-    eta-free input is returned unchanged (idempotence)."""
-    if drop_from is None:
-        return pieces
+    limit_point and limit_thom return what carries no such infinitesimal
+    itself, and such a segment is kept as it is, so an eta-free piece comes
+    back unchanged."""
+    vertices = [lim for lim in (limit_point(u, drop_from) for u in pieces.vertices)
+                if lim is not None]
     segments = []
-    vertices = []
-    for u in pieces.vertices:
-        lim = _limit_rur(u, drop_from)
-        if lim is not None:
-            vertices.append(lim)
     for seg in pieces.segments:
-        if not _segment_has_symbols(seg, drop_from):
+        if max_symbol_index(seg.f, seg.coords, seg.lo_point, seg.hi_point) < drop_from:
             segments.append(seg)
             continue
-        lo = _limit_rur(seg.lo_point, drop_from) if seg.lo_point else None
-        hi = _limit_rur(seg.hi_point, drop_from) if seg.hi_point else None
-        f0 = _drop_poly(seg.f, drop_from)
-        coords0 = tuple(_drop_poly(g, drop_from) for g in seg.coords)
-        lo_enc = _limit_encoding(seg.lo, drop_from) if seg.lo else None
-        hi_enc = _limit_encoding(seg.hi, drop_from) if seg.hi else None
+        lo = limit_point(seg.lo_point, drop_from) if seg.lo_point else None
+        hi = limit_point(seg.hi_point, drop_from) if seg.hi_point else None
+        f0 = drop_symbols(eta_content_normalize(seg.f), drop_from)
+        coords0 = tuple(drop_symbols(g, drop_from) for g in _divide_eta_content(seg.coords))
+        lo_enc = limit_thom(seg.lo, drop_from) if seg.lo else None
+        hi_enc = limit_thom(seg.hi, drop_from) if seg.hi else None
         collapsed = (lo_enc is not None and hi_enc is not None
                      and compare_roots(lo_enc, hi_enc) == 0)
         if collapsed or f0.is_zero() or f0.degree(seg.uvar) == 0:
-            for pt in (lo, hi):
-                if pt is not None:
-                    vertices.append(pt)
+            vertices.extend(pt for pt in (lo, hi) if pt is not None)
             continue
-        new = CurveSegmentRep(_limit_context(seg.context, drop_from), seg.param_var,
-                              seg.uvar, f0, seg.rho, coords0, seg.xvars,
-                              lo=lo_enc, hi=hi_enc)
-        new.lo_point = lo
-        new.hi_point = hi
-        segments.append(new)
+        if max_symbol_index(seg.context) >= drop_from:
+            raise ValueError("cannot take the limit of a context carrying dropped symbols")
+        segments.append(CurveSegmentRep(seg.context, seg.param_var, seg.uvar, f0, seg.rho,
+                                        coords0, seg.xvars, lo=lo_enc, hi=hi_enc,
+                                        lo_point=lo, hi_point=hi))
     # limits of distinct points, and the ends of a collapsed segment, can meet
     if vertices != pieces.vertices:
         vertices = dedupe_points(vertices)
     return CurvePiece(segments, vertices)
-
-
-def _segment_has_symbols(seg, drop_from):
-    return (max_symbol_index(seg.f) >= drop_from
-            or any(max_symbol_index(g) >= drop_from for g in seg.coords)
-            or (seg.lo_point is not None and max_symbol_index(seg.lo_point) >= drop_from)
-            or (seg.hi_point is not None and max_symbol_index(seg.hi_point) >= drop_from))
-
-
-def _limit_rur(u, drop_from):
-    if u is None:
-        return None
-    if max_symbol_index(u) < drop_from:
-        return u
-    return limit_point(u, drop_from)
-
-
-def _limit_encoding(enc, drop_from):
-    if enc is None:
-        return None
-    if max_symbol_index(enc.poly) < drop_from and max_symbol_index(enc.context) < drop_from:
-        return enc
-    return limit_thom(enc, drop_from)
-
-
-def _limit_context(ctx, drop_from):
-    if max_symbol_index(ctx) < drop_from:
-        return ctx
-    raise ValueError("cannot take the limit of a context carrying dropped symbols")
-
-
-def _drop_poly(p, drop_from):
-    if p.ring is not ERING:
-        return p
-    return drop_symbols(eta_content_normalize(p), drop_from)

@@ -140,8 +140,8 @@ def _divide(inp: DivideInput) -> DivideOutput:
     # Step 5: A~ and the fiber coordinates N
     Atilde = []
     for u in inp.A:
-        ue = _rur_to_ering(u, e_base)
-        Atilde.extend(closest_point(Ptilde, Qtilde, ue, base=e_base,
+        # an anchor lies over the node's base, so its base maps to e_base
+        Atilde.extend(closest_point(Ptilde, Qtilde, u.to_ering(), base=e_base,
                                     budget=inp.budget, seed=inp.seed))
     Atilde.extend(closest_pairs(Ptilde, Qtilde, Ptilde, Qtilde, base=e_base,
                                 xvars=inp.xvars, budget=inp.budget, seed=inp.seed))
@@ -198,13 +198,6 @@ def _divide(inp: DivideInput) -> DivideOutput:
 
     return DivideOutput(Ptilde, Qtilde, Atilde, N, B, chart_out, G, level,
                         M_tilde, D0, M0)
-
-
-def _rur_to_ering(u, e_base):
-    if u.f.ring is ERING:
-        return u if u.base.ring is ERING else RealUnivRep(e_base, u.uvar, u.f, u.sigma, u.F, u.xvars)
-    return RealUnivRep(e_base if u.base.ring is not ERING else u.base, u.uvar,
-                       u.f.to_ering(), u.sigma, tuple(g.to_ering() for g in u.F), u.xvars)
 
 
 def _subst_block(poly, block, w):

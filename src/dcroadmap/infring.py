@@ -172,16 +172,6 @@ class InfElem:
                 out.add(idx)
         return out
 
-    def coeff_of(self, symbol_index, exp):
-        """Coefficient of symbol^exp, an InfElem in the remaining symbols."""
-        out = {}
-        for m, c in self.terms.items():
-            e = dict(m).get(symbol_index, 0)
-            if e == exp:
-                rest = tuple((i, v) for i, v in m if i != symbol_index)
-                out[rest] = out.get(rest, QQ(0)) + c
-        return InfElem(out)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -304,24 +294,6 @@ class InfElem:
                 mins = {i: min(e, d.get(i, 0)) for i, e in mins.items() if d.get(i, 0)}
                 mins = {i: e for i, e in mins.items() if e}
         return tuple(sorted((mins or {}).items()))
-
-    def div_monomial(self, mono):
-        out = {}
-        d = dict(mono)
-        for m, c in self.terms.items():
-            md = dict(m)
-            new = {}
-            for i, e in md.items():
-                r = e - d.get(i, 0)
-                if r < 0:
-                    raise ValueError("monomial does not divide term")
-                if r:
-                    new[i] = r
-            for i in d:
-                if i not in md:
-                    raise ValueError("monomial does not divide term")
-            out[tuple(sorted(new.items()))] = c
-        return InfElem(out)
 
     def subst_symbol(self, idx, value):
         """Exact substitution of a rational value for one symbol."""

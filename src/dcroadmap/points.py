@@ -105,20 +105,12 @@ def _divide_eta_content(polys):
     coefficient of all of them (ratios between them are preserved)."""
     if polys[0].ring is not ERING:
         return tuple(polys)
-    mono = None
-    for g in polys:
-        for c in g.terms.values():
-            m = dict(c.monomial_content())
-            if mono is None:
-                mono = m
-            else:
-                mono = {i: min(e, m.get(i, 0)) for i, e in mono.items() if m.get(i, 0)}
-            if not mono:
-                return tuple(polys)
+    every = InfElem({m: QQ(1) for g in polys for c in g.terms.values() for m in c.terms})
+    mono = every.monomial_content() if every else ()
     if not mono:
         return tuple(polys)
-    mono = tuple(sorted(mono.items()))
-    return tuple(g.map_coeffs(lambda c: c.div_monomial(mono)) for g in polys)
+    content = InfElem({mono: QQ(1)})
+    return tuple(g.map_coeffs(lambda c: c / content) for g in polys)
 
 
 def eta_content_normalize(poly: MPoly) -> MPoly:
@@ -134,6 +126,12 @@ def drop_symbols(poly: MPoly, drop_from: int) -> MPoly:
 
 
 def max_symbol_index(*objs) -> int:
+    """The largest global index of an infinitesimal in the polynomials,
+    contexts and points given (None and other objects are skipped), 0 when
+    there is none.  Every limit index is at least 1, so
+    max_symbol_index(...) >= drop_from is the one test for "carries a
+    symbol the limit drops"; 0 also means no symbol, so it is not a test for
+    "eta-free" (the epsilon of roadmap_general has global index 0)."""
     idx = 0
     for o in objs:
         if isinstance(o, MPoly):
@@ -155,11 +153,15 @@ def max_symbol_index(*objs) -> int:
 
 def limit_thom(enc: ThomEncoding, drop_from: int):
     """Limit of a Thom encoding: the encoding (over the reduced ring) of
-    lim(x) where the infinitesimals with index >= drop_from go to 0.
+    lim(x) where the infinitesimals with index >= drop_from go to 0.  An
+    encoding that carries no such infinitesimal is returned itself.
 
-    Returns None when the root is unbounded over the reduced ring."""
+    Returns None when the root is unbounded over the reduced ring; a context
+    that carries a dropped symbol raises ValueError."""
     ctx = enc.context
-    if _context_dirty(ctx, drop_from):
+    if max_symbol_index(ctx, enc.poly) < drop_from:
+        return enc
+    if max_symbol_index(ctx) >= drop_from:
         raise ValueError("context polynomials still involve dropped symbols")
     f = eta_content_normalize(enc.poly)
     f0 = drop_symbols(f, drop_from)
@@ -194,21 +196,17 @@ def _ctx_trim_poly(poly, var, ctx):
     return _from_upoly(up, var, ctx)
 
 
-def _context_dirty(ctx: TriangularContext, drop_from: int) -> bool:
-    for _v, p, _s in ctx.levels:
-        if p.ring is ERING and any(i >= drop_from for c in p.terms.values()
-                                   for i in c.support_indices()):
-            return True
-    return False
-
-
 def limit_point(u: RealUnivRep, drop_from: int):
     """Limit of a bounded point: a RealUnivRep over the reduced ring whose
-    associated point is the limit of u's.  Returns None when unbounded.
+    associated point is the limit of u's.  Returns None when unbounded.  A
+    point that carries no infinitesimal of index >= drop_from is returned
+    itself.
 
     Tower levels whose polynomials involve dropped symbols are first folded
     into the representation by root pairing; clean levels stay as the base."""
-    while _context_dirty(u.base, drop_from):
+    if max_symbol_index(u) < drop_from:
+        return u
+    while max_symbol_index(u.base) >= drop_from:
         u = _collapse_last_level(u)
     ectx = u.base
     h = eta_content_normalize(u.f)
@@ -467,13 +465,6 @@ def coordinate_encoding_cached(u: RealUnivRep, i: int):
     return enc
 
 
-def _to_ering_rur(u: RealUnivRep) -> RealUnivRep:
-    if u.f.ring is ERING:
-        return u
-    return RealUnivRep(u.base.to_ering(), u.uvar, u.f.to_ering(), u.sigma,
-                       tuple(g.to_ering() for g in u.F), u.xvars)
-
-
 def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
     """Exact equality of the first `upto` coordinates (all, by default) of
     the associated points.  A rational and an infinitesimal representation
@@ -490,7 +481,7 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
     if (upto is None and u.k != v.k) or min(u.k, v.k) < n:
         return False
     if (u.f.ring is ERING) != (v.f.ring is ERING):
-        u, v = _to_ering_rur(u), _to_ering_rur(v)
+        u, v = u.to_ering(), v.to_ering()
     if u.base != v.base:
         return False
     for i in range(1, n + 1):

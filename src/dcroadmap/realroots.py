@@ -508,9 +508,6 @@ class ThomEncoding:
     poly: MPoly
     signs: tuple
 
-    def degree(self):
-        return self.poly.degree(self.var)
-
     def __repr__(self):
         return f"Thom({self.var}: {self.poly}; {''.join(_sgn_ch(s) for s in self.signs)})"
 

@@ -158,7 +158,7 @@ def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
             anchors = list(leaf.A)
             piece = curve_segments(leaf.P, leaf.Q, leaf.base, leaf.xvars,
                                    anchors=anchors, budget=budget, seed=seed)
-            piece = limit_curve(piece, zeta(1).global_index, budget=budget)
+            piece = limit_curve(piece, zeta(1).global_index)
             pieces.append(piece)
     return assemble_graph(pieces, list(A), xvars)
 

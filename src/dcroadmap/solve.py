@@ -13,9 +13,8 @@ Pipeline per system:
 - make the eliminant squarefree at the context point and Thom-encode its
   real roots;
 - verify every candidate point exactly.
-A system in one variable keeps the real roots of its shortest polynomial
-at which the others vanish, with no form.  This is the only route: a
-system whose ideal is not zero-dimensional (a branch that leaves a
+This is the only route, a system in one variable included (its form is
+U - x): a system whose ideal is not zero-dimensional (a branch that leaves a
 coordinate free included) raises NotZeroDimensionalError, which
 points.sample_components, the one place that decides between solving and
 sampling, hands to component sampling; a system with no certified
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotZeroDimensionalError, ResourceBudgetError, SeparationError
 from .infring import QQ
-from .mpoly import QRING, MPoly, fresh_var, resultant, subst_rational
+from .mpoly import ERING, QRING, MPoly, fresh_var, resultant, subst_rational
 from .realroots import (
     BoundedCache,
     ThomEncoding,
@@ -41,7 +40,6 @@ from .realroots import (
     _from_upoly,
     _to_upoly,
     content_strip,
-    signs_at_encodings,
     sturm_chain,
     thom_encodings,
     uderiv,
@@ -105,6 +103,16 @@ class RealUnivRep:
     def extended_context(self):
         """The base extended by the root, from the shared context cache."""
         return _ext_context_for(ThomEncoding(self.base, self.uvar, self.f, self.sigma))
+
+    def to_ering(self):
+        """The same point over D[eta]: its base, f and F mapped into ERING,
+        as MPoly.to_ering and TriangularContext.to_ering map theirs.  A
+        point already over ERING is returned itself, so applying it twice
+        gives the same point."""
+        if self.base.ring is ERING and self.f.ring is ERING:
+            return self
+        return RealUnivRep(self.base.to_ering(), self.uvar, self.f.to_ering(), self.sigma,
+                           tuple(g.to_ering() for g in self.F), self.xvars)
 
     def _value(self):
         # MPoly equality ignores the ring, so the ring of f is named too
@@ -361,8 +369,6 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
             raise ValueError(f"polynomial involves unknown variables {pu - set(xvars) - set(context.tvars)}")
         kept.append(p)
     system = kept
-    if len(xvars) == 1:
-        return _solve_univariate(system, xvars[0], context, uvar)
     last_err = None
     for attempt in range(budget.retries):
         try:
@@ -374,29 +380,6 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
             last_err = e
     raise SeparationError(
         f"separating form exhausted after {budget.retries} tries: {last_err}")
-
-
-def _solve_univariate(system, var, context, uvar):
-    ups = [utrim(context, _to_upoly(p, var, context)) for p in system]
-    ups = [u for u in ups if len(u) > 1 or context.sign(u[0]) != 0]
-    for u in ups:
-        if len(u) == 1:
-            return []
-    if not ups:
-        raise NotZeroDimensionalError(f"every polynomial vanishes at the context point: {var} is free")
-    base = min(ups, key=len)
-    fam = [u for u in ups if u is not base]
-    rows = signs_at_encodings(_from_upoly(base, var, context), [_from_upoly(u, var, context) for u in fam], var, context)
-    out = []
-    for enc, fam_signs in rows:
-        if any(s != 0 for s in fam_signs):
-            continue
-        f = enc.poly.subst({var: MPoly.var(enc.poly.ring, (uvar,), uvar)})
-        ring = context.ring
-        variables = tuple(context.tvars) + (uvar,)
-        F = (MPoly.const(ring, variables, 1), MPoly.var(ring, variables, uvar))
-        out.append(RealUnivRep(context, uvar, f.with_vars(variables), enc.signs, F, (var,)))
-    return out
 
 
 def _linear_form(ring, variables, xvars, c, uvar):

@@ -16,7 +16,7 @@ from dcroadmap.points import (
     sample_components,
 )
 from dcroadmap.realroots import TriangularContext, compare_roots, thom_encodings
-from dcroadmap.curves import CurvePiece, curve_segments, limit_curve
+from dcroadmap.curves import CurvePiece, CurveSegmentRep, curve_segments, limit_curve
 from dcroadmap.solve import solve_system
 from dcroadmap.roadmap import (
     assemble_graph,
@@ -97,6 +97,20 @@ def test_vertices_that_meet_in_the_limit_are_glued():
     out = limit_curve(piece, eps(1).global_index)
     assert len(out.vertices) == 1
     assert len(assemble_graph([out], [], ("x",)).vertices) == 1
+
+
+def test_limit_curve_keeps_the_ratios_of_a_segments_coordinates():
+    # y = (e^2 * U) / e = e * U on the segment, so its limit is y = 0; the
+    # common content e of the coordinate tuple is divided out, not each
+    # coordinate's own (which would give y = U)
+    e1 = InfElem.sym(eps(1))
+    v = ("x", "U")
+    U = MPoly.var(ERING, v, "U")
+    seg = CurveSegmentRep(TriangularContext(ERING), "x", "U", U - MPoly.var(ERING, v, "x"), (0, 1),
+                          (MPoly.const(ERING, v, e1), U * MPoly.const(ERING, v, e1 * e1)), XY)
+    (out,) = limit_curve(CurvePiece([seg], []), eps(1).global_index).segments
+    assert out.coords[0] == MPoly.const(ERING, v, 1) and out.coords[1].is_zero()
+    assert out.f == seg.f and out.context is seg.context
 
 
 def test_limit_curve_keeps_one_vertex_where_two_meet_as_points():

@@ -169,6 +169,40 @@ def test_limit_point_spec_examples():
     assert rur_sign(lim2, P("y - 4").to_ering()) == 0
 
 
+def test_limits_return_what_carries_no_dropped_symbol_itself():
+    e1 = InfElem.sym(eps(1))
+    one = InfElem.const(1)
+    k = eps(1).global_index + 1
+    # rational input, and input over ERING whose symbols all have index < k
+    rational = mk_rational_rur([3, 4])
+    f = MPoly(ERING, ("U5",), {(1,): one, (0,): -e1})
+    small = RealUnivRep(TriangularContext(ERING), "U5", f, (0, 1),
+                        (MPoly.const(ERING, ("U5",), 1), MPoly.var(ERING, ("U5",), "U5")), ("x",))
+    for u in (rational, small):
+        assert limit_point(u, k) is u
+    g = MPoly(ERING, X, {(2,): one, (1,): -(InfElem.const(2) + e1), (0,): 2 * e1})
+    for enc in (thom_encodings(parse_poly("X^2 - 2", X), "X")[0],
+                thom_encodings(g, "X", TriangularContext(ERING))[0]):
+        assert limit_thom(enc, k) is enc
+
+
+def test_eta_content_is_divided_out_of_every_polynomial_alike():
+    z = InfElem.sym(zeta(1))
+    x = MPoly.var(ERING, ("x",), "x")
+
+    def c(e):
+        return MPoly.const(ERING, ("x",), e)
+
+    assert points.eta_content_normalize(x * c(z * z) + c(z * z * z)) == x + c(z)
+    # the common content of the tuple is z, not each polynomial's own
+    a, b = x * c(z) + c(z * z), c(z * z * z)
+    a1, b1 = points._divide_eta_content((a, b))
+    assert a1 == x + c(z) and b1 == c(z * z)
+    assert a1 * b == a * b1
+    # no common content: returned as they are
+    assert points._divide_eta_content((x, b)) == (x, b)
+
+
 def test_limit_point_sqrt2_perturbed():
     # point (sqrt2 + e1^2, -e1) -> (sqrt2, 0)
     e1 = InfElem.sym(eps(1))

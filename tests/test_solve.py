@@ -5,7 +5,7 @@ from dcroadmap.errors import NotZeroDimensionalError, SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.optimsub import closest_pairs
-from dcroadmap.points import sample_components
+from dcroadmap.points import points_equal, rur_sign, sample_components
 from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
 from dcroadmap.roadmap import roadmap_bounded
 from dcroadmap.solve import factor_mpoly, solve_system
@@ -82,6 +82,40 @@ def test_the_same_polynomials_over_two_rings_give_unequal_points():
     assert rational.f == infinitesimal.f and rational.F == infinitesimal.F
     assert rational != infinitesimal
     assert len({rational, infinitesimal}) == 2
+
+
+def test_to_ering_moves_a_point_to_the_infinitesimal_ring_once():
+    u = _sqrt2(sigma=(0, 1, 1))
+    e = u.to_ering()
+    assert e.f.ring is ERING and e.base.ring is ERING
+    assert all(g.ring is ERING for g in e.F)
+    assert e != u and points_equal(e, u) and points_equal(u, e)
+    # a point over ERING is its own image
+    assert e.to_ering() is e and u.to_ering() == e
+
+
+def _sqrt2_context(sign):
+    """The one-level tower t = sign * sqrt(2), fixed by Thom signs."""
+    (enc,) = [e for e in thom_encodings(parse_poly("t^2 - 2", ("t",)), "t")
+              if e.signs[1] == sign]
+    return TriangularContext(QRING).extend("t", enc.poly, enc.signs)
+
+
+@pytest.mark.parametrize("equation, at_minus, at_plus", [
+    ("x^2 - t", 0, 2),
+    ("x - t", 1, 1),
+    ("x^2 + t", 2, 0),
+    ("(x - 1)*(x^2 - t)", 1, 3),
+    ("x^3 - t*x", 1, 3),
+])
+def test_one_variable_over_a_tower_keeps_only_the_roots_at_its_point(equation, at_minus, at_plus):
+    # a one-variable system takes the shape route, whose basis also holds
+    # the conjugate t; its roots there must not come back
+    p = parse_poly(equation, ("t", "x"))
+    for sign, count in ((-1, at_minus), (1, at_plus)):
+        sols = solve_system([p], ("x",), context=_sqrt2_context(sign))
+        assert len(sols) == count
+        assert all(rur_sign(u, p) == 0 for u in sols)
 
 
 def test_a_branch_with_no_points_that_leaves_a_coordinate_free_is_empty():
