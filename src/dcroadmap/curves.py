@@ -73,7 +73,10 @@ class CurveSegmentRep:
     f: MPoly
     rho: tuple
     coords: tuple  # (denominator, numerator per non-parameter coordinate)
-    xvars: tuple  # all free coordinates, parameter first
+    # all free coordinates, parameter first, then the others in the order of
+    # the roadmap's coordinates; a roadmap that eliminated x1 by an affine
+    # equation (a plane x1 = c) has x2 as its parameter, so x1 comes second
+    xvars: tuple
     lo: ThomEncoding = None
     hi: ThomEncoding = None
     lo_point: RealUnivRep = None  # a vertex of the piece, when glued

@@ -5,9 +5,12 @@ infinitesimals from point descriptions."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import NotZeroDimensionalError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, resultant, subst_rational
+from .mpoly import (ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, merge_vars,
+                    resultant, subst_rational)
 from . import realroots
 from .realroots import (
     BoundedCache,
@@ -29,6 +32,82 @@ def project_rur(u: RealUnivRep, p: int) -> RealUnivRep:
     if not 0 <= p <= u.k:
         raise ValueError(f"projection index {p} out of range 0..{u.k}")
     return RealUnivRep(u.base, u.uvar, u.f, u.sigma, u.F[: p + 1], u.xvars[:p])
+
+
+# ---------------------------------------------------------------------------
+# affine elimination
+
+
+@dataclass(frozen=True)
+class AffineElimination:
+    """The coordinate var that an affine equation c_0 + sum_w c_w w = 0
+    fixes, var = a_0 + sum a_w w over the kept coordinates (a_0 = -c_0/c_var,
+    a_w = -c_w/c_var).  Z(system) and the reduced set it maps onto in the
+    kept coordinates are isomorphic by project and lift, so components and
+    paths map one to one (BPR)."""
+
+    xvars: tuple  # the coordinates before the elimination
+    var: str  # the eliminated coordinate
+    kept: tuple  # xvars without var, in order
+    a0: object
+    coeffs: tuple  # a_w, aligned with kept
+
+    def numerator(self, den, nums):
+        """var's numerator over den, given the numerators nums of the kept
+        coordinates over den (aligned with kept): exact, as the a_w are
+        rational."""
+        out = den.scale(self.a0)
+        for a, g in zip(self.coeffs, nums):
+            if a:
+                out = out + g.scale(a)
+        return out
+
+    def lift(self, u: RealUnivRep) -> RealUnivRep:
+        """The point of Z(system) above the point u of the reduced set."""
+        nums = [u.F[1 + u.xvars.index(w)] for w in self.kept]
+        by_var = dict(zip(self.kept, nums))
+        by_var[self.var] = self.numerator(u.F[0], nums)
+        return RealUnivRep(u.base, u.uvar, u.f, u.sigma,
+                           (u.F[0],) + tuple(by_var[w] for w in self.xvars), self.xvars)
+
+    def project(self, u: RealUnivRep) -> RealUnivRep:
+        """u without its var coordinate."""
+        i = u.xvars.index(self.var)
+        return RealUnivRep(u.base, u.uvar, u.f, u.sigma, u.F[: i + 1] + u.F[i + 2:],
+                           u.xvars[:i] + u.xvars[i + 1:])
+
+
+def affine_elimination(system, xvars):
+    """(reduced system, AffineElimination) for the first equation of system
+    of total degree 1 in xvars with rational coefficients (QRING, in xvars
+    alone), or None when there is none.  The equation's last variable in
+    xvars is eliminated, so xvars[0] survives unless it is the equation's
+    only variable (a plane x1 = c).  The other equations, with that variable
+    substituted, form the reduced system in the kept coordinates.  It is
+    used only when one of them remains nonzero and a coordinate is kept, so
+    the reduced set still lies in a hypersurface of the kept space."""
+    xvars = tuple(xvars)
+    if len(system) < 2 or len(xvars) < 2:
+        return None
+    for i, p in enumerate(system):
+        if (p.ring is not QRING or p.total_degree() != 1
+                or not p.used_vars() <= set(xvars)):
+            continue
+        lin = {xvars[m.index(1)] if any(m) else None: c
+               for m, c in p.with_vars(xvars).terms.items()}
+        var = [w for w in xvars if w in lin][-1]
+        kept = tuple(w for w in xvars if w != var)
+        cv = lin[var]
+        coeffs = tuple(-lin.get(w, 0) / cv for w in kept)
+        elim = AffineElimination(xvars, var, kept, -lin.get(None, 0) / cv, coeffs)
+        # var's value is its numerator over the denominator 1
+        at = elim.numerator(MPoly.const(QRING, kept, 1), [MPoly.var(QRING, kept, w) for w in kept])
+        reduced = [q.subst({var: at}) for j, q in enumerate(system) if j != i]
+        reduced = [q.with_vars(merge_vars(kept, [w for w in q.vars if w not in xvars]))
+                   for q in reduced if not q.is_zero()]
+        if reduced:
+            return reduced, elim
+    return None
 
 
 def rur_sign(u: RealUnivRep, poly: MPoly) -> int:
@@ -326,6 +405,12 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     """Finite point set meeting every semi-algebraically connected component
     of Z(system) (bounded; caller asserted).
 
+    An affine equation with rational coefficients is first substituted away
+    (affine_elimination), one at a time while another equation remains:
+    the reduced system is sampled in the kept coordinates and its points are
+    lifted back exactly, so a planar space curve is sampled as a plane
+    curve.
+
     This is the one place that decides between solving and sampling.  A
     system with at least as many equations as variables goes to
     solve_system first: each point of a finite zero set is a component.
@@ -354,6 +439,11 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
         xvars = tuple(xv)
     if not system:
         raise ValueError("empty system")
+    reduced = affine_elimination(system, xvars)
+    if reduced is not None:
+        sub, elim = reduced
+        return [elim.lift(u) for u in sample_components(
+            sub, context=context, xvars=elim.kept, budget=budget, seed=seed)]
     if len(system) >= len(xvars):
         try:
             sols = solve_system(system, xvars, context=context, budget=budget, seed=seed)

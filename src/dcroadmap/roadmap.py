@@ -22,6 +22,7 @@ from .infring import QQ, InfElem, extra_symbol, log_signs, zeta
 from .mpoly import ERING, QRING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
+    affine_elimination,
     dedupe_points,
     flatten_rur,
     points_equal,
@@ -140,12 +141,29 @@ def assemble_graph(pieces, anchors, xvars):
 def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
     """Divide-and-conquer roadmap of a bounded algebraic set: one tree per
     input point (one tree with no points when A is empty), curve segments on
-    every leaf, limits, and the glued graph containing every point of A."""
+    every leaf, limits, and the glued graph containing every point of A.
+
+    A dimension bound kprime >= k > 1 raises ValueError, checked against the
+    k variables of the input.  An affine equation with rational
+    coefficients is then substituted away (affine_elimination) while
+    another equation remains: the roadmap of the reduced set, with the
+    anchors projected and kprime capped at max(k - 2, 1) (a nonzero
+    equation still cuts the k - 1 kept coordinates), is lifted back by
+    _lift_graph."""
     system = P if isinstance(P, list) else [P]
     xvars = tuple(system[0].vars)
     k = len(xvars)
     if kprime is None:
         kprime = max(k - 1, 1)
+    if kprime >= k > 1:
+        raise ValueError(f"dimension bound {kprime} is not below the {k} variables")
+    reduced = affine_elimination(system, xvars)
+    if reduced is not None:
+        sub, elim = reduced
+        graph = roadmap_bounded(sub, [elim.project(a) for a in A],
+                                kprime=min(kprime, max(len(elim.kept) - 1, 1)),
+                                budget=budget, seed=seed)
+        return _lift_graph(graph, elim)
     # one tree per point, or one tree with no points; at depth 0 the
     # per-point trees all share the root basic set, so their leaf union
     # equals one tree carrying every anchor (the additivity of Tree(V, A)
@@ -161,6 +179,30 @@ def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
             piece = limit_curve(piece, zeta(1).global_index)
             pieces.append(piece)
     return assemble_graph(pieces, list(A), xvars)
+
+
+def _lift_graph(graph, elim):
+    """The roadmap of Z(system) from the roadmap of the reduced set that
+    affine_elimination gave: every vertex and segment endpoint lifted, each
+    segment's coordinates given the eliminated one's numerator (parameter
+    first, then the other coordinates in elim.xvars order), and the same
+    ids."""
+    def lift_point(u):
+        return None if u is None else elim.lift(u)
+
+    edges = []
+    for seg, lo, hi in graph.edges:
+        nums = dict(zip(seg.xvars[1:], seg.coords[1:]))
+        nums[seg.param_var] = MPoly.var(seg.f.ring, (seg.param_var,), seg.param_var) * seg.coords[0]
+        nums[elim.var] = elim.numerator(seg.coords[0], [nums[w] for w in elim.kept])
+        xvars = (seg.param_var,) + tuple(w for w in elim.xvars if w != seg.param_var)
+        edges.append((CurveSegmentRep(seg.context, seg.param_var, seg.uvar, seg.f, seg.rho,
+                                      (seg.coords[0],) + tuple(nums[w] for w in xvars[1:]),
+                                      xvars, lo=seg.lo, hi=seg.hi,
+                                      lo_point=lift_point(seg.lo_point),
+                                      hi_point=lift_point(seg.hi_point)), lo, hi))
+    return RoadmapGraph(len(elim.xvars), elim.xvars, [elim.lift(v) for v in graph.vertices],
+                        edges, list(graph.anchor_ids))
 
 
 def cauchy_bound(F):

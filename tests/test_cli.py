@@ -32,13 +32,13 @@ def test_components_without_anchors(tmp_path, capsys):
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_a_dimension_bound_past_the_divide_range_is_an_algorithm_error(tmp_path, capsys, bound):
-    # the circle's tree splits its two coordinates with p = 2 (bound 2) or
-    # p = 4 (bound 3, rounded up), and Divide needs p < k = 2
+    # a set in k = 2 variables has dimension at most 1 unless it is the
+    # plane, so a bound of 2 or more is rejected before any tree is built
     path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
     assert cli.main(["components", "-f", path, "--dim-bound", str(bound)]) == 3
     got = capsys.readouterr()
     assert got.out == ""
-    assert "[node root] p out of range" in got.err
+    assert f"dimension bound {bound} is not below the 2 variables" in got.err
 
 
 def test_malformed_line_is_a_parse_error(tmp_path, capsys):
