@@ -39,14 +39,21 @@ def _product(polys):
 
 def _load_point(path, variables):
     """RUR record: {"uvar": name, "f": poly, "signs": [...], "F": [polys]}.
-    Polynomials are written in the CLI text syntax over (uvar,)."""
+    Polynomials are written in the CLI text syntax over (uvar,).  F holds
+    the denominator and one numerator per variable, and the signs must fix
+    a real root of f: otherwise ValueError (EmptyEncodingError for the
+    signs)."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     uvar = data["uvar"]
     f = parse_poly(data["f"], (uvar,))
     F = tuple(parse_poly(g, (uvar,)) for g in data["F"])
-    return RealUnivRep(TriangularContext(QRING), uvar, f, tuple(data["signs"]),
-                       F, tuple(variables))
+    if len(F) != len(variables) + 1:
+        raise ValueError(f"F has {len(F)} entries, not {len(variables) + 1}")
+    u = RealUnivRep(TriangularContext(QRING), uvar, f, tuple(data["signs"]),
+                    F, tuple(variables))
+    u.extended_context().level_solver()
+    return u
 
 
 def cmd_components(args):
@@ -86,7 +93,9 @@ def cmd_connect(args):
     try:
         p1 = _load_point(args.p1, variables)
         p2 = _load_point(args.p2, variables)
-    except (KeyError, json.JSONDecodeError, PolyParseError) as e:
+    except (KeyError, ValueError) as e:
+        # ValueError covers json.JSONDecodeError, PolyParseError, a wrong
+        # length of F and EmptyEncodingError
         print(f"point parse error: {e}", file=sys.stderr)
         return 2
     for u in (p1, p2):

@@ -1,6 +1,11 @@
 """Critical-point systems and deformations: the sweep polynomial, the
 good-rank Vandermonde matrices, single- and family-deformations, Lagrange
-critical systems, the tilde system, and the minor-based charts."""
+critical systems, the tilde system, and the minor-based charts.
+
+crit_minor_system is the one builder of the critical points of a map G on
+Z(P): sampling passes a coordinate projection (points), the closest-point
+steps half the squared distance (optimsub), and divide its sweep
+polynomial."""
 
 from __future__ import annotations
 
@@ -92,9 +97,14 @@ def crit_system(system, G, l, variables=None, lambda_prefix="lam"):
 
 
 def crit_minor_system(system, G, l, variables):
-    """Lambda-free description of the l-critical points: the defining
-    equations plus all (m+1)x(m+1) minors of the Jacobian [grad G | grad P]
-    restricted to rows l+1..k.  Same projected zero set as CritEq_l."""
+    """Lambda-free description of the l-critical points of G on Z(system):
+    the defining equations plus every nonzero (m+1)x(m+1) minor of the
+    Jacobian [grad G | grad P] restricted to rows l+1..k, in the order of
+    combinations of those rows.  Same projected zero set as CritEq_l.  With
+    no room for a minor (fewer than m + 1 rows) the system comes back
+    alone.  For G = x_v and one equation P it is P and dP/dw for w != v;
+    for G = x_1 and a curve of n - 1 equations, the curve and its Jacobian
+    minor in x_2..x_n."""
     system = list(system)
     m = len(system)
     variables = tuple(variables)

@@ -1,6 +1,6 @@
 """Optimization-flavored subroutines: (B,G)-pseudo-critical values over a
 triangular Thom encoding, and the closest-point / closest-pairs computations
-via first-order systems for the squared-distance objective."""
+at the critical points of the squared distance (critloci.crit_minor_system)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .critloci import GoodRankMatrix, crit_minor_system
-from .infring import InfElem, extra_symbol
-from .mpoly import ERING, MPoly, determinant, merge_vars
+from .infring import QQ, InfElem, extra_symbol
+from .mpoly import ERING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
     dedupe_points,
@@ -103,55 +103,30 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
 # closest point / closest pairs
 
 
-def _distance_first_order(system_eqs, grad_subst, xvars):
-    """First-order conditions for the squared distance on Z(system): all
-    (m+1)x(m+1) minors of [grad F | grad P_1 | ...] with the F-column given
-    by grad_subst (denominators already cleared)."""
-    m = len(system_eqs)
-    out = list(system_eqs)
-    if len(xvars) < m + 1:
-        return out
-    ring = system_eqs[0].ring if system_eqs else grad_subst[0].ring
-    for rows in combinations(range(len(xvars)), m + 1):
-        mat = []
-        for r in rows:
-            row = [grad_subst[r]] + [p.deriv(xvars[r]) for p in system_eqs]
-            mat.append(row)
-        aligned = []
-        allv = mat[0][0].vars
-        for row in mat:
-            for x in row:
-                allv = merge_vars(allv, x.vars)
-        for row in mat:
-            aligned.append([x.with_vars(allv) for x in row])
-        mv = determinant(aligned)
-        if not mv.is_zero():
-            out.append(mv)
-    return out
-
-
 def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
                   budget=DEFAULT_BUDGET, seed=0):
-    """MinDi(Bas(P,Q), {x}): first-order critical points of the squared
-    distance to u's point, over every active subset of Q, filtered to the
-    basic set.  Output representations live over the same base as u."""
+    """MinDi(Bas(P,Q), {x}): the critical points of the squared distance
+    to u's point on Z(P, Q') for every subset Q' of Q, filtered to the basic
+    set.  Each is sampled from critloci.crit_minor_system(P + Q', G, 0, x)
+    with G = sum g0*x_i^2/2 - g_i*x_i: half the squared distance to the
+    point (g_i/g0), times g0 to clear its denominator, which leaves the
+    critical points alone.  Output representations live over the same base
+    as u."""
     base = base if base is not None else u.base
     ctx_plus = u.extended_context()
     xvars = tuple(u.xvars)
     out = []
     g0 = u.F[0]
-    grads = []
-    for i, v in enumerate(xvars, start=1):
-        # gradient of F: 2(x_i - g_i/g0) -> column entry g0*X_i - g_i
-        gi = u.F[i]
-        col = MPoly.var(g0.ring, merge_vars(g0.vars, xvars), v) * g0.with_vars(merge_vars(g0.vars, xvars)) \
-            - gi.with_vars(merge_vars(gi.vars, xvars))
-        grads.append(col)
+    allv = merge_vars(g0.vars, xvars)
+    G = MPoly.zero(g0.ring, allv)
+    for v, gi in zip(xvars, u.F[1:]):
+        x = MPoly.var(g0.ring, allv, v)
+        G = G + (x * x * g0.with_vars(allv)).scale(QQ(1, 2)) - x * gi.with_vars(allv)
     for qsize in range(len(Q) + 1):
         for qsel in combinations(range(len(Q)), qsize):
             eqs = [p.with_vars(merge_vars(p.vars, xvars)) for p in P] + \
                   [Q[i].with_vars(merge_vars(Q[i].vars, xvars)) for i in qsel]
-            system = _distance_first_order(eqs, grads, xvars)
+            system = crit_minor_system(eqs, G, 0, xvars)
             # critical sets can be positive-dimensional in degenerate
             # configurations: sampling meets each of their components
             pts = sample_components(system, context=ctx_plus, xvars=xvars,
@@ -164,10 +139,12 @@ def closest_point(P, Q, u: RealUnivRep, base: TriangularContext = None,
 
 def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                   budget=DEFAULT_BUDGET, seed=0):
-    """MinDi(Bas(P1,Q1), Bas(P2,Q2)): projections of samples of the critical
-    pairs of the squared distance on the product, plus samples of the
-    diagonal intersection (contained in the minimizer set since F = 0 is a
-    global minimum there)."""
+    """MinDi(Bas(P1,Q1), Bas(P2,Q2)): projections of the critical pairs of
+    the squared distance on the product, plus samples of the diagonal
+    intersection (contained in the minimizer set since F = 0 is a global
+    minimum there).  The pairs solve critloci.crit_minor_system on each
+    product branch with G = sum (x_i - y_i)^2/2, half the squared distance
+    between the two points."""
     if base is None:
         ring = (P1 or P2 or Q1 or Q2)[0].ring
         base = TriangularContext(ring)
@@ -188,24 +165,19 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
     P2r = [rename(p) for p in P2]
     Q2r = [rename(p) for p in Q2]
     allv = xvars + yvars
-    grads = []
-    for i in range(k):
-        dcol = MPoly.var((P1 or P2)[0].ring, allv, xvars[i]) - MPoly.var((P1 or P2)[0].ring, allv, yvars[i])
-        grads.append(dcol)
-    for i in range(k):
-        grads.append(-grads[i])
+    ring = (P1 or P2)[0].ring
+    # half the squared distance between the two points
+    G = MPoly.zero(ring, allv)
+    for v, w in zip(xvars, yvars):
+        dd = MPoly.var(ring, allv, v) - MPoly.var(ring, allv, w)
+        G = G + (dd * dd).scale(QQ(1, 2))
     # Rabinowitsch saturation removes the (positive-dimensional) diagonal
     # X = Y from the critical-pair systems; the diagonal itself is sampled
     # separately below.  Both sides are factor-split first so the Jacobian
     # minors are built from the branch factors, not the products.
     wvar = "wsat_"
-    ring = (P1 or P2)[0].ring
     satv = allv + (wvar,)
-    dist2 = MPoly.zero(ring, satv)
-    for i in range(k):
-        dd = MPoly.var(ring, satv, xvars[i]) - MPoly.var(ring, satv, yvars[i])
-        dist2 = dist2 + dd * dd
-    saturation = MPoly.var(ring, satv, wvar) * dist2 - MPoly.const(ring, satv, 1)
+    saturation = MPoly.var(ring, satv, wvar) * G.with_vars(satv).scale(2) - MPoly.const(ring, satv, 1)
     x_branches = split_branches([p.with_vars(merge_vars(p.vars, allv)) for p in P1], budget) if P1 else [[]]
     y_branches = split_branches([p.with_vars(merge_vars(p.vars, allv)) for p in P2r], budget) if P2r else [[]]
 
@@ -227,7 +199,7 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                             [Q1[i].with_vars(merge_vars(Q1[i].vars, allv)) for i in q1sel] + \
                             list(by) + \
                             [Q2r[i].with_vars(merge_vars(Q2r[i].vars, allv)) for i in q2sel]
-                        system = _distance_first_order(eqs, grads, list(xvars) + list(yvars))
+                        system = crit_minor_system(eqs, G, 0, allv)
                         system = [p.with_vars(merge_vars(p.vars, satv)) for p in system] + [saturation]
                         for w in solve_system(system, satv, context=base, budget=budget, seed=seed):
                             ok1 = all(rur_sign(w, Q1[i].with_vars(merge_vars(Q1[i].vars, allv))) >= 0

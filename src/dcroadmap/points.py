@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .critloci import crit_minor_system
 from .errors import NotZeroDimensionalError, SeparationError
 from .infring import QQ, InfElem, extra_symbol
-from .mpoly import (ERING, QRING, JacobianSelector, MPoly, der_list, fresh_var, jac_minor, merge_vars,
-                    resultant, subst_rational)
+from .mpoly import ERING, QRING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
 from . import realroots
 from .realroots import (
     BoundedCache,
@@ -417,15 +417,16 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     Only NotZeroDimensionalError sends it on to sampling; a system with no
     certified separating form raises SeparationError.  A proper ideal with
     fewer generators than variables is never zero-dimensional (Krull), so
-    such a system is sampled at once.  A curve of n - 1 equations in n
-    variables, a plane curve included, then goes to _sample_structured.
-    Every route rests on one argument: a compact component attains its
-    least first coordinate x1, and there the projection to x1 is critical
-    (the tangent lies in the hyperplane x1 = const, or the point is
-    singular).  So the critical points of that one projection meet every
-    component.  The general route deforms Q = sum of squares to Def(Q,
-    zeta) and samples the x1-critical points of the deformed hypersurface,
-    then removes zeta with the limit algorithms."""
+    such a system is sampled at once, by _sample_structured: a curve or a
+    surface alike.  Every route rests on one argument: a compact component
+    attains its least coordinate x_v, and there the projection to x_v is
+    critical (the tangent lies in the hyperplane x_v = const, or the point
+    is singular).  So the critical points of that one projection,
+    critloci.crit_minor_system(system, x_v, 0, xvars), meet every component
+    once they are finite.  Only when no projection of some branch has a
+    finite critical set does the general route deform Q = sum of squares to
+    Def(Q, zeta), sample the x1-critical points of the deformed hypersurface
+    (the same builder), and remove zeta with the limit algorithms."""
     system = [p for p in system if not p.is_zero()]
     if context is None:
         ring = system[0].ring if system else QRING
@@ -470,7 +471,8 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
         tail = tail + MPoly.var(ERING, Q.vars, v, d)
     one = MPoly.const(ERING, Q.vars, 1)
     Def = (one - zq.with_vars(Q.vars)) * Q * Q - zq.with_vars(Q.vars) * tail
-    crit = [Def] + [Def.deriv(v) for v in xvars[1:]]
+    G = MPoly.var(ERING, merge_vars(Def.vars, xvars), xvars[0])
+    crit = crit_minor_system([Def], G, 0, xvars)
     sols = solve_system(crit, xvars, context=e_context, budget=budget, seed=seed)
     out = []
     for cand in sols:
@@ -488,44 +490,36 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
 
 
 def _sample_structured(system, context, xvars, budget, seed):
-    """Direct sampling for the structured shape that covers the golden
-    instances, a curve given by n - 1 equations in n >= 2 variables;
-    sample_components calls it only for a system it does not solve
-    directly, one with fewer equations than variables or a zero set that is
-    not finite.  Each branch first samples the critical points of the
-    projection to xvars[0], the coordinate curve_segments parametrises over:
-    it is solved with its maximal Jacobian minor in the variables other than
-    xvars[0].  A compact component of the branch attains its least xvars[0]
-    where that minor vanishes (the tangent lies in the hyperplane
-    xvars[0] = const) or the point is singular, and both lie on the system.
-    For a plane curve, one polynomial in (x, y), the branches are its
-    irreducible factors and the minor is d factor / dy.  When a system
-    fails, the minors that leave out each later coordinate are tried in
-    turn.  Returns None when no shape applies, or when solve_system raises
-    SeparationError on the system of every projection of a branch (not
-    zero-dimensional, or no certified separating form); the caller then
-    samples through the general route."""
-    if len(system) != len(xvars) - 1:
-        return None
+    """Sampling at the critical points of one coordinate projection, the
+    route of every system that sample_components does not solve directly:
+    one with fewer equations than variables (a plane curve, a space curve,
+    a surface) or a zero set that is not finite.  For each branch and each
+    coordinate v of xvars in turn, it solves the critical points of the
+    projection to v on the branch, critloci.crit_minor_system(branch, v, 0,
+    xvars).  A compact component of the branch attains its least v where the
+    tangent space lies in the hyperplane v = const or the point is singular
+    (BPR), and both are zeros of that system, so the first projection
+    whose critical set is finite meets every such component.  For a
+    hypersurface P the system is (P, dP/dw for w != v); for a plane curve it
+    is (factor, d factor / dy) when v = x, the coordinate curve_segments
+    parametrises over.  A projection whose system adds no equation, or that
+    solve_system rejects with SeparationError (not zero-dimensional, or no
+    certified separating form), hands the branch to the next coordinate.
+    Returns None when no projection of some branch has a finite critical
+    set; the caller then samples through the general route."""
     out = []
     for br in split_branches(system, budget):
-        done = False
-        for drop in range(len(xvars)):
-            window = [v for i, v in enumerate(xvars) if i != drop]
-            sel = JacobianSelector(window, list(range(1, len(br) + 1)))
-            one = MPoly.const(br[0].ring, br[0].vars, 1)
-            minor = jac_minor(one, br, sel)
-            if minor.is_zero():
+        for v in xvars:
+            G = MPoly.var(br[0].ring, merge_vars(br[0].vars, xvars), v)
+            crit = crit_minor_system(br, G, 0, xvars)
+            if len(crit) == len(br):
                 continue
             try:
-                sols = solve_system(list(br) + [minor], xvars, context=context,
-                                    budget=budget, seed=seed)
+                out.extend(solve_system(crit, xvars, context=context, budget=budget, seed=seed))
             except SeparationError:
                 continue
-            out.extend(sols)
-            done = True
             break
-        if not done:
+        else:
             return None
     return dedupe_points(out)
 

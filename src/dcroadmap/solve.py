@@ -335,16 +335,20 @@ def solve_system(system, xvars, context=None, budget=DEFAULT_BUDGET, seed=0, uva
     zero-dimensional, one that leaves a coordinate free included, raises
     NotZeroDimensionalError at once: its points are component sampling's
     (points.sample_components).  A branch past the shape basis's size bound
-    raises ResourceBudgetError."""
+    raises ResourceBudgetError, and a polynomial in a variable that is
+    neither in xvars nor the context's raises ValueError."""
     xvars = tuple(xvars)
     if context is None:
         ring = system[0].ring if system else QRING
         context = TriangularContext(ring)
     ring = context.ring
     system = [p for p in system if not p.is_zero()]
+    known = set(xvars) | set(context.tvars)
     for p in system:
         pu = p.used_vars()
-        if not (pu & set(xvars)) and pu <= set(context.tvars):
+        if not pu <= known:
+            raise ValueError(f"polynomial involves unknown variables {pu - known}")
+        if not (pu & set(xvars)):
             if context.sign_mpoly(p if not pu else p.with_vars(tuple(context.tvars))) != 0:
                 return []
     system = [p for p in system if set(p.used_vars()) & set(xvars)]
@@ -362,11 +366,10 @@ def _solve_branch(system, xvars, context, budget, seed, uvar):
     for p in system:
         pu = p.used_vars()
         if not (pu & set(xvars)):
-            if pu <= set(context.tvars):
-                if context.sign_mpoly(p if not pu else p.with_vars(tuple(context.tvars))) != 0:
-                    return []
-                continue
-            raise ValueError(f"polynomial involves unknown variables {pu - set(xvars) - set(context.tvars)}")
+            # a factor in the context's variables alone
+            if context.sign_mpoly(p if not pu else p.with_vars(tuple(context.tvars))) != 0:
+                return []
+            continue
         kept.append(p)
     system = kept
     last_err = None

@@ -74,6 +74,21 @@ def test_connect_on_two_disjoint_circles(tmp_path, capsys, x1, x2, code, out, er
     assert err in got.err
 
 
+@pytest.mark.parametrize("record", [
+    '{"uvar": "t", "f": "t - 1", "signs": [0, 1], "F": ["1", "t"]}',
+    '{"uvar": "t", "f": "t - 1", "signs": [0, -1], "F": ["1", "t", "0"]}',
+    '{"uvar": "t", "f": "t^2 + 1", "signs": [0, 1, 1], "F": ["1", "t", "0"]}',
+], ids=["F shorter than k + 1", "signs of no root", "f with no real root"])
+def test_a_malformed_point_is_a_point_parse_error(tmp_path, capsys, record):
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
+    good = _point(tmp_path, "good.json", 1)
+    bad = _write(tmp_path, "bad.json", record)
+    assert cli.main(["connect", "-f", path, "--p1", good, "--p2", bad]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "point parse error" in got.err
+
+
 @pytest.mark.parametrize("command", ["components", "connect"])
 def test_a_failed_step_is_an_algorithm_error(tmp_path, capsys, monkeypatch, command):
     def fail(*args, **kwargs):

@@ -12,7 +12,7 @@ from dcroadmap.critloci import (
     tilde_system,
 )
 from dcroadmap.infring import QQ, InfElem, delta, eps, gamma, zeta
-from dcroadmap.mpoly import ERING, QRING, MPoly, determinant, parse_poly
+from dcroadmap.mpoly import ERING, QRING, JacobianSelector, MPoly, determinant, jac_minor, parse_poly
 from dcroadmap.points import rur_sign, sample_components
 from dcroadmap.solve import solve_system
 
@@ -69,6 +69,25 @@ def test_crit_system_circle_g_x1():
     for s in sols:
         ctxp = s.base.extend(s.uvar, s.f, s.sigma)
         assert ctxp.sign_mpoly((s.F[2]).with_vars(ctxp.tvars)) == 0  # X2 = 0
+
+
+def test_crit_minor_system_of_a_coordinate_on_a_hypersurface_is_its_partials():
+    # the 2-minors of [e_x | grad f] over rows (x, y): f_y, the system
+    # sampling solves for the projection to x
+    xy = ("x", "y")
+    f = parse_poly("x^3 - x*y + y^2 - 1", xy)
+    assert crit_minor_system([f], parse_poly("x", xy), 0, xy) == [f, f.deriv("y")]
+
+
+def test_crit_minor_system_of_a_coordinate_on_a_space_curve_is_the_jacobian_minor():
+    # the one 3-minor of [e_x | grad p | grad q] is the 2x2 minor of
+    # [grad p | grad q] over rows (y, z)
+    xyz = ("x", "y", "z")
+    curve = [parse_poly("x^2 + y^2 + z^2 - 4", xyz), parse_poly("x^2 + y^2 - 2*x", xyz)]
+    one = MPoly.const(QRING, xyz, 1)
+    minor = jac_minor(one, curve, JacobianSelector(["y", "z"], [1, 2]))
+    assert not minor.is_zero()
+    assert crit_minor_system(curve, parse_poly("x", xyz), 0, xyz) == curve + [minor]
 
 
 def test_crit_system_circle_sweep_sixth_degree():

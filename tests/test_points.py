@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +249,36 @@ def test_isolated_real_points_are_sampled(equations, variables, count):
     assert len(pts) == count
     for u in pts:
         assert all(rur_sign(u, P(v, variables)) == 0 for v in variables)
+
+
+XYZ = ("x", "y", "z")
+
+
+@pytest.mark.parametrize("equation, count, on_each", [
+    ("x^2 + y^2 + z^2 - 1", 2, ["x^2 - 1", "y", "z"]),
+    ("x^2 + y^2 + z^2", 1, ["x", "y", "z"]),
+    ("x^2 + y^2 + z^4", 1, ["x", "y", "z"]),
+    ("x^2 + 2*y^2 + 3*z^2 + x*y + y*z - 1", 2, []),
+    ("(x^2 + y^2 + z^2 + 3)^2 - 16*(x^2 + y^2)", 4, ["y", "z"]),
+    ("(x^2 + y^2 + z^2 - 1)*((x - 3)^2 + y^2 + z^2 - 1)", 4, ["y", "z"]),
+    ("x^2 + y^2 + z^2 + 1", 0, []),
+], ids=["sphere", "x^2 + y^2 + z^2", "x^2 + y^2 + z^4", "ellipsoid", "torus",
+        "two spheres", "empty"])
+def test_a_surface_is_sampled_at_the_critical_points_of_a_projection(equation, count, on_each):
+    # (P, dP/dy, dP/dz) is zero-dimensional on each input, so the surface
+    # never reaches the deformation route, which gives no answer on the
+    # sphere within 30 s
+    f = P(equation, XYZ)
+    assert points._sample_structured([f], TriangularContext(QRING), XYZ, Budget(), 0) is not None
+    start = time.perf_counter()
+    pts = sample_components([f], xvars=XYZ)
+    assert time.perf_counter() - start < 1.0
+    assert len(pts) == count
+    for u in pts:
+        assert rur_sign(u, f) == 0
+        assert all(rur_sign(u, P(g, XYZ)) == 0 for g in on_each)
+    if equation.startswith("(x^2 + y^2 + z^2 - 1)*"):
+        assert {rur_sign(u, P("2*x - 3", XYZ)) for u in pts} == {-1, 1}
 
 
 def test_sample_components_two_circles():

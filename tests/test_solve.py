@@ -45,6 +45,14 @@ def test_a_system_that_is_not_zero_dimensional_raises():
             solve_system([P(e) for e in equations], XY)
 
 
+@pytest.mark.parametrize("equations", [["x - 1", "w - 2"], ["x^2 - 1", "(w - 2)*x"]])
+def test_a_polynomial_in_an_undeclared_variable_raises(equations):
+    # w is neither solved for nor a context variable, whether it appears in
+    # a polynomial of its own or in a factor of one in x
+    with pytest.raises(ValueError, match="unknown variables"):
+        solve_system([parse_poly(e, ("x", "w")) for e in equations], ("x",))
+
+
 def test_a_budget_tries_at_least_one_separating_form():
     # a budget with no form to try would read every system as one with no
     # certified form, the line x^2 = 0 included; with one form the solver
