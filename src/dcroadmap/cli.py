@@ -26,6 +26,8 @@ _ALGORITHM_ERRORS = (ResourceBudgetError, SeparationError, ArithmeticError, Valu
 
 
 def _read_poly_file(path):
+    """(variables, polynomials) of a -f file; a file that cannot be read
+    raises OSError, a malformed one PolyParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_poly_file(fh.read())
 
@@ -42,9 +44,11 @@ def _load_point(path, variables):
     Polynomials are written in the CLI text syntax over (uvar,).  F holds
     the denominator and one numerator per variable, and the signs must fix
     a real root of f: otherwise ValueError (EmptyEncodingError for the
-    signs)."""
+    signs); a file that cannot be read raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a point record is a JSON object")
     uvar = data["uvar"]
     f = parse_poly(data["f"], (uvar,))
     F = tuple(parse_poly(g, (uvar,)) for g in data["F"])
@@ -59,7 +63,7 @@ def _load_point(path, variables):
 def cmd_components(args):
     try:
         variables, polys = _read_poly_file(args.file)
-    except PolyParseError as e:
+    except (OSError, PolyParseError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     P = _product(polys)
@@ -86,16 +90,16 @@ def cmd_components(args):
 def cmd_connect(args):
     try:
         variables, polys = _read_poly_file(args.file)
-    except PolyParseError as e:
+    except (OSError, PolyParseError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     P = _product(polys)
     try:
         p1 = _load_point(args.p1, variables)
         p2 = _load_point(args.p2, variables)
-    except (KeyError, ValueError) as e:
-        # ValueError covers json.JSONDecodeError, PolyParseError, a wrong
-        # length of F and EmptyEncodingError
+    except (OSError, KeyError, ValueError) as e:
+        # ValueError covers json.JSONDecodeError, a record that is not an
+        # object, PolyParseError, a wrong length of F and EmptyEncodingError
         print(f"point parse error: {e}", file=sys.stderr)
         return 2
     for u in (p1, p2):
@@ -122,7 +126,7 @@ def cmd_connect(args):
 def cmd_oracle(args):
     try:
         variables, polys = _read_poly_file(args.file)
-    except PolyParseError as e:
+    except (OSError, PolyParseError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     from .oracle import MeshConfig, grid_components

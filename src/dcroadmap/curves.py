@@ -27,18 +27,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResourceBudgetError, SeparationError
-from .infring import QQ, InfElem, extra_symbol
+from .infring import QQ, InfElem
 from .mpoly import ERING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
 from .points import (
     RealUnivRep,
     _divide_eta_content,
     _has_thom_signs,
-    _restore_ring,
     coordinate_encoding_cached,
     dedupe_points,
     drop_symbols,
     eta_content_normalize,
     flatten_rur,
+    fresh_infinitesimal,
     limit_point,
     limit_thom,
     max_symbol_index,
@@ -314,11 +314,7 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
     out = []
     for cp in crit_polys:
         out.extend(thom_encodings(cp.with_vars(merge_vars(context.tvars, (x,))), x, context))
-    for a in anchors:
-        enc = coordinate_encoding_cached(a, 1)
-        out.append(ThomEncoding(context, x,
-                                enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (x,), x)}),
-                                enc.signs))
+    out.extend(coordinate_encoding_cached(a, 1).renamed(x) for a in anchors)
     return out
 
 
@@ -337,14 +333,6 @@ def _along_curve(s, coords, xvars, uvar):
         return s if not s.is_const() else None
     reps = [coords[1 + fibers.index(v)] for v in block]
     return subst_rational(s, block, (coords[0], reps))
-
-
-def _fiber_context(context, tname, enc):
-    """context extended by the parameter value enc, fixed as tname, from the
-    shared context cache, so equal fibers share one context and its sign
-    cache."""
-    lvl = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (tname,), tname)})
-    return _ext_context_for(ThomEncoding(context, tname, lvl, enc.signs))
 
 
 _KIND_GEQ = "geq"
@@ -415,11 +403,13 @@ def _glued_endpoint(seg, ends, fiber, tname, direction):
         if all(s in (r, 0) for s, r in zip(signs, rho)):
             return v
     enc, vertices = fiber
-    ctx = _fiber_context(enc.context, tname, enc)
+    # the fiber's value fixed as tname, from the shared context cache, so
+    # equal fibers share one context and its sign cache
+    ctx = _ext_context_for(enc.renamed(tname))
     end = _endpoint_limit(seg, ctx, direction)
     if end is None:
         return None
-    end = flatten_rur(_restore_ring(end, ctx), enc.context.nlevels)
+    end = flatten_rur(end if ctx.ring is ERING else end.to_qring(), enc.context.nlevels)
     return next((v for v in vertices if points_equal(end, v)), end)
 
 
@@ -465,9 +455,8 @@ def _endpoint_limit(seg, ctx, direction):
 
     The shifted-fiber Thom enumeration is cached per (fiber polynomial,
     endpoint, direction) since every branch of the same piece shares it."""
-    mu_idx = max(max_symbol_index(ctx), max_symbol_index(seg.f),
-                 max_symbol_index(list(seg.coords)), 0) + 1
-    mu = extra_symbol(f"inf{mu_idx}", mu_idx)
+    mu = fresh_infinitesimal(ctx, seg.f, seg.coords)
+    mu_idx = mu.global_index
     x = seg.param_var
     tname = ctx.tvars[-1]
     key = (ctx, x, seg.uvar, seg.f, seg.coords, direction)

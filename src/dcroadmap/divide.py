@@ -9,18 +9,18 @@ from itertools import combinations
 
 from .critloci import GoodRankMatrix, charts, crit_minor_system, crit_system, sweep_poly, tilde_system
 from .errors import ResourceBudgetError, SeparationError
-from .mpoly import ERING, MPoly, fresh_var, subst_rational
+from .mpoly import ERING, MPoly, fresh_var
 from .optimsub import PseudoCriticalRequest, closest_pairs, closest_point, pseudo_critical_values
 from .points import (
-    RealUnivRep,
     dedupe_points,
     flatten_rur,
+    join,
+    numerator_at,
     points_equal,
-    project_rur,
     rur_sign,
     sample_components,
 )
-from .realroots import ThomEncoding, TriangularContext, _ext_context_for
+from .realroots import TriangularContext, _ext_context_for
 from .solve import DEFAULT_BUDGET
 
 
@@ -50,7 +50,8 @@ class DivideOutput:
     Qtilde: list
     Atilde: list
     N: list
-    B: dict  # N-index -> list of fiber anchors over the extended context
+    B: dict  # N-index -> list of fiber anchors over the fiber context
+    fibers: list  # N-index -> the fiber context: the base extended by w's root
     charts: list  # (ChartIndex, P0, Q0, A_alpha)
     G: MPoly
     new_level: int
@@ -126,8 +127,7 @@ def _divide(inp: DivideInput) -> DivideOutput:
     M0 = []
     for enc in D0:
         zname = fresh_var("Zc", set(inp.base.tvars) | set(inp.xvars))
-        lvl_poly = enc.poly.subst({enc.var: MPoly.var(enc.poly.ring, (zname,), zname)})
-        ctx_c = _ext_context_for(ThomEncoding(e_base, zname, lvl_poly, enc.signs))
+        ctx_c = _ext_context_for(enc.renamed(zname))
         zval = MPoly.var(ERING, (zname,), zname)
         system = list(Ptilde) + [G.to_ering() - zval]
         pts = sample_components(system, context=ctx_c, xvars=inp.xvars,
@@ -149,29 +149,32 @@ def _divide(inp: DivideInput) -> DivideOutput:
 
     N = []
     for u in M_tilde + M0 + Atilde:
-        w = project_rur(u, ell)
+        w = u.project(inp.xvars[:ell])
         if not any(points_equal(w, v) for v in N):
             N.append(w)
 
     # Step 6: fiber anchors B(u) for each w in N
     B = {}
+    fibers = []
+    rest = list(inp.xvars[ell:])
     for idx, w in enumerate(N):
         fiber_pts = []
-        block = list(inp.xvars[:ell])
-        rest = list(inp.xvars[ell:])
-        ctx_w = _fiber_context(w, e_base)
+        # w's root as the level Tf_<uvar>: a name that no point over the
+        # base uses as its root variable
+        ctx_w = _ext_context_for(w.root.renamed(f"Tf_{w.uvar}"))
+        fibers.append(ctx_w)
         for qsize in range(len(Qtilde) + 1):
             for qsel in combinations(range(len(Qtilde)), qsize):
                 fam = list(Ptilde) + [Qtilde[i] for i in qsel]
                 if not fam:
                     continue
                 system = crit_minor_system(fam, G.to_ering(), ell, inp.xvars)
-                sub = [_subst_block(pp, block, w) for pp in system]
+                sub = [_subst_block(pp, w, ctx_w) for pp in system]
                 sub = [pp for pp in sub if not pp.is_zero()]
                 pts = sample_components(sub, context=ctx_w, xvars=rest,
                                         budget=inp.budget, seed=inp.seed)
                 for u2 in pts:
-                    if all(rur_sign(u2, _subst_block(q, block, w)) >= 0 for q in Qtilde):
+                    if all(rur_sign(u2, _subst_block(q, w, ctx_w)) >= 0 for q in Qtilde):
                         fiber_pts.append(u2)
         B[idx] = dedupe_points(fiber_pts)
 
@@ -183,10 +186,8 @@ def _divide(inp: DivideInput) -> DivideOutput:
         A_alpha = []
         for idx, w in enumerate(N):
             for u2 in B[idx]:
-                lifted = _lift_fiber_point(u2, w, inp.xvars, ell, e_base)
-                if lifted is not None:
-                    A_alpha.extend(closest_point(P0, Q0, lifted, base=e_base,
-                                                 budget=inp.budget, seed=inp.seed))
+                A_alpha.extend(closest_point(P0, Q0, join(w, u2), base=e_base,
+                                             budget=inp.budget, seed=inp.seed))
         for beta, P0b, Q0b in chs:
             if beta is alpha:
                 continue
@@ -196,52 +197,13 @@ def _divide(inp: DivideInput) -> DivideOutput:
         A_alpha = [u for u in dedupe_points(A_alpha) if _bas_member(u, Q0)]
         chart_out.append((alpha, P0, Q0, A_alpha))
 
-    return DivideOutput(Ptilde, Qtilde, Atilde, N, B, chart_out, G, level,
+    return DivideOutput(Ptilde, Qtilde, Atilde, N, B, fibers, chart_out, G, level,
                         M_tilde, D0, M0)
 
 
-def _subst_block(poly, block, w):
-    """Substitute the fiber coordinates (rational functions of w's root,
-    renamed onto the fiber tower variable) for the block variables."""
-    pb = [v for v in block if v in poly.vars and poly.degree(v) > 0]
-    if not pb:
-        return poly
-    tvar = _fiber_var(w)
-    ren = {w.uvar: MPoly.var(w.f.ring, (tvar,), tvar)}
-    denom = w.F[0].subst(ren)
-    reps = [w.F[1 + list(w.xvars).index(v)].subst(ren) for v in pb]
-    return subst_rational(poly, pb, (denom, reps))
-
-
-def _fiber_var(w):
-    return f"Tf_{w.uvar}"
-
-
-def _fiber_context(w, e_base):
-    tvar = _fiber_var(w)
-    ren = {w.uvar: MPoly.var(w.f.ring, (tvar,), tvar)}
-    lvl = w.f.subst(ren)
-    return _ext_context_for(ThomEncoding(e_base, tvar, lvl, w.sigma))
-
-
-def _lift_fiber_point(u2, w, xvars, ell, e_base):
-    """A fiber point (over the w-extended context) re-expressed as a point of
-    the full space over the base: the first ell coordinates come from w, the
-    rest from u2, paired through the shared fiber root."""
-    ctx_w = u2.base
-    tvar = ctx_w.tvars[-1] if ctx_w.nlevels > e_base.nlevels else None
-    if tvar is None:
-        return None
-    ring = u2.f.ring
-    variables = tuple(dict.fromkeys(list(u2.f.vars) + [tvar]))
-    ren = {w.uvar: MPoly.var(ring, (tvar,), tvar)}
-    w_den = w.F[0].subst(ren).with_vars(variables)
-    w_coords = [w.F[1 + i].subst(ren).with_vars(variables) for i in range(ell)]
-    u_den = u2.F[0].with_vars(variables)
-    F = [w_den * u_den]
-    for i in range(ell):
-        F.append(w_coords[i] * u_den)
-    for g in u2.F[1:]:
-        F.append(w_den * g.with_vars(variables))
-    lifted = RealUnivRep(ctx_w, u2.uvar, u2.f, u2.sigma, tuple(F), tuple(xvars))
-    return flatten_rur(lifted, e_base.nlevels)
+def _subst_block(poly, w, ctx_w):
+    """poly with the fiber coordinates substituted: w's coordinates, as
+    rational functions of its root put on the last level of its fiber
+    context ctx_w, with the denominator cleared."""
+    tvar = ctx_w.tvars[-1]
+    return numerator_at(w, poly).subst({w.uvar: MPoly.var(w.f.ring, (tvar,), tvar)})

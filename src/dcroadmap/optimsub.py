@@ -8,14 +8,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .critloci import GoodRankMatrix, crit_minor_system
-from .infring import QQ, InfElem, extra_symbol
+from .infring import QQ, InfElem
 from .mpoly import ERING, MPoly, merge_vars
 from .points import (
     RealUnivRep,
     dedupe_points,
     flatten_rur,
+    fresh_infinitesimal,
     limit_thom,
-    max_symbol_index,
     rur_sign,
     sample_components,
 )
@@ -30,7 +30,6 @@ class PseudoCriticalRequest:
     xvars: tuple
     base: TriangularContext = None
     B: GoodRankMatrix = None
-    gamma_index: int = None
     budget: object = None
     seed: int = 0
 
@@ -60,10 +59,9 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
     k = len(xvars)
     s = len(fam)
     base = req.base.to_ering()
-    gidx = req.gamma_index
-    if gidx is None:
-        gidx = max(max_symbol_index(base), max_symbol_index(fam), max_symbol_index(G), 0) + 1
-    gam = InfElem.sym(extra_symbol(f"inf{gidx}", gidx))
+    gamma = fresh_infinitesimal(base, fam, G)
+    gidx = gamma.global_index
+    gam = InfElem.sym(gamma)
     d = max((p.total_degree_in(xvars) for p in fam), default=0) + 1
     if d % 2 == 1:
         d += 1
@@ -155,7 +153,6 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                 if v not in base.tvars and v not in xv:
                     xv.append(v)
         xvars = tuple(xv)
-    k = len(xvars)
     yvars = tuple(f"{v}_b" for v in xvars)
     out = []
 
@@ -207,11 +204,7 @@ def closest_pairs(P1, Q1, P2, Q2, base: TriangularContext = None, xvars=None,
                             ok2 = all(rur_sign(w, rename(Q2[i]).with_vars(merge_vars(rename(Q2[i]).vars, allv))) >= 0
                                       for i in range(len(Q2)))
                             if ok1 and ok2:
-                                pi1 = RealUnivRep(w.base, w.uvar, w.f, w.sigma,
-                                                  w.F[: k + 1], xvars)
-                                pi2 = RealUnivRep(w.base, w.uvar, w.f, w.sigma,
-                                                  (w.F[0],) + w.F[k + 1: 2 * k + 1], xvars)
-                                out.extend([pi1, pi2])
+                                out.extend([w.project(xvars), w.project(yvars, xvars)])
     # diagonal: components of the intersection are minimizers at distance 0
     inter = []
     for p in list(P1) + list(P2):

@@ -1,7 +1,14 @@
 """Work on points, the real univariate representations over triangular
 Thom encodings (solve.RealUnivRep): signs, coordinates and exact
 comparison, bounded algebraic sampling, and the limit algorithms that remove
-infinitesimals from point descriptions."""
+infinitesimals from point descriptions.
+
+Besides the point's own methods, the reshaping of a point lives here: join
+(a fiber point and the point its fiber sits over), flatten_rur and
+_collapse_last_level (a tower collapsed onto a smaller base), limit_point,
+AffineElimination.lift, and numerator_at (a polynomial at a point's
+coordinates).  No other module builds a point from another point's
+fields."""
 
 from __future__ import annotations
 
@@ -26,14 +33,6 @@ from .realroots import (
 from .solve import DEFAULT_BUDGET, RealUnivRep, solve_system, split_branches
 
 
-def project_rur(u: RealUnivRep, p: int) -> RealUnivRep:
-    """Projection of u to the first p coordinates (p = 0 keeps only the
-    root, used for fiber bookkeeping)."""
-    if not 0 <= p <= u.k:
-        raise ValueError(f"projection index {p} out of range 0..{u.k}")
-    return RealUnivRep(u.base, u.uvar, u.f, u.sigma, u.F[: p + 1], u.xvars[:p])
-
-
 # ---------------------------------------------------------------------------
 # affine elimination
 
@@ -44,7 +43,8 @@ class AffineElimination:
     fixes, var = a_0 + sum a_w w over the kept coordinates (a_0 = -c_0/c_var,
     a_w = -c_w/c_var).  Z(system) and the reduced set it maps onto in the
     kept coordinates are isomorphic by project and lift, so components and
-    paths map one to one (BPR)."""
+    paths map one to one (BPR).  A point of Z(system) maps to the reduced
+    set by u.project(kept)."""
 
     xvars: tuple  # the coordinates before the elimination
     var: str  # the eliminated coordinate
@@ -69,12 +69,6 @@ class AffineElimination:
         by_var[self.var] = self.numerator(u.F[0], nums)
         return RealUnivRep(u.base, u.uvar, u.f, u.sigma,
                            (u.F[0],) + tuple(by_var[w] for w in self.xvars), self.xvars)
-
-    def project(self, u: RealUnivRep) -> RealUnivRep:
-        """u without its var coordinate."""
-        i = u.xvars.index(self.var)
-        return RealUnivRep(u.base, u.uvar, u.f, u.sigma, u.F[: i + 1] + u.F[i + 2:],
-                           u.xvars[:i] + u.xvars[i + 1:])
 
 
 def affine_elimination(system, xvars):
@@ -110,22 +104,30 @@ def affine_elimination(system, xvars):
     return None
 
 
+def numerator_at(u: RealUnivRep, poly: MPoly) -> MPoly:
+    """poly with u's coordinates put in for its variables among u.xvars,
+    times F[0] to poly's total degree in them, which clears the
+    denominators: a polynomial in poly's other variables, u's base
+    variables and u's root (poly itself when it has none of u's
+    coordinates)."""
+    used = poly.used_vars()
+    block = [v for v in u.xvars if v in used]
+    if not block:
+        return poly
+    return subst_rational(poly, block, (u.F[0], [u.F[1 + u.xvars.index(v)] for v in block]))
+
+
 def rur_sign(u: RealUnivRep, poly: MPoly) -> int:
     """Sign of poly at the associated point of u (poly in u.xvars plus the
     base triangular variables)."""
-    block = [v for v in u.xvars if v in poly.vars and v in set(poly.used_vars())]
-    coords = [u.F[1 + u.xvars.index(v)] for v in block]
-    num = subst_rational(poly, block, (u.F[0], coords)) if block else poly
     ctx = u.extended_context()
-    num = num.with_vars(tuple(ctx.tvars))
-    s = ctx.sign_mpoly(num)
+    s = ctx.sign_mpoly(numerator_at(u, poly).with_vars(tuple(ctx.tvars)))
     if s == 0:
         return 0
-    deg = poly.total_degree_in(block) if block else 0
     d0 = ctx.sign_mpoly(u.F[0].with_vars(tuple(ctx.tvars)))
     if d0 == 0:
         raise ZeroDivisionError("RUR denominator vanishes at its root")
-    return s * (d0 ** (deg % 2))
+    return s * (d0 ** (poly.total_degree_in(u.xvars) % 2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,30 +206,39 @@ def drop_symbols(poly: MPoly, drop_from: int) -> MPoly:
     return poly.map_coeffs(lambda c: c.lim_from(drop_from))
 
 
-def max_symbol_index(*objs) -> int:
-    """The largest global index of an infinitesimal in the polynomials,
-    contexts and points given (None and other objects are skipped), 0 when
-    there is none.  Every limit index is at least 1, so
-    max_symbol_index(...) >= drop_from is the one test for "carries a
-    symbol the limit drops"; 0 also means no symbol, so it is not a test for
-    "eta-free" (the epsilon of roadmap_general has global index 0)."""
-    idx = 0
+def symbol_indices(*objs) -> set:
+    """The global indices of the infinitesimals in the polynomials, contexts
+    and points given (None and other objects are skipped).  An empty set is
+    the one test for "eta-free"."""
+    out = set()
     for o in objs:
         if isinstance(o, MPoly):
             if o.ring is ERING:
                 for c in o.terms.values():
-                    for i in c.support_indices():
-                        idx = max(idx, i)
+                    out |= c.support_indices()
         elif isinstance(o, TriangularContext):
-            for _v, p, _s in o.levels:
-                idx = max(idx, max_symbol_index(p))
+            out |= symbol_indices([p for _v, p, _s in o.levels])
         elif isinstance(o, RealUnivRep):
-            idx = max(idx, max_symbol_index(o.base), max_symbol_index(o.f),
-                      *[max_symbol_index(g) for g in o.F])
+            out |= symbol_indices(o.base, o.f, o.F)
         elif isinstance(o, (list, tuple)):
-            for x in o:
-                idx = max(idx, max_symbol_index(x))
-    return idx
+            out |= symbol_indices(*o)
+    return out
+
+
+def max_symbol_index(*objs) -> int:
+    """The largest of symbol_indices(*objs), 0 when there is none.  Every
+    limit index is at least 1, so max_symbol_index(...) >= drop_from is the
+    one test for "carries a symbol the limit drops"; 0 also means no symbol,
+    so it is not a test for "eta-free" (the epsilon of roadmap_general has
+    global index 0)."""
+    return max(symbol_indices(*objs), default=0)
+
+
+def fresh_infinitesimal(*objs):
+    """A transient infinitesimal smaller than every one in the polynomials,
+    contexts and points given: its global index is one past their largest."""
+    idx = max_symbol_index(*objs) + 1
+    return extra_symbol(f"inf{idx}", idx)
 
 
 def limit_thom(enc: ThomEncoding, drop_from: int):
@@ -378,6 +389,24 @@ def _collapse_last_level(u: RealUnivRep) -> RealUnivRep:
     return RealUnivRep(parent, m.uvar, m.f, m.sigma, tuple(new_F), u.xvars)
 
 
+def join(w: RealUnivRep, u: RealUnivRep) -> RealUnivRep:
+    """The point with w's coordinates followed by u's, where u lies over
+    w's root: the last level of u.base fixes it (w.root renamed onto that
+    level's variable t, over w's base).  Both coordinate tuples are put over
+    the common denominator, in t and u's root, and one
+    _collapse_last_level pairs the two roots."""
+    t = u.base.tvars[-1]
+    variables = u.base.tvars + (u.uvar,)
+    if u.f.ring is ERING:
+        w = w.to_ering()
+    w_F = w.F if t == w.uvar else [g.subst({w.uvar: MPoly.var(g.ring, (t,), t)}) for g in w.F]
+    w_den, *w_nums = (g.with_vars(variables) for g in w_F)
+    u_den, *u_nums = (g.with_vars(variables) for g in u.F)
+    F = [w_den * u_den] + [g * u_den for g in w_nums] + [w_den * g for g in u_nums]
+    return _collapse_last_level(RealUnivRep(u.base, u.uvar, u.f, u.sigma, tuple(F),
+                                            tuple(w.xvars) + tuple(u.xvars)))
+
+
 def _subst_pair(g, denom, reps):
     block = [v for v in reps if v in g.vars]
     if not block:
@@ -459,8 +488,8 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
 
     e_system = [p.to_ering() for p in system]
     e_context = context.to_ering()
-    zeta_idx = max(max_symbol_index(e_context), max_symbol_index(e_system), 0) + 1
-    zeta = extra_symbol(f"inf{zeta_idx}", zeta_idx)
+    zeta = fresh_infinitesimal(e_context, e_system)
+    zeta_idx = zeta.global_index
     zq = MPoly.const(ERING, (), InfElem.sym(zeta))
     Q = None
     for p in e_system:
@@ -485,7 +514,7 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
                 keep = False
                 break
         if keep:
-            out.append(_restore_ring(lim, context))
+            out.append(lim if context.ring is ERING else lim.to_qring())
     return dedupe_points(out)
 
 
@@ -524,19 +553,6 @@ def _sample_structured(system, context, xvars, budget, seed):
     return dedupe_points(out)
 
 
-def _restore_ring(u: RealUnivRep, context: TriangularContext) -> RealUnivRep:
-    """Map an eta-free ERING representation back onto the original context
-    ring (QQ when the original context was rational)."""
-    if context.ring is ERING:
-        if u.base.nlevels == 0 and context.nlevels > 0:
-            return RealUnivRep(context, u.uvar, u.f, u.sigma, u.F, u.xvars)
-        return u
-    def conv(p):
-        return p.to_qring()
-    base = context if u.base.nlevels == context.nlevels else context.prefix(u.base.nlevels)
-    return RealUnivRep(base, u.uvar, conv(u.f), u.sigma, tuple(conv(g) for g in u.F), u.xvars)
-
-
 _COORD_CACHE = BoundedCache()
 
 
@@ -570,7 +586,8 @@ def points_equal(u: RealUnivRep, v: RealUnivRep, upto=None) -> bool:
         return False
     for i in range(1, n + 1):
         enc = coordinate_encoding_cached(u, i)
-        if not _has_thom_signs(_coordinate_alone(v, i, enc.var), enc.poly, enc.var, enc.signs):
+        alone = v.project(v.xvars[i - 1:i], (enc.var,))
+        if not _has_thom_signs(alone, enc.poly, enc.var, enc.signs):
             return False
     return True
 
@@ -603,14 +620,9 @@ def rur_coordinate_encoding(u: RealUnivRep, i: int):
     g = _ctx_trim_poly(g, yvar, ctx)
     if g.degree(yvar) == 0:
         raise ArithmeticError("the coordinate's eliminant is constant")
-    alone = _coordinate_alone(u, i, yvar)
+    alone = u.project(u.xvars[i - 1:i], (yvar,))
     signs = tuple(rur_sign(alone, d) for d in der_list(g, yvar))
     if signs[0] != 0:
         raise ArithmeticError("the coordinate is not a root of its eliminant")
     return ThomEncoding(ctx, yvar, g, signs)
 
-
-def _coordinate_alone(u: RealUnivRep, i: int, name: str) -> RealUnivRep:
-    """Coordinate i (1-based) of u as the one coordinate, named `name`, of a
-    representation with u's root."""
-    return RealUnivRep(u.base, u.uvar, u.f, u.sigma, (u.F[0], u.F[i]), (name,))

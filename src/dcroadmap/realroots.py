@@ -508,6 +508,15 @@ class ThomEncoding:
     poly: MPoly
     signs: tuple
 
+    def renamed(self, var):
+        """The same root under the variable var, the name a context level
+        fixes it as (itself when var is already its variable)."""
+        if var == self.var:
+            return self
+        return ThomEncoding(self.context, var,
+                            self.poly.subst({self.var: MPoly.var(self.poly.ring, (var,), var)}),
+                            self.signs)
+
     def __repr__(self):
         return f"Thom({self.var}: {self.poly}; {''.join(_sgn_ch(s) for s in self.signs)})"
 
@@ -562,14 +571,23 @@ class TriangularContext:
             ctx = ctx._parent
         return ctx
 
+    def map_polys(self, fn, ring):
+        """The tower over ring whose level polynomials are fn of this one's,
+        with the same variables and Thom signs."""
+        out = TriangularContext(ring)
+        for v, p, s in self.levels:
+            out = out.extend(v, fn(p), s)
+        return out
+
     def to_ering(self):
         """The same tower over the infinitesimal ring."""
-        if self.ring is ERING:
-            return self
-        out = TriangularContext(ERING)
-        for v, p, s in self.levels:
-            out = out.extend(v, p.to_ering(), s)
-        return out
+        return self if self.ring is ERING else self.map_polys(MPoly.to_ering, ERING)
+
+    def to_qring(self):
+        """The same tower over the rationals, the inverse of to_ering; a
+        level polynomial with an infinitesimal coefficient raises
+        ValueError."""
+        return self if self.ring is QRING else self.map_polys(MPoly.to_qring, QRING)
 
     @property
     def nlevels(self):

@@ -8,7 +8,11 @@ and hands back that vertex, so an endpoint finds its id by value.  A piece's
 vertices are distinct points, so each is compared by points_equal only with
 earlier pieces' vertices; anchors and other endpoints are looked up by value
 first, then by points_equal.  A connectivity query scans the vertices with
-points_equal."""
+points_equal.
+
+A vertex is reshaped only by the point's own methods and points' helpers
+(project, to_qring, map_polys, flatten_rur, join): this module reads a
+point's fields for output, and builds none from another point's fields."""
 
 from __future__ import annotations
 
@@ -19,14 +23,17 @@ from dataclasses import dataclass, field
 from .curves import CurveSegmentRep, curve_segments, limit_curve
 from .errors import ResourceBudgetError, SeparationError
 from .infring import QQ, InfElem, extra_symbol, log_signs, zeta
-from .mpoly import ERING, QRING, MPoly, merge_vars
+from .mpoly import ERING, QRING, MPoly
 from .points import (
     RealUnivRep,
     affine_elimination,
     dedupe_points,
     flatten_rur,
+    join,
+    numerator_at,
     points_equal,
     rur_sign,
+    symbol_indices,
 )
 from .realroots import TriangularContext, per_input_caches
 from .solve import DEFAULT_BUDGET, solve_system
@@ -75,17 +82,11 @@ class RoadmapGraph:
 
 
 def _canonicalize(u: RealUnivRep) -> RealUnivRep:
-    """Flatten the tower and map eta-free data back to the rationals so
-    vertices from different pipelines share one coefficient ring."""
+    """Flatten the tower, and map a point that carries no infinitesimal
+    back to the rationals, so vertices from different pipelines share one
+    coefficient ring; a point over D[eta] that carries one stays there."""
     u = flatten_rur(u)
-    if u.f.ring is ERING:
-        try:
-            f2 = u.f.to_qring()
-            F2 = tuple(g.to_qring() for g in u.F)
-            return RealUnivRep(TriangularContext(QRING), u.uvar, f2, u.sigma, F2, u.xvars)
-        except (ValueError, ArithmeticError):
-            return u
-    return u
+    return u if symbol_indices(u) else u.to_qring()
 
 
 def _vertex_id(u, vertices, ids):
@@ -160,7 +161,7 @@ def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
     reduced = affine_elimination(system, xvars)
     if reduced is not None:
         sub, elim = reduced
-        graph = roadmap_bounded(sub, [elim.project(a) for a in A],
+        graph = roadmap_bounded(sub, [a.project(elim.kept) for a in A],
                                 kprime=min(kprime, max(len(elim.kept) - 1, 1)),
                                 budget=budget, seed=seed)
         return _lift_graph(graph, elim)
@@ -226,26 +227,27 @@ def cauchy_bound(F):
 @per_input_caches
 def roadmap_general(P, A=(), kprime=None, budget=DEFAULT_BUDGET, seed=0):
     """Roadmap of a general (possibly unbounded or empty) algebraic set:
-    intersect with an infinitesimal-radius sphere, run the bounded algorithm
+    intersect Z(P) x R with the sphere of infinitesimal radius 1/eps in
+    the coordinates and one extra coordinate Xu_, run the bounded algorithm
     over D[eps], substitute the Cauchy bound of every sign-queried
-    eps-polynomial, project out the extra coordinate, and keep the sphere
-    boundary points as outward parameter rays."""
+    eps-polynomial, and project out the extra coordinate.  Each point of A
+    gets one anchor id.  The vertices where Xu_ is 0, on the boundary of
+    the ball |x| <= 1/eps, are kept as outward parameter rays, so a bounded
+    set has none."""
     system = P if isinstance(P, list) else [P]
     xvars = tuple(system[0].vars)
     k = len(xvars)
     newv = "Xu_"
     allv = xvars + (newv,)
     e0 = extra_symbol("e0", 0)
-    eps_el = InfElem.sym(e0)
-    ring = ERING
-    sph = MPoly.zero(ring, allv)
+    sph = MPoly.zero(ERING, allv)
     for v in allv:
-        sph = sph + MPoly.var(ring, allv, v, 2)
-    sph = sph.scale(eps_el * eps_el) - MPoly.const(ring, allv, 1)
+        sph = sph + MPoly.var(ERING, allv, v, 2)
+    sph = sph.scale(InfElem.sym(e0, 2)) - MPoly.const(ERING, allv, 1)
     # the lifted variety (the paper's P_eps = P^2 + (eps^2 |X|^2 - 1)^2) is
     # carried as a defining system: identical zero set, workable ideal
     lifted_system = [p.to_ering().with_vars(allv) for p in system] + [sph]
-    A_eps = _lift_points(system, A, sph, allv, budget, seed)
+    A_eps = _lift_points(A, sph, newv, budget, seed)
     if kprime is None:
         kprime = max(k - 1, 1)
     with log_signs(e0) as record:
@@ -258,91 +260,52 @@ def roadmap_general(P, A=(), kprime=None, budget=DEFAULT_BUDGET, seed=0):
             except ValueError:
                 continue
     a_val = min(bounds) if bounds else QQ(1, 2)
-    rays = _sphere_boundary_vertices(graph_eps, sph)
-    graph = _substitute_and_project(graph_eps, e0.global_index, a_val, xvars)
-    graph.eps_rays = [{"vertex": vid, "eps_range": ("0", _qstr(a_val))} for vid in rays]
+    graph, vid_map = _substitute_and_project(graph_eps, e0.global_index, a_val, xvars, A)
+    on_boundary = MPoly.var(QRING, (newv,), newv)
+    graph.eps_rays = [{"vertex": vid_map[vid], "eps_range": ("0", _qstr(a_val))}
+                      for vid, u in enumerate(graph_eps.vertices)
+                      if rur_sign(u, on_boundary) == 0]
     return graph
 
 
-def _lift_points(system, A, sph, allv, budget, seed):
-    """A_eps: the points of the lifted variety above each input point (the
-    extra coordinate solves the infinitesimal-radius sphere equation)."""
+def _lift_points(A, sph, newv, budget, seed):
+    """A_eps: the points of the lifted variety above each point a of A,
+    joined from a and each root newv of sph at a's coordinates, solved over
+    a's extended context."""
     out = []
-    newv = allv[-1]
     for a in A:
-        e_ctx = a.extended_context().to_ering()
-        den2 = a.F[0].to_ering()
-        den2 = den2 * den2
-        num = MPoly.zero(ERING, merge_vars(den2.vars, (newv,)))
-        for i, v in enumerate(a.xvars, start=1):
-            g = a.F[i].to_ering()
-            num = num + (g * g).with_vars(merge_vars(num.vars, g.vars))
-        num = num + MPoly.var(ERING, num.vars, newv) ** 2 * den2.with_vars(num.vars)
-        eps2 = MPoly.const(ERING, num.vars, InfElem.sym(extra_symbol("e0", 0)) ** 2)
-        eq = eps2 * num - den2.with_vars(num.vars)
+        eq = numerator_at(a, sph)
         try:
-            sols = solve_system([eq], (newv,), context=e_ctx, budget=budget, seed=seed)
+            sols = solve_system([eq], (newv,), context=a.extended_context().to_ering(),
+                                budget=budget, seed=seed)
         except (SeparationError, ResourceBudgetError):
             sols = []
-        out.extend(_combine_coords(a, lifted, allv) for lifted in sols)
+        out.extend(join(a, lifted) for lifted in sols)
     return dedupe_points(out)
 
 
-def _combine_coords(a, lifted, allv):
-    """Lifted representation: the new root variable fixes the extra
-    coordinate; the original coordinates ride along through the base."""
-    ring = ERING
-    variables = merge_vars(lifted.f.vars, a.F[0].vars)
-    a_den = a.F[0].to_ering().with_vars(variables)
-    l_den = lifted.F[0].with_vars(variables)
-    F = [a_den * l_den]
-    for i in range(1, len(a.F)):
-        g = a.F[i].to_ering().with_vars(variables)
-        F.append(g * l_den)
-    F.append(lifted.F[1].with_vars(variables) * a_den)
-    return flatten_rur(RealUnivRep(lifted.base, lifted.uvar, lifted.f, lifted.sigma,
-                                   tuple(F), allv))
+def _substitute_and_project(graph, idx, value, xvars, A):
+    """eps := value in every datum, the lifted coordinate dropped, and the
+    vertices glued again; each point of A gets the id of the vertex it is.
+    Returns the graph and the new id of each of graph's vertex ids."""
+    def subst(p):
+        return p if p.ring is QRING else p.map_coeffs(lambda c: c.subst_symbol(idx, value)).to_qring()
 
-
-def _sphere_boundary_vertices(graph, sph):
-    out = []
-    for vid, u in enumerate(graph.vertices):
-        try:
-            if rur_sign(u, sph.with_vars(merge_vars(sph.vars, u.xvars))) == 0:
-                out.append(vid)
-        except (ValueError, ArithmeticError, ZeroDivisionError):
-            continue
-    return out
-
-
-def _subst_poly(p, idx, value):
-    if p.ring is QRING:
-        return p
-    return p.map_coeffs(lambda c: c.subst_symbol(idx, value)).to_qring()
-
-
-def _substitute_and_project(graph, idx, value, xvars):
-    """eps := value in every datum, drop the lifted coordinate, re-glue."""
     k = len(xvars)
     vertices, ids = [], {}
-    vid_map = {}
-    for old_id, u in enumerate(graph.vertices):
-        f2 = _subst_poly(u.f, idx, value)
-        F2 = tuple(_subst_poly(g, idx, value) for g in u.F[: k + 1])
-        nu = RealUnivRep(TriangularContext(QRING), u.uvar, f2, u.sigma, F2, tuple(xvars))
-        vid_map[old_id] = _add_vertex(nu, vertices, ids)
+    vid_map = [_add_vertex(u.project(xvars).map_polys(subst, QRING), vertices, ids)
+               for u in graph.vertices]
     edges = []
     for seg, lo, hi in graph.edges:
-        f2 = _subst_poly(seg.f, idx, value)
-        coords2 = tuple(_subst_poly(g, idx, value) for g in seg.coords[: k])
+        lo, hi = (None if i is None else vid_map[i] for i in (lo, hi))
         nseg = CurveSegmentRep(TriangularContext(QRING), seg.param_var, seg.uvar,
-                               f2, seg.rho, coords2, tuple(xvars),
-                               lo=None, hi=None)
-        nseg.lo_point = vertices[vid_map[lo]] if lo is not None else None
-        nseg.hi_point = vertices[vid_map[hi]] if hi is not None else None
-        edges.append((nseg, vid_map.get(lo), vid_map.get(hi)))
-    return RoadmapGraph(k, tuple(xvars), vertices, edges,
-                        [vid_map[i] for i in graph.anchor_ids])
+                               subst(seg.f), seg.rho, tuple(subst(g) for g in seg.coords[:k]),
+                               tuple(xvars), lo=None, hi=None,
+                               lo_point=None if lo is None else vertices[lo],
+                               hi_point=None if hi is None else vertices[hi])
+        edges.append((nseg, lo, hi))
+    anchor_ids = [_add_vertex(a, vertices, ids) for a in A]
+    return RoadmapGraph(k, tuple(xvars), vertices, edges, anchor_ids), vid_map
 
 
 def connectivity(graph: RoadmapGraph, u1: RealUnivRep, u2: RealUnivRep):

@@ -86,7 +86,12 @@ class RealUnivRep:
     The data alone fix the point (Thom's lemma), so a point is a value:
     two with the same fields and the same ring of f are equal and hash
     alike, and a point is its own cache and dedupe key.  Points that are
-    not equal may still be the same point (points.points_equal)."""
+    not equal may still be the same point (points.points_equal).
+
+    This layout is known here and in points only.  A point is reshaped by
+    its own methods (project, over, map_polys, to_ering, to_qring, and root
+    for its Thom encoding) and by points.join, flatten_rur and limit_point;
+    no other module builds a point from another point's fields."""
 
     base: TriangularContext
     uvar: str
@@ -100,9 +105,35 @@ class RealUnivRep:
     def k(self):
         return len(self.F) - 1
 
+    @property
+    def root(self):
+        """The root of f that sigma selects, as a Thom encoding over base."""
+        return ThomEncoding(self.base, self.uvar, self.f, self.sigma)
+
     def extended_context(self):
         """The base extended by the root, from the shared context cache."""
-        return _ext_context_for(ThomEncoding(self.base, self.uvar, self.f, self.sigma))
+        return _ext_context_for(self.root)
+
+    def project(self, names, labels=None):
+        """The coordinates `names` of the point, in that order, called
+        `labels` (names by default)."""
+        names = tuple(names)
+        F = (self.F[0],) + tuple(self.F[1 + self.xvars.index(v)] for v in names)
+        return RealUnivRep(self.base, self.uvar, self.f, self.sigma, F,
+                           names if labels is None else tuple(labels))
+
+    def over(self, base):
+        """The same point over base, a context that extends its own: f keeps
+        its real roots, and their Thom signs, over any extension."""
+        if base.prefix(self.base.nlevels) != self.base:
+            raise ValueError("the new base does not extend the point's base")
+        return RealUnivRep(base, self.uvar, self.f, self.sigma, self.F, self.xvars)
+
+    def map_polys(self, fn, ring):
+        """The point over ring whose polynomials (the base's levels, f and
+        F) are fn of this one's."""
+        return RealUnivRep(self.base.map_polys(fn, ring), self.uvar, fn(self.f), self.sigma,
+                           tuple(fn(g) for g in self.F), self.xvars)
 
     def to_ering(self):
         """The same point over D[eta]: its base, f and F mapped into ERING,
@@ -111,8 +142,14 @@ class RealUnivRep:
         gives the same point."""
         if self.base.ring is ERING and self.f.ring is ERING:
             return self
-        return RealUnivRep(self.base.to_ering(), self.uvar, self.f.to_ering(), self.sigma,
-                           tuple(g.to_ering() for g in self.F), self.xvars)
+        return self.map_polys(MPoly.to_ering, ERING)
+
+    def to_qring(self):
+        """The same point over the rationals, the inverse of to_ering; a
+        point with an infinitesimal coefficient raises ValueError."""
+        if self.base.ring is QRING and self.f.ring is QRING:
+            return self
+        return self.map_polys(MPoly.to_qring, QRING)
 
     def _value(self):
         # MPoly equality ignores the ring, so the ring of f is named too

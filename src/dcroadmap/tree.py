@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .divide import DivideInput, DivideOutput, divide, _fiber_context, _subst_block
-from .points import RealUnivRep, dedupe_points, points_equal
+from .divide import DivideInput, DivideOutput, divide, _subst_block
+from .points import dedupe_points, points_equal
 from .realroots import TriangularContext
 from .solve import DEFAULT_BUDGET
 
@@ -94,26 +94,19 @@ def _expand(node: TreeNode, budget, seed):
         child = TreeNode(node.s + (0,), node.base, list(node.W), list(P0),
                          list(Q0), list(A_alpha), node.xvars, node.kprime)
         node.children.append(child)
-    # right children: one per fiber coordinate w in N
-    block = list(node.xvars[:ell])
+    # right children: one per fiber coordinate w in N, over the context
+    # Divide's step 6 put w's fiber anchors over
     rest = tuple(node.xvars[ell:])
     for idx, w in enumerate(out.N):
-        # the context Divide's step 6 put w's fiber anchors over
-        ctx_w = _fiber_context(w, node.base.to_ering())
-        P_m = [q for q in (_subst_block(pp, block, w) for pp in out.Ptilde)
+        ctx_w = out.fibers[idx]
+        P_m = [q for q in (_subst_block(pp, w, ctx_w) for pp in out.Ptilde)
                if not q.is_zero()]
-        Q_m = [_subst_block(qq, block, w) for qq in out.Qtilde]
+        Q_m = [_subst_block(qq, w, ctx_w) for qq in out.Qtilde]
         A_m = list(out.B.get(idx, []))
-        for a in out.Atilde:
-            if points_equal(a, w, upto=ell):
-                A_m.append(_restrict_point(a, ctx_w, ell, rest))
+        # a point of A~ over w keeps its own root; over the fiber context,
+        # only its other coordinates remain
+        A_m.extend(a.project(rest).over(ctx_w) for a in out.Atilde
+                   if points_equal(a, w, upto=ell))
         child = TreeNode(node.s + (1,), ctx_w, list(node.W) + [w], P_m, Q_m,
                          dedupe_points(A_m), rest, node.kprime)
         node.children.append(child)
-
-
-def _restrict_point(a, ctx_w, ell, rest):
-    """Re-express a point whose projection equals w over the w-extended
-    context (the representation is unchanged; only the base grows)."""
-    return RealUnivRep(ctx_w, a.uvar, a.f, a.sigma,
-                       (a.F[0],) + tuple(a.F[ell + 1:]), rest)

@@ -89,6 +89,27 @@ def test_a_malformed_point_is_a_point_parse_error(tmp_path, capsys, record):
     assert "point parse error" in got.err
 
 
+def test_a_point_file_that_is_not_an_object_or_missing_is_a_point_parse_error(tmp_path, capsys):
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
+    good = _point(tmp_path, "good.json", 1)
+    for bad in (_write(tmp_path, "list.json", "[1, 2]"), str(tmp_path / "missing.json")):
+        assert cli.main(["connect", "-f", path, "--p1", good, "--p2", bad]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "point parse error" in got.err
+
+
+@pytest.mark.parametrize("command", ["components", "connect", "oracle"])
+def test_a_missing_input_file_is_a_parse_error(tmp_path, capsys, command):
+    argv = [command, "-f", str(tmp_path / "missing.txt")]
+    if command == "connect":
+        argv += ["--p1", _point(tmp_path, "p1.json", 1), "--p2", _point(tmp_path, "p2.json", -1)]
+    assert cli.main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "parse error" in got.err
+
+
 @pytest.mark.parametrize("command", ["components", "connect"])
 def test_a_failed_step_is_an_algorithm_error(tmp_path, capsys, monkeypatch, command):
     def fail(*args, **kwargs):

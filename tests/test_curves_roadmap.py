@@ -5,17 +5,16 @@ import sys
 import pytest
 
 from dcroadmap import curves, points, roadmap
-from dcroadmap.infring import QQ, InfElem, eps
+from dcroadmap.infring import QQ, InfElem, eps, extra_symbol
 from dcroadmap.mpoly import ERING, MPoly, QRING, parse_poly
 from dcroadmap.points import (
     RealUnivRep,
-    _restore_ring,
     flatten_rur,
     points_equal,
     rur_sign,
     sample_components,
 )
-from dcroadmap.realroots import TriangularContext, compare_roots, thom_encodings
+from dcroadmap.realroots import TriangularContext, _ext_context_for, compare_roots, thom_encodings
 from dcroadmap.curves import CurvePiece, CurveSegmentRep, curve_segments, limit_curve
 from dcroadmap.solve import solve_system
 from dcroadmap.roadmap import (
@@ -25,6 +24,7 @@ from dcroadmap.roadmap import (
     graph_to_json_str,
     load_components_from_json,
     roadmap_bounded,
+    roadmap_general,
 )
 
 XY = ("x", "y")
@@ -228,6 +228,34 @@ def test_connectivity_unanchored_point_errors():
         connectivity(g, stray, A[0])
 
 
+def test_general_roadmap_of_the_unit_circle_names_one_vertex_per_anchor():
+    # the circle inside the ball of radius 1/eps: one component, one anchor
+    # id per input anchor, each a vertex, and no ray, since the extra
+    # coordinate Xu_ vanishes at no vertex of the bounded lifted curve
+    circle = P("x^2 + y^2 - 1")
+    A = sample_components([circle])
+    g = roadmap_general(circle, A)
+    assert g.component_count() == 1
+    assert len(g.anchor_ids) == len(A) == 2
+    assert all(0 <= i < len(g.vertices) for i in g.anchor_ids)
+    assert all(points_equal(a, g.vertices[i]) for a, i in zip(A, g.anchor_ids))
+    assert g.eps_rays == []
+    for v in g.vertices:
+        assert v.f.ring is QRING and rur_sign(v, circle) == 0
+
+
+def test_canonical_vertices_leave_the_infinitesimal_ring_only_when_eta_free():
+    # epsilon of roadmap_general has global index 0, so a point carrying it
+    # must stay over D[eps] although its largest symbol index is 0
+    one, u = (MPoly.const(ERING, ("U",), 1), MPoly.var(ERING, ("U",), "U"))
+    e0 = MPoly.const(ERING, ("U",), InfElem.sym(extra_symbol("e0", 0)))
+    for c, eta_free in ((one, True), (e0, False)):
+        v = RealUnivRep(TriangularContext(ERING), "U", u - c, (0, 1), (one, u, one), XY)
+        canon = roadmap._canonicalize(v)
+        assert (canon.f.ring is QRING) is eta_free
+        assert canon == (v.to_qring() if eta_free else v)
+
+
 def test_roadmap_json_roundtrip_deterministic():
     circle = P("x^2 + y^2 - 1")
     A = sample_components([circle])
@@ -390,10 +418,10 @@ def _endpoints_by_both_routes(system, xvars):
         curve_segments(system, [], TriangularContext(QRING), xvars)
     out = []
     for seg, (enc, vertices), tname, direction, end in calls:
-        ctx = curves._fiber_context(enc.context, tname, enc)
+        ctx = _ext_context_for(enc.renamed(tname))
         limit = curves._endpoint_limit(seg, ctx, direction)
         assert limit is not None
-        out.append((end, flatten_rur(_restore_ring(limit, ctx), enc.context.nlevels), vertices))
+        out.append((end, flatten_rur(limit.to_qring(), enc.context.nlevels), vertices))
     return out
 
 
@@ -429,11 +457,11 @@ def test_branches_meeting_at_a_double_root_end_at_it():
     fiber = (thom_encodings(P("x", ("x",)), "x", base)[0], [off_curve, origin])
     ends = curves._branch_ends(f, coords, "Uc_", P("y"), XY, fiber[1])
     assert ends == [(origin, (0, 0, 1))]
-    ctx = curves._fiber_context(base, "Tx", fiber[0])
+    ctx = _ext_context_for(fiber[0].renamed("Tx"))
     for enc in thom_encodings(parse_poly("Uc_^2 - 1", ("Uc_",)), "Uc_", base):
         seg = curves.CurveSegmentRep(base, "x", "Uc_", f, enc.signs, coords, XY)
         assert curves._glued_endpoint(seg, ends, fiber, "Tx", +1) is origin
-        limit = _restore_ring(curves._endpoint_limit(seg, ctx, +1), ctx)
+        limit = curves._endpoint_limit(seg, ctx, +1).to_qring()
         assert points_equal(flatten_rur(limit), origin)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dcroadmap.errors import NotZeroDimensionalError, SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, merge_vars, parse_poly
-from dcroadmap.realroots import ThomEncoding, TriangularContext, compare_roots, thom_encodings
+from dcroadmap.realroots import ThomEncoding, TriangularContext, _ext_context_for, compare_roots, thom_encodings
 from dcroadmap import points, realroots, solve
 from dcroadmap.points import (
     BoundedCache,
@@ -22,7 +22,6 @@ from dcroadmap.points import (
     limit_point,
     limit_thom,
     points_equal,
-    project_rur,
     rational_between,
     rur_coordinate_encoding,
     rur_sign,
@@ -49,15 +48,24 @@ def mk_rational_rur(values, xvars=("x", "y")):
     return RealUnivRep(TriangularContext(ring), uv, f, (0, 1), F, tuple(xvars))
 
 
-def test_project_rur():
+def test_project():
     u = mk_rational_rur([1, 2, 3], ("x", "y", "z"))
-    assert project_rur(u, 3) is not u and project_rur(u, 3).F == u.F
-    p1 = project_rur(u, 1)
-    assert len(p1.F) == 2 and p1.xvars == ("x",)
-    p0 = project_rur(u, 0)
-    assert len(p0.F) == 1
+    assert u.project(("x", "y", "z")) == u
+    assert u.project(("z", "x")) == mk_rational_rur([3, 1], ("z", "x"))
+    assert u.project(("y",), ("w",)) == mk_rational_rur([2], ("w",))
+    p0 = u.project(())
+    assert p0.F == u.F[:1] and p0.xvars == ()
     with pytest.raises(ValueError):
-        project_rur(u, 5)
+        u.project(("w",))
+
+
+def test_over_puts_a_point_over_an_extension_of_its_base():
+    u = mk_rational_rur([1, 2])
+    ctx1 = u.base.extend("T1", parse_poly("T1^2 - 2", ("T1",)), (0, 1, 1))
+    v = u.over(ctx1)
+    assert v.base == ctx1 and v.F == u.F and rur_sign(v, P("x - 1")) == 0
+    with pytest.raises(ValueError):
+        v.over(u.base)
 
 
 def test_points_equal_compares_the_first_upto_coordinates():
@@ -318,6 +326,48 @@ def test_flatten_rur_two_levels():
     # point coordinate x = 2^(1/4)
     assert rur_sign(flat, parse_poly("x^4 - 2", ("x",))) == 0
     assert rur_sign(flat, parse_poly("x", ("x",))) == 1
+
+
+def test_to_qring_inverts_to_ering():
+    ctx1 = TriangularContext(QRING).extend("T1", parse_poly("T1^2 - 2", ("T1",)), (0, 1, 1))
+    tv = ("T1", "U7")
+    u = RealUnivRep(ctx1, "U7", parse_poly("U7^2 - T1", tv), (0, 1, 1),
+                    (MPoly.const(QRING, tv, 1), MPoly.var(QRING, tv, "U7")), ("x",))
+    e = u.to_ering()
+    assert e.f.ring is ERING and e.base.ring is ERING and e.base.levels[0][1].ring is ERING
+    back = e.to_qring()
+    assert back == u and back.base == ctx1 and back.base.ring is QRING
+    assert u.to_qring() is u and ctx1.to_qring() is ctx1
+    assert rur_sign(back, parse_poly("x^4 - 2", ("x",))) == 0
+
+
+def test_to_qring_rejects_an_infinitesimal_coefficient():
+    e1 = InfElem.sym(eps(1))
+    f = MPoly.var(ERING, ("U",), "U") - MPoly.const(ERING, ("U",), e1)
+    u = RealUnivRep(TriangularContext(ERING), "U", f, (0, 1),
+                    (MPoly.const(ERING, ("U",), 1), MPoly.var(ERING, ("U",), "U")), ("x",))
+    with pytest.raises(ValueError):
+        u.to_qring()
+    with pytest.raises(ValueError):
+        TriangularContext(ERING).extend("U", f, (0, 1)).to_qring()
+
+
+def test_join_puts_a_fiber_point_after_the_point_it_lies_over():
+    # w = sqrt(2) as the coordinate x; over the tower fixing w's root as T,
+    # u is y = 2^(1/4), the positive root of V^2 - T
+    U = ("U",)
+    w = RealUnivRep(TriangularContext(QRING), "U", parse_poly("U^2 - 2", U), (0, 1, 1),
+                    (parse_poly("1", U), parse_poly("U", U)), ("x",))
+    ctx = _ext_context_for(w.root.renamed("T"))
+    TV = ("T", "V")
+    u = RealUnivRep(ctx, "V", parse_poly("V^2 - T", TV), (0, 1, 1),
+                    (parse_poly("1", TV), parse_poly("V", TV)), ("y",))
+    j = points.join(w, u)
+    assert j.base.nlevels == 0 and j.xvars == ("x", "y")
+    for eq in ("x^2 - 2", "y^2 - x", "y^4 - 2"):
+        assert rur_sign(j, P(eq)) == 0
+    assert rur_sign(j, P("x")) == 1 and rur_sign(j, P("y")) == 1
+    assert points_equal(j.project(("x",)), w)
 
 
 def test_rur_coordinate_encoding():
