@@ -40,21 +40,27 @@ def _product(polys):
 
 
 def _load_point(path, variables):
-    """RUR record: {"uvar": name, "f": poly, "signs": [...], "F": [polys]}.
-    Polynomials are written in the CLI text syntax over (uvar,).  F holds
+    """RUR record: {"uvar": name, "f": poly, "signs": [ints], "F": [polys]}.
+    Polynomials are strings in the CLI text syntax over (uvar,).  F holds
     the denominator and one numerator per variable, and the signs must fix
-    a real root of f: otherwise ValueError (EmptyEncodingError for the
-    signs); a file that cannot be read raises OSError."""
+    a real root of f.  A field of another JSON type, a polynomial that does
+    not parse or a wrong length of F raises ValueError, signs of no root
+    EmptyEncodingError (a ValueError); a file that cannot be read raises
+    OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("a point record is a JSON object")
-    uvar = data["uvar"]
-    f = parse_poly(data["f"], (uvar,))
-    F = tuple(parse_poly(g, (uvar,)) for g in data["F"])
+    uvar, f, signs, F = data["uvar"], data["f"], data["signs"], data["F"]
+    if not (isinstance(uvar, str) and isinstance(f, str)
+            and isinstance(signs, list) and all(type(s) is int for s in signs)
+            and isinstance(F, list) and all(isinstance(g, str) for g in F)):
+        raise ValueError('"uvar" and "f" are strings, "signs" a list of ints '
+                         'and "F" a list of strings')
+    F = tuple(parse_poly(g, (uvar,)) for g in F)
     if len(F) != len(variables) + 1:
         raise ValueError(f"F has {len(F)} entries, not {len(variables) + 1}")
-    u = RealUnivRep(TriangularContext(QRING), uvar, f, tuple(data["signs"]),
+    u = RealUnivRep(TriangularContext(QRING), uvar, parse_poly(f, (uvar,)), tuple(signs),
                     F, tuple(variables))
     u.extended_context().level_solver()
     return u

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .infring import QQ, InfElem, delta, eps, gamma, zeta
-from .mpoly import ERING, QRING, JacobianSelector, MPoly, jac_minor, merge_vars
+from .mpoly import ERING, QRING, MPoly, jac_minor, merge_vars
 
 
 class GoodRankMatrix:
@@ -113,8 +113,7 @@ def crit_minor_system(system, G, l, variables):
     if len(window) < m + 1:
         return out
     for rows in combinations(window, m + 1):
-        sel = JacobianSelector(list(rows), list(range(0, m + 1)))
-        mv = jac_minor(G, system, sel)
+        mv = jac_minor(G, system, rows, range(m + 1))
         if not mv.is_zero():
             out.append(mv)
     return out
@@ -185,7 +184,6 @@ def charts(Ptilde, Qtilde, l, G, level, variables):
     Enumeration order is lexicographic in (|Q~'|, Q~', r, J, J') so tree
     shapes are reproducible."""
     variables = tuple(variables)
-    k = len(variables)
     window = variables[l:]
     out = []
     g = MPoly.const(ERING, variables, InfElem.sym(gamma(level)))
@@ -198,8 +196,7 @@ def charts(Ptilde, Qtilde, l, G, level, variables):
             for r in range(0, m + 1):
                 for J in combinations(window, r):
                     for Jp in combinations(range(0, m + 1), r):
-                        sel = JacobianSelector(list(J), list(Jp))
-                        jac_a = jac_minor(Ge, F, sel)
+                        jac_a = jac_minor(Ge, F, J, Jp)
                         P0 = list(Ptilde) + [Qtilde[i] for i in qsel]
                         for i in window:
                             if i in J:
@@ -207,8 +204,7 @@ def charts(Ptilde, Qtilde, l, G, level, variables):
                             for ip in range(0, m + 1):
                                 if ip in Jp:
                                     continue
-                                sel2 = JacobianSelector(list(J) + [i], list(Jp) + [ip])
-                                P0.append(jac_minor(Ge, F, sel2))
+                                P0.append(jac_minor(Ge, F, J + (i,), Jp + (ip,)))
                         Q0 = list(Qtilde) + [jac_a * jac_a - g]
                         out.append((ChartIndex(qsel, r, tuple(J), tuple(Jp)), P0, Q0))
     return out

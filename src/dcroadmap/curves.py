@@ -279,7 +279,6 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
     the Thom data, a sign-family member, or a coordinate denominator can
     change, plus anchor parameter values."""
     x = xvars[0]
-    ring = f.ring
     crit_polys = []
     fu = f
     d = fu.degree(uvar)
@@ -456,7 +455,6 @@ def _endpoint_limit(seg, ctx, direction):
     The shifted-fiber Thom enumeration is cached per (fiber polynomial,
     endpoint, direction) since every branch of the same piece shares it."""
     mu = fresh_infinitesimal(ctx, seg.f, seg.coords)
-    mu_idx = mu.global_index
     x = seg.param_var
     tname = ctx.tvars[-1]
     key = (ctx, x, seg.uvar, seg.f, seg.coords, direction)
@@ -490,7 +488,7 @@ def _endpoint_limit(seg, ctx, direction):
     for g in coords_shift[1:]:
         F.append(g.with_vars(variables))
     u = RealUnivRep(e_ctx, seg.uvar, target.poly, target.signs, tuple(F), seg.xvars)
-    return limit_point(u, mu_idx)
+    return limit_point(u, mu)
 
 
 def limit_curve(pieces: CurvePiece, drop_from: int):

@@ -3,7 +3,10 @@ positive infinitesimals over arbitrary-precision rationals.
 
 The tower is ordered 1 >> z1 >> e1 >> d1 >> g1 >> z2 >> ... ; a symbol with a
 larger global index is infinitesimal relative to every symbol with a smaller
-index.  Elements are plain polynomials (no fractional exponents); true
+index.  An infinitesimal is its global index, a plain int: zeta, eps, delta
+and gamma give the tower's indices (4*(level-1) + 1..4), index 0 lies above
+the whole tower, and a fresh innermost one is one past every index in use.
+Elements are plain polynomials (no fractional exponents); true
 algebraic quantities over the tower are only ever reached through Thom
 encodings and the limit algorithms, never as ring elements.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -25,61 +27,32 @@ def QQ(a=0, b=None):
 
 RATIONAL_TYPES = (int, Fraction)
 
-_KIND_RANK = {"zeta": 1, "eps": 2, "delta": 3, "gamma": 4}
-_KIND_LETTER = {"zeta": "z", "eps": "e", "delta": "d", "gamma": "g"}
+# the tower's letters in rank order: z, e, d, g at each level
+_LETTERS = "zedg"
 
 
-@dataclass(frozen=True, order=True)
-class InfSymbol:
-    """One infinitesimal of the tower (or an ad-hoc extra symbol).
-
-    global_index is the position in the ordering: larger index means smaller
-    (more infinitesimal) symbol.  Tower symbols satisfy
-    global_index = 4*(level-1) + rank(kind).
-    """
-
-    global_index: int
-    kind: str
-    level: int
-    name: str
-
-    def __repr__(self):
-        return self.name
-
-
-def tower_symbol(kind, level):
-    if kind not in _KIND_RANK:
-        raise ValueError(f"unknown kind {kind!r}")
+def _tower_index(rank, level):
+    """Global index of the rank-th symbol (1 for zeta ... 4 for gamma) of a
+    tower level: 4*(level-1) + rank."""
     if level < 1:
         raise ValueError("tower level must be >= 1")
-    idx = 4 * (level - 1) + _KIND_RANK[kind]
-    return InfSymbol(idx, kind, level, f"{_KIND_LETTER[kind]}{level}")
+    return 4 * (level - 1) + rank
 
 
 def zeta(level):
-    return tower_symbol("zeta", level)
+    return _tower_index(1, level)
 
 
 def eps(level):
-    return tower_symbol("eps", level)
+    return _tower_index(2, level)
 
 
 def delta(level):
-    return tower_symbol("delta", level)
+    return _tower_index(3, level)
 
 
 def gamma(level):
-    return tower_symbol("gamma", level)
-
-
-def extra_symbol(name, global_index, kind="eps", level=0):
-    """Ad-hoc symbol outside the 4-per-level tower grid.
-
-    Used for the epsilon of the unbounded reduction (index 0, larger than the
-    whole tower) and for transient innermost symbols (index beyond every
-    index in use).
-    """
-    return InfSymbol(global_index, kind, level, name)
+    return _tower_index(4, level)
 
 
 def _mono_cmp(a, b):
@@ -107,14 +80,15 @@ _SIGN_LOG = None  # (symbol_index, list) while a log_signs context is active
 
 
 @contextmanager
-def log_signs(symbol):
+def log_signs(index):
     """Record, for the duration of the context, the univariate polynomials in
-    `symbol` whose leading blocks decided a sign evaluation.  Used by the
-    general roadmap algorithm to compute its Cauchy substitution bound."""
+    the infinitesimal of global index `index` whose leading blocks decided a
+    sign evaluation.  Used by the general roadmap algorithm to compute its
+    Cauchy substitution bound."""
     global _SIGN_LOG
     prev = _SIGN_LOG
     record = []
-    _SIGN_LOG = (symbol.global_index, record)
+    _SIGN_LOG = (index, record)
     try:
         yield record
     finally:
@@ -144,8 +118,9 @@ class InfElem:
         return InfElem({(): q} if q != 0 else {})
 
     @staticmethod
-    def sym(symbol, exp=1):
-        return InfElem({((symbol.global_index, exp),): QQ(1)})
+    def sym(index, exp=1):
+        """The infinitesimal of global index `index`, to the power exp."""
+        return InfElem({((index, exp),): QQ(1)})
 
     # -- structure --------------------------------------------------------
 
@@ -383,11 +358,7 @@ class InfElem:
 
 def _index_name(idx):
     if idx >= 1:
-        level = (idx - 1) // 4 + 1
-        rank = (idx - 1) % 4 + 1
-        for kind, r in _KIND_RANK.items():
-            if r == rank:
-                return f"{_KIND_LETTER[kind]}{level}"
+        return f"{_LETTERS[(idx - 1) % 4]}{(idx - 1) // 4 + 1}"
     return f"inf{idx}"
 
 

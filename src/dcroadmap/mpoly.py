@@ -471,18 +471,6 @@ def der_list(P, var):
     return out
 
 
-class JacobianSelector:
-    """Row subset J of variable names, column subset J' of [0, m] where
-    column 0 is the gradient of G."""
-
-    def __init__(self, rows, cols):
-        rows, cols = tuple(rows), tuple(cols)
-        if len(rows) != len(cols):
-            raise ValueError("|J| must equal |J'|")
-        self.rows = rows
-        self.cols = cols
-
-
 def determinant(mat):
     """Fraction-free (Bareiss) determinant of a square MPoly matrix; falls
     back to cofactor expansion on tiny sizes.  Callers handle the empty
@@ -532,27 +520,29 @@ def _cofactor_det(mat):
     return acc
 
 
-def jac_minor(G, system, sel):
-    """det of the selected submatrix of the Jacobian [grad G | grad P_1 ...].
-
-    sel.rows are variable names, sel.cols are function indices with 0
-    meaning G.  Empty selection yields 1.
+def jac_minor(G, system, rows, cols):
+    """det of the submatrix of the Jacobian [grad G | grad P_1 ...] on the
+    row subset J of variable names and the column subset J' of [0, m],
+    column 0 the gradient of G; |J| must equal |J'|.  The empty selection
+    yields 1.
     """
+    if len(rows) != len(cols):
+        raise ValueError("|J| must equal |J'|")
     base = G
     for p in system:
         base, _ = MPoly.align(base, p)
     ring = base.ring
     allvars = base.vars
-    for r in sel.rows:
+    for r in rows:
         if r not in allvars:
             raise IndexError(f"row variable {r} is not a variable of the polynomials")
-    cols = [G] + list(system)
-    for c in sel.cols:
-        if not 0 <= c < len(cols):
+    funcs = [G] + list(system)
+    for c in cols:
+        if not 0 <= c < len(funcs):
             raise IndexError("column index out of range")
-    if not sel.rows:
+    if not rows:
         return MPoly.const(ring, allvars, 1)
-    mat = [[cols[c].deriv(r).with_vars(allvars) for c in sel.cols] for r in sel.rows]
+    mat = [[funcs[c].deriv(r).with_vars(allvars) for c in cols] for r in rows]
     return determinant(mat)
 
 

@@ -4,7 +4,6 @@ at the critical points of the squared distance (critloci.crit_minor_system)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .critloci import GoodRankMatrix, crit_minor_system
@@ -23,26 +22,7 @@ from .realroots import TriangularContext, _sorted_unique_encodings, thom_encodin
 from .solve import DEFAULT_BUDGET, eliminate_to, factor_mpoly, solve_system, split_branches
 
 
-@dataclass
-class PseudoCriticalRequest:
-    family: list
-    G: MPoly
-    xvars: tuple
-    base: TriangularContext = None
-    B: GoodRankMatrix = None
-    budget: object = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.base is None:
-            self.base = TriangularContext(self.family[0].ring if self.family else self.G.ring)
-        if self.B is None:
-            self.B = GoodRankMatrix(max(len(self.family), 1), len(self.xvars))
-        if self.budget is None:
-            self.budget = DEFAULT_BUDGET
-
-
-def pseudo_critical_values(req: PseudoCriticalRequest):
+def pseudo_critical_values(family, G, xvars, base=None, B=None, budget=DEFAULT_BUDGET):
     """A finite set of Thom encodings over the base containing every
     (B,G)-pseudo-critical value of the family, in increasing order, one
     encoding per value.
@@ -52,15 +32,23 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
     values of G on its zero set are eliminated into a univariate polynomial
     in the value variable, and the gamma-limits of its roots are collected.
     The output may strictly contain the pseudo-critical values (harmless for
-    the slice property); unbounded branches are dropped by the limit step."""
-    fam = [p.to_ering() for p in req.family]
-    G = req.G.to_ering()
-    xvars = tuple(req.xvars)
+    the slice property); unbounded branches are dropped by the limit step.
+
+    base defaults to the context with no levels over the family's ring, and
+    B to the good-rank matrix H_{card(family), card(xvars)}.  Every family
+    member and G is put over all of xvars, which may hold variables (the
+    multipliers of a Lagrangian) that some of them do not use."""
+    xvars = tuple(xvars)
+    if base is None:
+        base = TriangularContext(family[0].ring if family else G.ring)
+    if B is None:
+        B = GoodRankMatrix(max(len(family), 1), len(xvars))
+    fam = [p.to_ering().with_vars(merge_vars(p.vars, xvars)) for p in family]
+    G = G.to_ering().with_vars(merge_vars(G.vars, xvars))
     k = len(xvars)
     s = len(fam)
-    base = req.base.to_ering()
+    base = base.to_ering()
     gamma = fresh_infinitesimal(base, fam, G)
-    gidx = gamma.global_index
     gam = InfElem.sym(gamma)
     d = max((p.total_degree_in(xvars) for p in fam), default=0) + 1
     if d % 2 == 1:
@@ -72,14 +60,14 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
             for sigma in product((1, -1), repeat=csize):
                 pert = []
                 for pos, i in enumerate(I):
-                    Hi = req.B.h_poly(i + 1, xvars, d, ring=ERING)
+                    Hi = B.h_poly(i + 1, xvars, d, ring=ERING)
                     pert.append(fam[i] + Hi.with_vars(fam[i].vars).scale(gam * sigma[pos]))
                 system = crit_minor_system(pert, G, 0, xvars)
                 zpoly = MPoly.var(ERING, merge_vars(G.vars, (zvar,)), zvar)
                 system = [p.with_vars(merge_vars(p.vars, (zvar,))) for p in system]
                 system.append(G.with_vars(merge_vars(G.vars, (zvar,))) - zpoly)
                 elims = eliminate_to(system, {zvar} | set(base.tvars),
-                                     list(xvars) + [zvar], req.budget,
+                                     list(xvars) + [zvar], budget,
                                      "pseudo-critical values")
                 elims = [p for p in elims if not p.is_zero() and p.degree(zvar) > 0]
                 if not elims:
@@ -91,7 +79,7 @@ def pseudo_critical_values(req: PseudoCriticalRequest):
                     fz = fac.subst({zvar: MPoly.var(ERING, (zvar,), zvar)}) \
                         if tuple(fac.used_vars()) != (zvar,) else fac
                     for enc in thom_encodings(fz, zvar, base):
-                        lim = limit_thom(enc, gidx)
+                        lim = limit_thom(enc, gamma)
                         if lim is not None:
                             values.append(lim)
     return _sorted_unique_encodings(values)

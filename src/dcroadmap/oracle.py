@@ -90,7 +90,6 @@ def grid_components(P, cfg: MeshConfig = None):
             val = P.eval_rational(assign)
             if abs(val) <= QQ(cfg.tau):
                 mask[tuple(idx)] = True
-    labels = -np.ones(mask.shape, dtype=np.int64)
     cells = np.argwhere(mask)
     index_of = {tuple(c): i for i, c in enumerate(map(tuple, cells))}
     uf = UnionFind(len(cells))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .critloci import crit_minor_system
 from .errors import NotZeroDimensionalError, SeparationError
-from .infring import QQ, InfElem, extra_symbol
+from .infring import QQ, InfElem
 from .mpoly import ERING, QRING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
 from . import realroots
 from .realroots import (
@@ -236,9 +236,8 @@ def max_symbol_index(*objs) -> int:
 
 def fresh_infinitesimal(*objs):
     """A transient infinitesimal smaller than every one in the polynomials,
-    contexts and points given: its global index is one past their largest."""
-    idx = max_symbol_index(*objs) + 1
-    return extra_symbol(f"inf{idx}", idx)
+    contexts and points given: the global index one past their largest."""
+    return max_symbol_index(*objs) + 1
 
 
 def limit_thom(enc: ThomEncoding, drop_from: int):
@@ -489,7 +488,6 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     e_system = [p.to_ering() for p in system]
     e_context = context.to_ering()
     zeta = fresh_infinitesimal(e_context, e_system)
-    zeta_idx = zeta.global_index
     zq = MPoly.const(ERING, (), InfElem.sym(zeta))
     Q = None
     for p in e_system:
@@ -505,7 +503,7 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     sols = solve_system(crit, xvars, context=e_context, budget=budget, seed=seed)
     out = []
     for cand in sols:
-        lim = limit_point(cand, zeta_idx)
+        lim = limit_point(cand, zeta)
         if lim is None:
             continue
         keep = True

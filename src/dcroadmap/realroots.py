@@ -747,12 +747,6 @@ def tarski_query_mpoly(P, Q, var, context=None):
     return tarski_query(context, _to_upoly(P, var, context), _to_upoly(Q, var, context))
 
 
-def sign_determination(P, family, var, context=None):
-    """Signs of every family member at each real root of P, roots in
-    increasing order.  Returns a list of sign tuples aligned with family."""
-    return [fam_signs for _enc, fam_signs in signs_at_encodings(P, family, var, context)]
-
-
 def thom_encodings(P, var, context=None):
     """Thom encodings of all real roots of P, in increasing order."""
     return [enc for enc, _fam_signs in signs_at_encodings(P, [], var, context)]
@@ -804,8 +798,3 @@ def _sorted_unique_encodings(encs):
             out.append(e)
     return out
 
-
-def triangular_sign(h, tt):
-    """Sign of the polynomial h at the point fixed by the triangular Thom
-    encoding tt (spec op)."""
-    return tt.sign_mpoly(h)

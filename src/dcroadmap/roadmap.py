@@ -21,8 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .curves import CurveSegmentRep, curve_segments, limit_curve
-from .errors import ResourceBudgetError, SeparationError
-from .infring import QQ, InfElem, extra_symbol, log_signs, zeta
+from .infring import QQ, InfElem, log_signs, zeta
 from .mpoly import ERING, QRING, MPoly
 from .points import (
     RealUnivRep,
@@ -177,7 +176,7 @@ def roadmap_bounded(P, A, kprime=None, budget=DEFAULT_BUDGET, seed=0):
             anchors = list(leaf.A)
             piece = curve_segments(leaf.P, leaf.Q, leaf.base, leaf.xvars,
                                    anchors=anchors, budget=budget, seed=seed)
-            piece = limit_curve(piece, zeta(1).global_index)
+            piece = limit_curve(piece, zeta(1))
             pieces.append(piece)
     return assemble_graph(pieces, list(A), xvars)
 
@@ -239,7 +238,7 @@ def roadmap_general(P, A=(), kprime=None, budget=DEFAULT_BUDGET, seed=0):
     k = len(xvars)
     newv = "Xu_"
     allv = xvars + (newv,)
-    e0 = extra_symbol("e0", 0)
+    e0 = 0  # the epsilon: index 0 lies above the whole tower
     sph = MPoly.zero(ERING, allv)
     for v in allv:
         sph = sph + MPoly.var(ERING, allv, v, 2)
@@ -253,14 +252,9 @@ def roadmap_general(P, A=(), kprime=None, budget=DEFAULT_BUDGET, seed=0):
     with log_signs(e0) as record:
         graph_eps = roadmap_bounded(lifted_system, A_eps, kprime=kprime,
                                     budget=budget, seed=seed)
-        bounds = []
-        for coeffs in record:
-            try:
-                bounds.append(cauchy_bound(coeffs))
-            except ValueError:
-                continue
+        bounds = [cauchy_bound(coeffs) for coeffs in record]
     a_val = min(bounds) if bounds else QQ(1, 2)
-    graph, vid_map = _substitute_and_project(graph_eps, e0.global_index, a_val, xvars, A)
+    graph, vid_map = _substitute_and_project(graph_eps, e0, a_val, xvars, A)
     on_boundary = MPoly.var(QRING, (newv,), newv)
     graph.eps_rays = [{"vertex": vid_map[vid], "eps_range": ("0", _qstr(a_val))}
                       for vid, u in enumerate(graph_eps.vertices)
@@ -275,11 +269,8 @@ def _lift_points(A, sph, newv, budget, seed):
     out = []
     for a in A:
         eq = numerator_at(a, sph)
-        try:
-            sols = solve_system([eq], (newv,), context=a.extended_context().to_ering(),
-                                budget=budget, seed=seed)
-        except (SeparationError, ResourceBudgetError):
-            sols = []
+        sols = solve_system([eq], (newv,), context=a.extended_context().to_ering(),
+                            budget=budget, seed=seed)
         out.extend(join(a, lifted) for lifted in sols)
     return dedupe_points(out)
 
@@ -396,8 +387,3 @@ def graph_to_json(graph: RoadmapGraph):
 
 def graph_to_json_str(graph):
     return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":"))
-
-
-def load_components_from_json(text):
-    data = json.loads(text)
-    return len(data["components"])

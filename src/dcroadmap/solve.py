@@ -517,19 +517,19 @@ def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations)
             g = relations[v]
             a = reduce_mod_f(g.coeff_of(v, 1), f, uvar, context)
             b = reduce_mod_f(g.coeff_of(v, 0), f, uvar, context)
-            if ctx_plus.sign_mpoly(_strip_to_ctx(a, ctx_plus)) == 0:
+            if ctx_plus.sign_mpoly(a.with_vars(ctx_plus.tvars)) == 0:
                 raise ArithmeticError("no usable coordinate relation at a candidate root")
             assignment[v] = (a, b)
         denom = MPoly.const(ring, (uvar,), 1).with_vars(tuple(context.tvars) + (uvar,))
         for v in xvars:
-            denom = denom * _strip_to_ctx(assignment[v][0], ctx_plus)
+            denom = denom * assignment[v][0].with_vars(ctx_plus.tvars)
         denom = reduce_mod_f(denom, f, uvar, context)
         coords = []
         for v in xvars:
-            num = -_strip_to_ctx(assignment[v][1], ctx_plus)
+            num = -assignment[v][1].with_vars(ctx_plus.tvars)
             for w in xvars:
                 if w != v:
-                    num = num * _strip_to_ctx(assignment[w][0], ctx_plus)
+                    num = num * assignment[w][0].with_vars(ctx_plus.tvars)
             coords.append(reduce_mod_f(num, f, uvar, context))
         # verify membership exactly
         if _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
@@ -578,10 +578,6 @@ def reduce_mod_f(p, f, uvar, context):
     return MPoly.from_univariate([MPoly.const(QRING, p.vars, c) for c in rem], uvar).with_vars(p.vars)
 
 
-def _strip_to_ctx(p, ctx_plus):
-    return p.with_vars(tuple(ctx_plus.tvars))
-
-
 def _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
     """Whether the point coords/denom at the root ctx_plus fixes is a common
     zero of system.  Each substituted equation is multiplied by a power of
@@ -590,6 +586,6 @@ def _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
     for p in system:
         num = subst_rational(p, [v for v in xvars if v in p.vars],
                              (denom, [coords[xvars.index(v)] for v in xvars if v in p.vars]))
-        if ctx_plus.sign_mpoly(_strip_to_ctx(num, ctx_plus)) != 0:
+        if ctx_plus.sign_mpoly(num.with_vars(ctx_plus.tvars)) != 0:
             return False
-    return ctx_plus.sign_mpoly(_strip_to_ctx(denom, ctx_plus)) != 0
+    return ctx_plus.sign_mpoly(denom.with_vars(ctx_plus.tvars)) != 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .divide import DivideInput, DivideOutput, divide, _subst_block
+from .divide import divide, _subst_block
 from .points import dedupe_points, points_equal
 from .realroots import TriangularContext
 from .solve import DEFAULT_BUDGET
@@ -22,7 +22,6 @@ class TreeNode:
     xvars: tuple
     kprime: int
     children: list = field(default_factory=list)
-    divide_output: DivideOutput = None
 
     @property
     def level(self):
@@ -34,7 +33,6 @@ class TreeNode:
 
     @property
     def Fix(self):
-        t = len(self.s)
         return sum(self.kprime // (2 ** (i + 1)) for i, b in enumerate(self.s) if b == 1)
 
     def is_leaf(self):
@@ -84,10 +82,7 @@ def build_tree(P, A, kprime, xvars=None, budget=None, seed=0):
 
 
 def _expand(node: TreeNode, budget, seed):
-    inp = DivideInput(node.s, node.base, node.P, node.Q, node.A, node.xvars,
-                      node.kprime, budget=budget, seed=seed)
-    out = divide(inp)
-    node.divide_output = out
+    out = divide(node, budget, seed)
     ell = (node.kprime // (2 ** node.level)) // 2
     # left children: one per chart
     for alpha, P0, Q0, A_alpha in out.charts:

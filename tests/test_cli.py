@@ -1,7 +1,8 @@
+import json
+
 import pytest
 
 from dcroadmap import cli, curves
-from dcroadmap.roadmap import load_components_from_json
 
 
 def _write(tmp_path, name, text):
@@ -21,7 +22,7 @@ def test_components_writes_the_roadmap_json(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert cli.main(["components", "-f", path, "-o", str(out)]) == 0
     assert capsys.readouterr().out.split() == ["1"]
-    assert load_components_from_json(out.read_text(encoding="utf-8")) == 1
+    assert len(json.loads(out.read_text(encoding="utf-8"))["components"]) == 1
 
 
 def test_components_without_anchors(tmp_path, capsys):
@@ -80,6 +81,26 @@ def test_connect_on_two_disjoint_circles(tmp_path, capsys, x1, x2, code, out, er
     '{"uvar": "t", "f": "t^2 + 1", "signs": [0, 1, 1], "F": ["1", "t", "0"]}',
 ], ids=["F shorter than k + 1", "signs of no root", "f with no real root"])
 def test_a_malformed_point_is_a_point_parse_error(tmp_path, capsys, record):
+    path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
+    good = _point(tmp_path, "good.json", 1)
+    bad = _write(tmp_path, "bad.json", record)
+    assert cli.main(["connect", "-f", path, "--p1", good, "--p2", bad]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "point parse error" in got.err
+
+
+@pytest.mark.parametrize("record", [
+    '{"uvar": 1, "f": "t - 1", "signs": [0, 1], "F": ["1", "t", "0"]}',
+    '{"uvar": "t", "f": 5, "signs": [0, 1], "F": ["1", "t", "0"]}',
+    '{"uvar": "t", "f": "t - 1", "signs": 3, "F": ["1", "t", "0"]}',
+    '{"uvar": "t", "f": "t - 1", "signs": [0, "1"], "F": ["1", "t", "0"]}',
+    '{"uvar": "t", "f": "t - 1", "signs": [0, 1], "F": "1t0"}',
+    '{"uvar": "t", "f": "t - 1", "signs": [0, 1], "F": ["1", "t", 0]}',
+], ids=["uvar a number", "f a number", "signs a number", "a sign a string",
+        "F a string", "an entry of F a number"])
+def test_a_point_field_of_the_wrong_type_is_a_point_parse_error(tmp_path, capsys, record):
+    # "F": "1t0" would otherwise be read character by character as (1, t, 0)
     path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
     good = _point(tmp_path, "good.json", 1)
     bad = _write(tmp_path, "bad.json", record)

@@ -12,7 +12,7 @@ from dcroadmap.critloci import (
     tilde_system,
 )
 from dcroadmap.infring import QQ, InfElem, delta, eps, gamma, zeta
-from dcroadmap.mpoly import ERING, QRING, JacobianSelector, MPoly, determinant, jac_minor, parse_poly
+from dcroadmap.mpoly import ERING, QRING, MPoly, determinant, jac_minor, parse_poly
 from dcroadmap.points import rur_sign, sample_components
 from dcroadmap.solve import solve_system
 
@@ -85,7 +85,7 @@ def test_crit_minor_system_of_a_coordinate_on_a_space_curve_is_the_jacobian_mino
     xyz = ("x", "y", "z")
     curve = [parse_poly("x^2 + y^2 + z^2 - 4", xyz), parse_poly("x^2 + y^2 - 2*x", xyz)]
     one = MPoly.const(QRING, xyz, 1)
-    minor = jac_minor(one, curve, JacobianSelector(["y", "z"], [1, 2]))
+    minor = jac_minor(one, curve, ["y", "z"], [1, 2])
     assert not minor.is_zero()
     assert crit_minor_system(curve, parse_poly("x", xyz), 0, xyz) == curve + [minor]
 

@@ -7,7 +7,6 @@ from dcroadmap.infring import (
     InfElem,
     delta,
     eps,
-    extra_symbol,
     gamma,
     log_signs,
     zeta,
@@ -23,12 +22,12 @@ ONE = InfElem.const(1)
 
 
 def test_tower_indices():
-    assert zeta(1).global_index == 1
-    assert eps(1).global_index == 2
-    assert delta(1).global_index == 3
-    assert gamma(1).global_index == 4
-    assert zeta(2).global_index == 5
-    assert eps(3).global_index == 10
+    assert zeta(1) == 1
+    assert eps(1) == 2
+    assert delta(1) == 3
+    assert gamma(1) == 4
+    assert zeta(2) == 5
+    assert eps(3) == 10
 
 
 def test_leading_support_examples():
@@ -37,10 +36,10 @@ def test_leading_support_examples():
     assert f.leading_support() == ()
     # e1^2 - e2 -> e1^2 dominates (e2 << e1^n for all n)
     f = E1 * E1 - E2
-    assert f.leading_support() == ((eps(1).global_index, 2),)
+    assert f.leading_support() == ((eps(1), 2),)
     # 5*g1^3 + 2*z2 -> g1^3 dominates
     f = 5 * G1 ** 3 + 2 * Z2
-    assert f.leading_support() == ((gamma(1).global_index, 3),)
+    assert f.leading_support() == ((gamma(1), 3),)
 
 
 def test_leading_support_zero_errors():
@@ -56,7 +55,7 @@ def test_sign_examples():
 
 def test_lim_from_examples():
     f = InfElem.const(2) + 3 * E1 + Z2
-    assert f.lim_from(zeta(2).global_index) == InfElem.const(2) + 3 * E1
+    assert f.lim_from(zeta(2)) == InfElem.const(2) + 3 * E1
     assert f.lim_from(1) == InfElem.const(2)
     g = ONE - 2 * E1
     assert g.lim_from(1) == ONE
@@ -109,7 +108,7 @@ def test_lim_from_ring_homomorphism():
 def test_substitution_order_independence():
     # sequential innermost-first equals one-shot substitution
     f = 2 * Z1 * E2 + 3 * E1 - G1 ** 2 * Z2 + 7
-    j = eps(1).global_index
+    j = eps(1)
     seq = f
     for idx in sorted(f.support_indices(), reverse=True):
         if idx >= j:
@@ -141,9 +140,8 @@ def test_truth_value_is_nonzero():
 
 
 def test_sign_log_records_univariate_blocks():
-    e0 = extra_symbol("e0", 0)
-    x = InfElem.sym(e0)
-    with log_signs(e0) as rec:
+    x = InfElem.sym(0)
+    with log_signs(0) as rec:
         (x - 2 * x ** 3).sign()
         (ONE + x).sign()
         InfElem.const(5).sign()  # rational: not logged

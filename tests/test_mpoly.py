@@ -7,7 +7,6 @@ from dcroadmap.infring import QQ, InfElem, eps
 from dcroadmap.mpoly import (
     ERING,
     QRING,
-    JacobianSelector,
     MPoly,
     PolyParseError,
     der_list,
@@ -60,22 +59,25 @@ def test_jac_minor_examples():
     # G=X1, system={X1^2+X2^2-1}, J={X2}, J'={1} -> 2*X2
     G = P("X1")
     sys1 = [P("X1^2 + X2^2 - 1")]
-    m = jac_minor(G, sys1, JacobianSelector(["X2"], [1]))
+    m = jac_minor(G, sys1, ["X2"], [1])
     assert m == P("2*X2")
     # empty selection -> 1
-    assert jac_minor(G, sys1, JacobianSelector([], [])) == P("1")
+    assert jac_minor(G, sys1, [], []) == P("1")
     # 2x2 determinant, hand-expanded
     G2 = P("X1^2 + X2^2")
     sys2 = [P("X1*X2")]
-    m2 = jac_minor(G2, sys2, JacobianSelector(["X1", "X2"], [0, 1]))
+    m2 = jac_minor(G2, sys2, ["X1", "X2"], [0, 1])
     assert m2 == P("2*X1^2 - 2*X2^2")
+    # a minor is square: |J| must equal |J'|
+    with pytest.raises(ValueError):
+        jac_minor(G2, sys2, ["X1", "X2"], [1])
 
 
 def test_jac_minor_alternating():
     G2 = P("X1^2 + 3*X2^2")
     sys2 = [P("X1*X2 - 1")]
-    a = jac_minor(G2, sys2, JacobianSelector(["X1", "X2"], [0, 1]))
-    b = jac_minor(G2, sys2, JacobianSelector(["X2", "X1"], [0, 1]))
+    a = jac_minor(G2, sys2, ["X1", "X2"], [0, 1])
+    b = jac_minor(G2, sys2, ["X2", "X1"], [0, 1])
     assert a == -b
 
 

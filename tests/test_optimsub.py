@@ -1,11 +1,6 @@
 from dcroadmap.infring import QQ
 from dcroadmap.mpoly import QRING, MPoly, parse_poly
-from dcroadmap.optimsub import (
-    PseudoCriticalRequest,
-    closest_pairs,
-    closest_point,
-    pseudo_critical_values,
-)
+from dcroadmap.optimsub import closest_pairs, closest_point, pseudo_critical_values
 from dcroadmap.points import RealUnivRep, rur_sign
 from dcroadmap.realroots import TriangularContext
 
@@ -33,21 +28,27 @@ def _contains_value(encs, q):
 
 
 def test_pseudo_critical_circle_g_x1():
-    req = PseudoCriticalRequest([P("x^2 + y^2 - 1")], P("x"), XY)
-    vals = pseudo_critical_values(req)
+    vals = pseudo_critical_values([P("x^2 + y^2 - 1")], P("x"), XY)
     assert _contains_value(vals, -1)
     assert _contains_value(vals, 1)
     assert len(vals) < 40
 
 
+def test_pseudo_critical_values_over_variables_the_family_does_not_use():
+    # divide's step 3 passes its Lagrangian space: the coordinates and the
+    # multipliers, which neither the circle nor G = x holds
+    vals = pseudo_critical_values([P("x^2 + y^2 - 1")], P("x"), ("x", "y", "l"))
+    assert [(e.poly, e.signs) for e in vals] == [
+        (parse_poly("Zv_^2 - 1", ("Zv_",)), (0, -1, 1)),
+        (parse_poly("Zv_^2 - 1", ("Zv_",)), (0, 1, 1))]
+
+
 def test_pseudo_critical_empty_family():
-    req = PseudoCriticalRequest([], P("x"), XY)
-    assert pseudo_critical_values(req) == []
+    assert pseudo_critical_values([], P("x"), XY) == []
 
 
 def test_pseudo_critical_finiteness_dedup():
-    req = PseudoCriticalRequest([P("x^2 + y^2 - 1")], P("x"), XY)
-    vals = pseudo_critical_values(req)
+    vals = pseudo_critical_values([P("x^2 + y^2 - 1")], P("x"), XY)
     from dcroadmap.realroots import compare_roots
 
     for i in range(len(vals)):

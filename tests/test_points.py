@@ -113,7 +113,7 @@ def test_limit_thom_spec_examples():
     # f = (X - e1)(X - 2): roots e1 and 2
     f = MPoly(ERING, X, {(2,): one, (1,): -(InfElem.const(2) + e1), (0,): 2 * e1})
     encs = thom_encodings(f, "X", ctx)
-    j = eps(1).global_index
+    j = eps(1)
     lim0 = limit_thom(encs[0], j)
     lim2 = limit_thom(encs[1], j)
     # limits are roots 0 and 2 of the limit polynomial X(X - 2)
@@ -153,13 +153,13 @@ def test_limit_thom_unbounded_root():
     # z1*X - 1 has the single root 1/z1, unbounded as z1 -> 0
     f = MPoly(ERING, X, {(1,): z1, (0,): -one})
     enc = thom_encodings(f, "X", ctx)[0]
-    assert limit_thom(enc, zeta(1).global_index) is None
+    assert limit_thom(enc, zeta(1)) is None
 
 
 def test_limit_point_spec_examples():
     e1 = InfElem.sym(eps(1))
     one = InfElem.const(1)
-    j = eps(1).global_index
+    j = eps(1)
     uv = "U5"
     V = (uv,)
     # point (e1, 1) as RUR over the root of U - e1
@@ -181,7 +181,7 @@ def test_limit_point_spec_examples():
 def test_limits_return_what_carries_no_dropped_symbol_itself():
     e1 = InfElem.sym(eps(1))
     one = InfElem.const(1)
-    k = eps(1).global_index + 1
+    k = eps(1) + 1
     # rational input, and input over ERING whose symbols all have index < k
     rational = mk_rational_rur([3, 4])
     f = MPoly(ERING, ("U5",), {(1,): one, (0,): -e1})
@@ -216,7 +216,7 @@ def test_limit_point_sqrt2_perturbed():
     # point (sqrt2 + e1^2, -e1) -> (sqrt2, 0)
     e1 = InfElem.sym(eps(1))
     one = InfElem.const(1)
-    j = eps(1).global_index
+    j = eps(1)
     uv = "U6"
     V = (uv,)
     # root x of (U - e1^2)^2 - 2 : x = sqrt2 + e1^2 is a root of U^2 - 2 shifted

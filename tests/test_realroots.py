@@ -15,11 +15,9 @@ from dcroadmap.realroots import (
     content_strip,
     per_input_caches,
     shared_sign_determination,
-    sign_determination,
     signs_at_encodings,
     tarski_query_mpoly,
     thom_encodings,
-    triangular_sign,
 )
 
 X = ("X",)
@@ -54,13 +52,13 @@ def test_thom_encodings_sqrt2():
 
 def test_sign_determination_examples():
     p = P("(X - 1)^2")
-    rows = sign_determination(p, [P("X - 1")], "X")
+    rows = [s for _e, s in signs_at_encodings(p, [P("X - 1")], "X")]
     assert rows == [(0,)]
     # signs of X^2 - eps1 at roots -1, 0, 1 of X^3 - X over the inf ring
     e1 = InfElem.sym(eps(1))
     p3 = parse_poly("X^3 - X", X).to_ering()
     q = MPoly(ERING, X, {(2,): InfElem.const(1), (0,): -e1})
-    rows = sign_determination(p3, [q], "X")
+    rows = [s for _e, s in signs_at_encodings(p3, [q], "X")]
     assert rows == [(1,), (-1,), (1,)]
 
 
@@ -115,9 +113,9 @@ def test_triangular_sign_level1():
     f = parse_poly("T1^2 - 2", t)
     enc = thom_encodings(f, "T1")[1]  # sqrt 2
     ctx = ctx0.extend("T1", enc.poly, enc.signs)
-    assert triangular_sign(parse_poly("T1^2 - 1", t), ctx) == 1
-    assert triangular_sign(parse_poly("T1^2 - 2", t), ctx) == 0
-    assert triangular_sign(parse_poly("T1 - 2", t), ctx) == -1
+    assert ctx.sign_mpoly(parse_poly("T1^2 - 1", t)) == 1
+    assert ctx.sign_mpoly(parse_poly("T1^2 - 2", t)) == 0
+    assert ctx.sign_mpoly(parse_poly("T1 - 2", t)) == -1
 
 
 def test_triangular_sign_level2():
@@ -133,9 +131,9 @@ def test_triangular_sign_level2():
     pos = encs2[1]
     ctx2 = ctx1.extend("T2", pos.poly, pos.signs)
     # theta2 = 2^(1/4): T2^4 - 2 vanishes
-    assert triangular_sign(parse_poly("T2^4 - 2", t12), ctx2) == 0
-    assert triangular_sign(parse_poly("T2 - 2", t12), ctx2) == -1
-    assert triangular_sign(parse_poly("T2^4 - 1", t12), ctx2) == 1
+    assert ctx2.sign_mpoly(parse_poly("T2^4 - 2", t12)) == 0
+    assert ctx2.sign_mpoly(parse_poly("T2 - 2", t12)) == -1
+    assert ctx2.sign_mpoly(parse_poly("T2^4 - 1", t12)) == 1
 
 
 def test_triangular_sign_inconsistent_encoding():
@@ -144,7 +142,7 @@ def test_triangular_sign_inconsistent_encoding():
     f = parse_poly("T1^2 + 1", t)
     ctx = ctx0.extend("T1", f, (0, 1, 1))
     with pytest.raises((EmptyEncodingError, ValueError)):
-        triangular_sign(parse_poly("T1 - 1", t), ctx)
+        ctx.sign_mpoly(parse_poly("T1 - 1", t))
 
 
 def test_signs_at_encodings_family_alignment():
@@ -167,11 +165,11 @@ def test_guard_value_stability():
     e1 = InfElem.sym(eps(1))
     p = MPoly(ERING, X, {(3,): InfElem.const(1), (1,): -(InfElem.const(1) + e1), (0,): e1})
     fam = [MPoly(ERING, X, {(1,): InfElem.const(1), (0,): e1})]
-    rows_sym = sign_determination(p, fam, "X")
+    rows_sym = [s for _e, s in signs_at_encodings(p, fam, "X")]
     guard = QQ(1, 10 ** 40)
     pg = parse_poly("X^3 - X", X) + MPoly(QRING, X, {(1,): -guard, (0,): guard})
     fg = [parse_poly("X", X) + MPoly.const(QRING, X, guard)]
-    rows_g = sign_determination(pg, fg, "X")
+    rows_g = [s for _e, s in signs_at_encodings(pg, fg, "X")]
     assert rows_sym == rows_g
 
 
@@ -356,4 +354,4 @@ def test_sign_determination_matches_evaluation(roots, qcoeffs):
         q = q + MPoly.const(QRING, X, c) * x ** i
     want = [(_sign(sum(c * r ** i for i, c in enumerate(qcoeffs))),)
             for r in sorted(r for r, _m in roots)]
-    assert sign_determination(p, [q], "X") == want
+    assert [s for _e, s in signs_at_encodings(p, [q], "X")] == want

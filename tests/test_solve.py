@@ -6,7 +6,7 @@ from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.optimsub import closest_pairs
 from dcroadmap.points import points_equal, rur_sign, sample_components
-from dcroadmap.realroots import TriangularContext, thom_encodings, triangular_sign
+from dcroadmap.realroots import TriangularContext, thom_encodings
 from dcroadmap.roadmap import roadmap_bounded
 from dcroadmap.solve import factor_mpoly, solve_system
 
@@ -18,8 +18,8 @@ def P(t, v=XY):
 
 
 def _eval_coords(sol):
-    """Coordinates of a solution as (denominator sign-checked) pairs for
-    verification through triangular_sign."""
+    """The context that fixes a solution's root, where its coordinates are
+    checked through sign_mpoly."""
     ctx_plus = sol.base.extend(sol.uvar, sol.f, sol.sigma)
     return ctx_plus
 

@@ -40,8 +40,8 @@ def test_a_right_child_lives_over_its_fiber_point(monkeypatch):
                     tuple(parse_poly(t, V) for t in ("1", "1", "0", "V")), XYZ)
     ctx_w = _ext_context_for(w.root.renamed("Tf_U"))
     sphere = parse_poly("x^2 + y^2 + z^2 - 4", XYZ)
-    out = DivideOutput([sphere], [], [a], [w], {0: []}, [ctx_w], [], None, 1)
-    monkeypatch.setattr(tree, "divide", lambda inp: out)
+    out = DivideOutput([sphere], [], [a], [w], {0: []}, [ctx_w], [])
+    monkeypatch.setattr(tree, "divide", lambda node, budget, seed: out)
     node = TreeNode((), TriangularContext(QRING), [], [sphere], [], [], XYZ, 2)
     tree._expand(node, None, 0)
     [child] = node.children
