@@ -2,19 +2,30 @@
 decomposition along the first free coordinate, sign subdivision, exact
 endpoints read at their fiber, and limits.
 
-The fibers over the critical parameter values are solved flat, over the base
-context: the encoding polynomial r of each value is solved once with each
-piece, and every point found goes to the value whose Thom signs its
-parameter coordinate has, so the fiber's points are vertices as they come
-out.  A segment endpoint is glued to its fiber by signs read at these
-vertices: by continuity and Thom's lemma, whenever the fiber polynomial
-keeps its degree there and the coordinate denominator does not vanish, the
-endpoint is the one vertex whose fiber coordinate has the branch's relaxed
-Thom signs and whose coordinates are the branch's own.  Only otherwise is
-it the limit through a transient innermost infinitesimal, taken over a
-tower context that fixes the value and flattened once; an endpoint that
-matches no vertex (in a fiber that is not finite) stays a point of its
-own.
+The vertices are the points of the fibers over the critical parameter
+values, found over the base context.  With one fiber variable the anchors
+fill a fiber where they can: the fiber points of a piece over a value c
+are roots of its fiber polynomial f(c, U), so one Sturm count of those
+roots, over the context that fixes c, bounds them.  A count of 0 leaves
+the fiber empty, and when the distinct anchors over c in the piece's basic
+set are as many as the roots, they are its fiber points, the anchor
+objects themselves.  Anchors that share a value are compared with each
+other first, so one point given twice counts once.  Only an unsettled
+value is solved: its encoding polynomial r once with the piece, each point
+found going to the value whose Thom signs its parameter coordinate has.
+A zero f(c, U) and two fiber variables always take that solve.  A later
+piece's fiber point that lies in an earlier piece's basic set is already
+one of that piece's points over its value, so it is dropped, and no two
+fiber points are compared.
+
+A segment endpoint is glued to its fiber by signs read at these vertices:
+by continuity and Thom's lemma, whenever the fiber polynomial keeps its
+degree there and the coordinate denominator does not vanish, the endpoint
+is the one vertex whose fiber coordinate has the branch's relaxed Thom
+signs and whose coordinates are the branch's own.  Only otherwise is it the
+limit through a transient innermost infinitesimal, taken over a tower
+context that fixes the value and flattened once; an endpoint that matches
+no vertex (in a fiber that is not finite) stays a point of its own.
 
 limit_curve removes infinitesimals from a piece with the two limits of
 points, limit_point and limit_thom.  Both return what carries no dropped
@@ -52,10 +63,14 @@ from .realroots import (
     ThomEncoding,
     TriangularContext,
     _ext_context_for,
-    _sorted_unique_encodings,
+    _sorted_unique_positions,
+    _to_upoly,
     compare_roots,
     signs_at_encodings,
+    tarski_query,
     thom_encodings,
+    uis_zero,
+    utrim,
 )
 from .solve import DEFAULT_BUDGET, split_branches
 from .symbridge import UNIT, shape_basis
@@ -104,14 +119,16 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
 
     Every piece (one per subset Q' of Q promoted to equations) is subdivided
     at the union of all pieces' critical parameter values, and each endpoint
-    is glued to a point of the fiber over its value.  The fibers are solved
-    flat, over context: each critical value's encoding polynomial r is
-    solved once with each piece, and every point found goes to the value
-    whose Thom signs its parameter coordinate has, so the vertices are RURs
-    over context as they come out.  An endpoint is glued by signs read at
-    these vertices (_branch_ends), and by a limit only where that does not
-    apply (_glued_endpoint).  anchors are points (RURs over context) whose
-    parameter values also become segment boundaries."""
+    is glued to a point of the fiber over its value.  anchors are points
+    (RURs over context) whose parameter values also become segment
+    boundaries.  They come first in that union, so a value an anchor has is
+    encoded by the anchor's coordinate, and with one fiber variable they
+    fill the fibers whose point count they match (_filled_by_anchors).  Each
+    other fiber is solved flat, over context: the encoding polynomial r of
+    its value once with the piece, so the vertices are RURs over context as
+    they come out.  An endpoint is glued by signs read at these vertices
+    (_branch_ends), and by a limit only where that does not apply
+    (_glued_endpoint)."""
     xvars = tuple(xvars)
     if len(xvars) > 3:
         raise ResourceBudgetError(
@@ -131,7 +148,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
                     isolated.extend(_isolated_points(V, rest, context, xvars, budget, seed))
                     continue
                 f, coords, uvar, must_vanish, uform = param
-                crit = _critical_parameters(f, coords, must_vanish, rest, anchors,
+                crit = _critical_parameters(f, coords, must_vanish, rest,
                                             context, xvars, uvar, budget)
                 pieces.append((V, rest, f, coords, uvar, must_vanish, uform, crit))
     cross = []
@@ -147,27 +164,49 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             r = _budgeted_resultant(fi, fj_r, ui, budget)
             if not r.is_zero() and r.degree(x) > 0:
                 cross.extend(thom_encodings(r.with_vars(merge_vars(context.tvars, (x,))), x, context))
-    all_crit = _sorted_unique_encodings([e for pc in pieces for e in pc[-1]] + cross)
+    # an anchor is a point, so equal values are one anchor; anchors come
+    # first, so a value an anchor has is encoded by the anchor's coordinate
+    anchors = list(dict.fromkeys(anchors)) if pieces else []
+    anchor_encs = [coordinate_encoding_cached(a, 1).renamed(x) for a in anchors]
+    all_crit, at = _sorted_unique_positions(
+        anchor_encs + [e for pc in pieces for e in pc[-1]] + cross)
     tname = fresh_var("Tx", set(context.tvars).union(
         xvars, *(p.vars for p in list(P) + list(Q)), *(pc[2].vars for pc in pieces)))
     # per critical value: its encoding and the distinct points over it
     fibers = [(enc, []) for enc in all_crit]
+    # the distinct anchors over each value: only anchors that share a value
+    # are compared with each other
+    over = [[] for _ in all_crit]
+    for a, j in zip(anchors, at):
+        over[j].append(a)
+    over = [dedupe_points(group) if len(group) > 1 else group for group in over]
     owners = {}
-    for enc, kept in fibers:
-        r = enc.poly.with_vars(merge_vars(context.tvars, (x,)))
-        owners.setdefault(r, []).append((enc, kept))
-    for (V, rest, *_param) in pieces:
+    for j, (enc, _kept) in enumerate(fibers):
+        owners.setdefault(enc.poly.with_vars(merge_vars(context.tvars, (x,))), []).append(j)
+    for i, (V, rest, f, _coords, uvar, *_param) in enumerate(pieces):
+        earlier = pieces[:i]
+        unsettled = set()
+        for j, (enc, kept) in enumerate(fibers):
+            filled = (_filled_by_anchors(V, rest, f, uvar, enc, over[j])
+                      if len(xvars) == 2 else None)
+            if filled is None:
+                unsettled.add(j)
+            else:
+                kept.extend(u for u in filled if not _in_earlier_piece(u, earlier))
         for r, owned in owners.items():
+            todo = [j for j in owned if j in unsettled]
+            if not todo:
+                continue
             for u in sample_components(list(V) + [r], context=context, xvars=xvars,
                                        budget=budget, seed=seed):
                 if not all(rur_sign(u, q) >= 0 for q in rest):
                     continue
                 # a root of r that another polynomial's encoding fixes is
-                # that polynomial's to find
-                kept = next((kept for enc, kept in owned
-                             if _has_thom_signs(u, r, x, enc.signs)), None)
-                if kept is not None and not any(points_equal(u, w) for w in kept):
-                    kept.append(u)
+                # that polynomial's to find, and a settled value's points
+                # are known
+                j = next((j for j in todo if _has_thom_signs(u, r, x, fibers[j][0].signs)), None)
+                if j is not None and not _in_earlier_piece(u, earlier):
+                    fibers[j][1].append(u)
     segments = []
     for (_V, rest, f, coords, uvar, must_vanish, uform, _crit) in pieces:
         own = []  # (index of the interval's lower end, segment)
@@ -190,6 +229,39 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
     isolated = dedupe_points(isolated)
     isolated = [u for u in isolated if not any(points_equal(u, v) for v in vertices)]
     return CurvePiece(segments, isolated + vertices)
+
+
+def _filled_by_anchors(V, rest, f, uvar, enc, anchors):
+    """The points of the piece's basic set (V = 0, rest >= 0) over the value
+    c that enc encodes, when a count settles them, else None.  Every such
+    point is (c, s) for a real root s of the fiber polynomial f(c, U), so
+    the number of distinct real roots, one Sturm count over the context
+    that fixes c, bounds them: at 0 the fiber is empty, and when the
+    distinct anchors over c in the basic set are as many, they are all of
+    its points.  None when f(c, U) is zero or the count leaves points to
+    find."""
+    ctx = _ext_context_for(enc)
+    fc = utrim(ctx, _to_upoly(f.with_vars(ctx.tvars + (uvar,)), uvar, ctx))
+    if uis_zero(ctx, fc):
+        return None
+    n = tarski_query(ctx, fc, [ctx.one])
+    if n == 0:
+        return []
+    if len(anchors) < n:
+        return None
+    inside = [a for a in anchors if _in_basic_set(a, V, rest)]
+    return inside if len(inside) == n else None
+
+
+def _in_basic_set(u, V, rest):
+    return all(rur_sign(u, p) == 0 for p in V) and all(rur_sign(u, q) >= 0 for q in rest)
+
+
+def _in_earlier_piece(u, earlier):
+    """Whether the fiber point u lies in the basic set of one of the earlier
+    pieces: then it is already one of that piece's points over its value,
+    which are all found."""
+    return any(_in_basic_set(u, V, rest) for (V, rest, *_param) in earlier)
 
 
 def _isolated_points(V, signs_family, context, xvars, budget, seed):
@@ -273,11 +345,11 @@ def _shape_over_parameter(V, fibers, context, x, uvar, c):
     return f.with_vars(variables), tuple(coords)
 
 
-def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
+def _critical_parameters(f, coords, must_vanish, signs_family, context,
                          xvars, uvar, budget):
     """Thom encodings of every parameter value where the fiber structure,
     the Thom data, a sign-family member, or a coordinate denominator can
-    change, plus anchor parameter values."""
+    change."""
     x = xvars[0]
     crit_polys = []
     fu = f
@@ -313,7 +385,6 @@ def _critical_parameters(f, coords, must_vanish, signs_family, anchors, context,
     out = []
     for cp in crit_polys:
         out.extend(thom_encodings(cp.with_vars(merge_vars(context.tvars, (x,))), x, context))
-    out.extend(coordinate_encoding_cached(a, 1).renamed(x) for a in anchors)
     return out
 
 

@@ -533,8 +533,14 @@ def _sample_structured(system, context, xvars, budget, seed):
     solve_system rejects with SeparationError (not zero-dimensional, or no
     certified separating form), hands the branch to the next coordinate.
     Returns None when no projection of some branch has a finite critical
-    set; the caller then samples through the general route."""
+    set; the caller then samples through the general route.
+
+    A branch's solve gives distinct points, all of its critical system's, so
+    a point of a later branch is dropped when every polynomial of an earlier
+    branch's solved system vanishes at it, and no two points of one solve are
+    compared."""
     out = []
+    solved = []  # the critical system solved for each earlier branch
     for br in split_branches(system, budget):
         for v in xvars:
             G = MPoly.var(br[0].ring, merge_vars(br[0].vars, xvars), v)
@@ -542,13 +548,16 @@ def _sample_structured(system, context, xvars, budget, seed):
             if len(crit) == len(br):
                 continue
             try:
-                out.extend(solve_system(crit, xvars, context=context, budget=budget, seed=seed))
+                sols = solve_system(crit, xvars, context=context, budget=budget, seed=seed)
             except SeparationError:
                 continue
+            out.extend(u for u in sols
+                       if not any(all(rur_sign(u, p) == 0 for p in earlier) for earlier in solved))
+            solved.append(crit)
             break
         else:
             return None
-    return dedupe_points(out)
+    return out
 
 
 _COORD_CACHE = BoundedCache()

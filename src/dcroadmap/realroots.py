@@ -792,9 +792,17 @@ def compare_roots(a, b):
 def _sorted_unique_encodings(encs):
     """The encoded values in increasing order, one encoding per value: the
     first of each value's encodings in encs (the sort is stable)."""
-    out = []
-    for e in sorted(encs, key=functools.cmp_to_key(compare_roots)):
-        if not out or compare_roots(out[-1], e) != 0:
-            out.append(e)
-    return out
+    return _sorted_unique_positions(encs)[0]
 
+
+def _sorted_unique_positions(encs):
+    """(_sorted_unique_encodings(encs), the index in it of the value of each
+    of encs, in encs' order): both from the one sort."""
+    order = sorted(range(len(encs)),
+                   key=functools.cmp_to_key(lambda i, j: compare_roots(encs[i], encs[j])))
+    out, at = [], [0] * len(encs)
+    for i in order:
+        if not out or compare_roots(out[-1], encs[i]) != 0:
+            out.append(encs[i])
+        at[i] = len(out) - 1
+    return out, at

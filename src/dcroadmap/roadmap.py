@@ -4,11 +4,12 @@ bounded and general top-level algorithms, and connectivity queries.
 Points are values (solve.RealUnivRep), so assembly keeps one dict from
 vertex to id.  Segment endpoints arrive glued: curve_segments reads each
 one's signs at its fiber's vertices, which are flat over the leaf's context,
-and hands back that vertex, so an endpoint finds its id by value.  A piece's
-vertices are distinct points, so each is compared by points_equal only with
-earlier pieces' vertices; anchors and other endpoints are looked up by value
-first, then by points_equal.  A connectivity query scans the vertices with
-points_equal.
+and hands back that vertex, so an endpoint finds its id by value.  An anchor
+that fills its fiber is itself a vertex, so it too finds its id by value.
+A piece's vertices are distinct points, so each is compared by points_equal
+only with earlier pieces' vertices; anchors and other endpoints are looked
+up by value first, then by points_equal.  A connectivity query scans the
+vertices with points_equal.
 
 A vertex is reshaped only by the point's own methods and points' helpers
 (project, to_qring, map_polys, flatten_rur, join): this module reads a

@@ -10,8 +10,12 @@ Pipeline per system:
   a lex Groebner shape basis of the system with its context levels, which
   certifies the form (the shape lemma, BPR ch. 12); a form whose basis is
   not in shape position is rejected and the next one tried;
-- make the eliminant squarefree at the context point and Thom-encode its
-  real roots;
+- make the eliminant squarefree at the context point, split it into its
+  irreducible factors (factor_mpoly, cached per input), and Thom-encode
+  each factor's real roots, so each point is built over its own factor and
+  a rational point has an eliminant of degree 1, on which every later sign
+  read works over a linear level; budget.max_candidates bounds the roots
+  over all factors together;
 - verify every candidate point exactly.
 This is the only route, a system in one variable included (its form is
 U - x): a system whose ideal is not zero-dimensional (a branch that leaves a
@@ -495,45 +499,48 @@ def _squarefree_eliminant(A, uvar, context):
 
 
 def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations):
-    """Verified solutions read at the real roots of the squarefree part f of
+    """Verified solutions read at the real roots of the squarefree part of
     the eliminant A: each v in xvars is -b_v/a_v there, from its relation
-    a_v(U)*v + b_v(U)."""
+    a_v(U)*v + b_v(U).  The squarefree part is split into its irreducible
+    factors, and each point is built over the factor its root is a root of,
+    so a rational solution has an f of degree 1.  Past budget.max_candidates
+    real roots over all factors, ResourceBudgetError is raised."""
     ring = context.ring
     f = _squarefree_eliminant(A, uvar, context)
     if f is None:
         return []
-    encs = thom_encodings(f, uvar, context)
-    if not encs:
-        return []
-    if len(encs) > budget.max_candidates:
+    roots = [enc for g, _m in factor_mpoly(f) if g.degree(uvar) > 0
+             for enc in thom_encodings(g, uvar, context)]
+    if len(roots) > budget.max_candidates:
         raise ResourceBudgetError("candidate explosion")
     out = []
-    for enc in encs:
-        # keyed by f itself, the object the solutions carry, so a later
-        # lookup from a point built on them matches the key by identity
-        ctx_plus = _ext_context_for(ThomEncoding(context, uvar, f, enc.signs))
+    for enc in roots:
+        # the point carries enc.poly itself, so a later lookup from the point
+        # finds this extension in the shared context cache
+        g = enc.poly
+        ctx_plus = _ext_context_for(enc)
         assignment = {}
         for v in xvars:
-            g = relations[v]
-            a = reduce_mod_f(g.coeff_of(v, 1), f, uvar, context)
-            b = reduce_mod_f(g.coeff_of(v, 0), f, uvar, context)
+            rel = relations[v]
+            a = reduce_mod_f(rel.coeff_of(v, 1), g, uvar, context)
+            b = reduce_mod_f(rel.coeff_of(v, 0), g, uvar, context)
             if ctx_plus.sign_mpoly(a.with_vars(ctx_plus.tvars)) == 0:
                 raise ArithmeticError("no usable coordinate relation at a candidate root")
             assignment[v] = (a, b)
         denom = MPoly.const(ring, (uvar,), 1).with_vars(tuple(context.tvars) + (uvar,))
         for v in xvars:
             denom = denom * assignment[v][0].with_vars(ctx_plus.tvars)
-        denom = reduce_mod_f(denom, f, uvar, context)
+        denom = reduce_mod_f(denom, g, uvar, context)
         coords = []
         for v in xvars:
             num = -assignment[v][1].with_vars(ctx_plus.tvars)
             for w in xvars:
                 if w != v:
                     num = num * assignment[w][0].with_vars(ctx_plus.tvars)
-            coords.append(reduce_mod_f(num, f, uvar, context))
+            coords.append(reduce_mod_f(num, g, uvar, context))
         # verify membership exactly
         if _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
-            out.append(RealUnivRep(context, uvar, f, enc.signs, (denom,) + tuple(coords), tuple(xvars)))
+            out.append(RealUnivRep(context, uvar, g, enc.signs, (denom,) + tuple(coords), tuple(xvars)))
     return out
 
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcroadmap import curves, points, roadmap
 from dcroadmap.infring import QQ, InfElem, eps
@@ -15,7 +17,14 @@ from dcroadmap.points import (
     rur_sign,
     sample_components,
 )
-from dcroadmap.realroots import TriangularContext, _ext_context_for, compare_roots, thom_encodings
+from dcroadmap.realroots import (
+    TriangularContext,
+    _ext_context_for,
+    _sorted_unique_encodings,
+    _sorted_unique_positions,
+    compare_roots,
+    thom_encodings,
+)
 from dcroadmap.curves import CurvePiece, CurveSegmentRep, curve_segments, limit_curve
 from dcroadmap.solve import solve_system
 from dcroadmap.roadmap import (
@@ -297,12 +306,14 @@ def test_sorted_unique_encodings_keeps_one_encoding_per_root():
     X = ("x",)
     encs = (thom_encodings(parse_poly("x + 1", X), "x", ctx)
             + thom_encodings(parse_poly("x^2 - 1", X), "x", ctx))
-    out = curves._sorted_unique_encodings(encs)
+    out = _sorted_unique_encodings(encs)
     assert len(out) == 2
     (minus_one,) = thom_encodings(parse_poly("x + 1", X), "x", ctx)
     (one,) = thom_encodings(parse_poly("x - 1", X), "x", ctx)
     assert compare_roots(out[0], minus_one) == 0
     assert compare_roots(out[1], one) == 0
+    # the same sort also places each encoding's value: -1, -1, 1
+    assert _sorted_unique_positions(encs) == (out, [0, 0, 1])
 
 
 # two unit circles crossing at two points, and two touching at one
@@ -339,8 +350,11 @@ def glued_pair(request):
 
 
 def test_glued_pair_graph(glued_pair):
-    system, _piece, graph, size, _collapses = glued_pair
+    system, piece, graph, size, _collapses = glued_pair
     assert (len(graph.vertices), len(graph.edges)) == size
+    # a piece's vertices are distinct points, a crossing point found from
+    # both circles included
+    assert len(piece.vertices) == len(graph.vertices)
     assert graph.component_count() == 1
     assert all(rur_sign(v, p) == 0 for v in graph.vertices for p in system)
 
@@ -379,15 +393,54 @@ def _flat_fiber_solves(system, xvars, anchors):
 
 
 def test_unit_circle_fibers_kept_under_the_discriminant_and_the_anchors():
-    # the anchors' x-values +-1 repeat the discriminant's roots, so each of
-    # the two fibers is kept once, under the polynomial whose encoding of
-    # its value comes first, and the other polynomial is never solved
+    # the anchors' x-values +-1 repeat the discriminant's roots, and f(+-1, U)
+    # = U^2 has one distinct real root, as many as the anchors there: the
+    # anchors fill both fibers, so no fiber is solved and the anchors
+    # themselves are the graph's vertices
     circle = P("x^2 + y^2 - 1")
-    graph, solved = _flat_fiber_solves([circle], XY, sample_components([circle]))
-    assert len(solved) == 1
+    anchors = sample_components([circle])
+    graph, solved = _flat_fiber_solves([circle], XY, anchors)
+    assert len(solved) == 0
     assert (len(graph.vertices), len(graph.edges)) == (2, 2)
+    assert len(anchors) == 2 and all(any(v is a for a in anchors) for v in graph.vertices)
     assert graph.component_count() == 1
     assert all(rur_sign(v, circle) == 0 for v in graph.vertices)
+
+
+def _top_of_circle(scale):
+    """(0, 1) on the unit circle, its coordinate tuple scaled by `scale`: a
+    scale other than 1 gives the same point as an unequal value."""
+    top = solve_system([P("x"), P("y - 1")], XY)[0]
+    return RealUnivRep(top.base, top.uvar, top.f, top.sigma,
+                       tuple(g.scale(QQ(scale)) for g in top.F), top.xvars)
+
+
+@pytest.mark.parametrize("scale", [1, 2], ids=["equal-values", "scaled-copy"])
+def test_a_repeated_anchor_does_not_fill_its_fiber(scale):
+    # p1 and p2 are both (0, 1), as `dcroadmap connect` passes them: the
+    # fiber x = 0 holds one distinct anchor against the two real roots of
+    # f(0, U) = U^2 - 1, so it is solved, and (0, -1) is one of its
+    # vertices, not an endpoint found by a limit
+    circle = P("x^2 + y^2 - 1")
+    p1, p2 = _top_of_circle(1), _top_of_circle(scale)
+    anchors = sample_components([circle]) + [p1, p2]
+    bottom = solve_system([P("x"), P("y + 1")], XY)[0]
+    limits = []
+    endpoint_limit = curves._endpoint_limit
+
+    def spy(seg, ctx, direction):
+        limits.append(direction)
+        return endpoint_limit(seg, ctx, direction)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "_endpoint_limit", spy)
+        graph, solved = _flat_fiber_solves([circle], XY, anchors)
+    assert len(solved) == 1 and limits == []
+    assert sum(points_equal(v, bottom) for v in graph.vertices) == 1
+    assert (len(graph.vertices), len(graph.edges)) == (4, 4)
+    assert graph.anchor_ids[2] == graph.anchor_ids[3]
+    assert graph.component_count() == 1
+    assert connectivity(graph, p2, bottom)[0]
 
 
 def test_conjugate_critical_values_share_one_flat_solve():
@@ -560,3 +613,49 @@ def test_a_failed_step_raises_instead_of_a_smaller_graph(monkeypatch, name):
     monkeypatch.setattr(curves, name, fail)
     with pytest.raises(ArithmeticError, match="injected failure"):
         roadmap_bounded(circle, A)
+
+
+_radius = st.fractions(min_value=QQ(1, 3), max_value=2, max_denominator=3)
+_centre = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_share = st.fractions(min_value=QQ(1, 4), max_value=QQ(3, 4), max_denominator=4)
+
+
+@st.composite
+def circle_pairs(draw):
+    """Two circles with rational centres on the x axis and rational radii,
+    as (c1, r1, c2, r2, components): apart, touching from outside,
+    crossing, nested, or touching from inside."""
+    kind = draw(st.sampled_from(["apart", "touching", "crossing", "nested", "inside"]))
+    c1, r1, r2, t = draw(_centre), draw(_radius), draw(_radius), draw(_share)
+    if kind in ("nested", "inside"):
+        r1, r2 = r1 + r2, r2  # the second lies inside the first
+    lo, hi = abs(r1 - r2), r1 + r2
+    d, components = {
+        "apart": (hi + t, 2),
+        "touching": (hi, 1),
+        "crossing": (lo + t * (hi - lo), 1),
+        "nested": (t * lo if draw(st.booleans()) else QQ(0), 2),
+        "inside": (lo, 1),
+    }[kind]
+    return c1, r1, c1 + d * draw(st.sampled_from([1, -1])), r2, components
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(circle_pairs())
+def test_circle_pairs_have_the_components_of_their_construction(pair):
+    c1, r1, c2, r2, components = pair
+    circles = [P(f"(x - ({c}))^2 + y^2 - ({r})^2") for c, r in ((c1, r1), (c2, r2))]
+    p = circles[0] * circles[1]
+    graph = roadmap_bounded(p, sample_components([p]))
+    assert graph.component_count() == components
+    assert all(rur_sign(v, p) == 0 for v in graph.vertices)
+
+
+def test_a_sphere_cut_by_a_cylinder_on_its_axis_has_two_closed_curves():
+    # no equation is affine, so the curve keeps two fiber variables and
+    # every fiber is solved; its points are never compared with each other
+    # by coordinate encodings, each a resultant of high degree here
+    system = [parse_poly("x^2 + y^2 + z^2 - 4", XYZ), parse_poly("x^2 + y^2 - 1", XYZ)]
+    graph = roadmap_bounded(system, sample_components(system, xvars=XYZ), kprime=1)
+    assert graph.component_count() == 2
+    assert all(rur_sign(v, p) == 0 for v in graph.vertices for p in system)

@@ -1,7 +1,7 @@
 import pytest
 
 from dcroadmap import solve
-from dcroadmap.errors import NotZeroDimensionalError, SeparationError
+from dcroadmap.errors import NotZeroDimensionalError, ResourceBudgetError, SeparationError
 from dcroadmap.infring import QQ, InfElem, eps, zeta
 from dcroadmap.mpoly import ERING, QRING, MPoly, parse_poly
 from dcroadmap.optimsub import closest_pairs
@@ -149,6 +149,37 @@ def test_factor_split():
             if ctx_plus.sign_mpoly(num.with_vars(ctx_plus.tvars)) == 0:
                 values.add(q)
     assert values == {1, 2}
+
+
+def test_a_rational_solution_has_a_linear_eliminant():
+    # the eliminant (U - 1)(U + 1) splits into its factors, and each point
+    # is built over its own
+    sols = solve_system([P("x^2 + y^2 - 1"), P("y")], XY)
+    assert len(sols) == 2
+    assert [s.f.degree(s.uvar) for s in sols] == [1, 1]
+    assert all(rur_sign(s, P("x^2 - 1")) == 0 and rur_sign(s, P("y")) == 0 for s in sols)
+    assert {rur_sign(s, P("x")) for s in sols} == {-1, 1}
+
+
+def test_an_irreducible_eliminant_stays_whole():
+    # U^2 - 2 has no rational factor: both points keep it
+    sols = solve_system([P("x^2 + y^2 - 2"), P("y")], XY)
+    assert len(sols) == 2
+    (f,) = {s.f for s in sols}
+    assert f.degree(sols[0].uvar) == 2
+    assert factor_mpoly(f) == [(f, 1)]
+
+
+def test_the_candidate_bound_counts_the_roots_of_every_factor():
+    # both equations are irreducible, so the system is one branch; its four
+    # points are rational, so its eliminant is four linear factors of one
+    # root each, and only their total passes the bound
+    system = [P("x^2 + y^2 - 5"), P("x*y - 2")]
+    sols = solve_system(system, XY)
+    assert len(sols) == 4 and all(s.f.degree(s.uvar) == 1 for s in sols)
+    assert len(solve.split_branches(system)) == 1
+    with pytest.raises(ResourceBudgetError):
+        solve_system(system, XY, budget=solve.Budget(max_candidates=3))
 
 
 def test_split_branches_returns_each_branch_once():
