@@ -42,11 +42,12 @@ def _product(polys):
 def _load_point(path, variables):
     """RUR record: {"uvar": name, "f": poly, "signs": [ints], "F": [polys]}.
     Polynomials are strings in the CLI text syntax over (uvar,).  F holds
-    the denominator and one numerator per variable, and the signs must fix
-    a real root of f.  A field of another JSON type, a polynomial that does
-    not parse or a wrong length of F raises ValueError, signs of no root
-    EmptyEncodingError (a ValueError); a file that cannot be read raises
-    OSError."""
+    the denominator and one numerator per variable, the signs must fix a
+    real root of f, and the denominator must not vanish there.  A field of
+    another JSON type, a polynomial that does not parse, a wrong length of
+    F or a denominator that vanishes at the root raises ValueError, signs
+    of no root EmptyEncodingError (a ValueError); a file that cannot be
+    read raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -62,7 +63,10 @@ def _load_point(path, variables):
         raise ValueError(f"F has {len(F)} entries, not {len(variables) + 1}")
     u = RealUnivRep(TriangularContext(QRING), uvar, parse_poly(f, (uvar,)), tuple(signs),
                     F, tuple(variables))
-    u.extended_context().level_solver()
+    at_root = u.extended_context()
+    at_root.level_solver()
+    if at_root.sign_mpoly(F[0]) == 0:
+        raise ValueError("the denominator F[0] vanishes at the root of f")
     return u
 
 

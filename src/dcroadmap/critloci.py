@@ -47,20 +47,18 @@ def sweep_poly(d, k, variables=None, ring=QRING):
     return out
 
 
-def deform_single(Q, b, d, level=1, special=False):
-    """Def(Q, zeta, b, d) = (1 - zeta) Q^2 - zeta (b0 + b1 X1^d + ... + bk Xk^d).
-
-    With special=True uses b = (1,...,1) and d = 2 deg(Q) + 2."""
+def deform_single(Q, xvars, zeta_index):
+    """Def(Q, zeta) = (1 - zeta) Q^2 - zeta (1 + sum of v^d over v in xvars)
+    over the infinitesimal ring, with d = 2 deg_xvars(Q) + 2 and zeta the
+    infinitesimal of global index zeta_index."""
     variables = Q.vars
-    if special:
-        d = 2 * Q.total_degree() + 2
-        b = [1] * (len(variables) + 1)
-    z = MPoly.const(ERING, variables, InfElem.sym(zeta(level)))
+    d = 2 * Q.total_degree_in(xvars) + 2
+    z = MPoly.const(ERING, variables, InfElem.sym(zeta_index))
     one = MPoly.const(ERING, variables, 1)
     Qe = Q.to_ering()
-    tail = MPoly.const(ERING, variables, QQ(b[0]))
-    for j, v in enumerate(variables, start=1):
-        tail = tail + MPoly.var(ERING, variables, v, d).scale(QQ(b[j]))
+    tail = one
+    for v in xvars:
+        tail = tail + MPoly.var(ERING, variables, v, d)
     return (one - z) * Qe * Qe - z * tail
 
 

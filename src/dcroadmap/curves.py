@@ -64,13 +64,11 @@ from .realroots import (
     TriangularContext,
     _ext_context_for,
     _sorted_unique_positions,
-    _to_upoly,
     compare_roots,
     signs_at_encodings,
-    tarski_query,
+    tarski_query_mpoly,
     thom_encodings,
-    uis_zero,
-    utrim,
+    trimmed,
 )
 from .solve import DEFAULT_BUDGET, split_branches
 from .symbridge import UNIT, shape_basis
@@ -143,7 +141,7 @@ def curve_segments(P, Q, context, xvars, anchors=(), budget=DEFAULT_BUDGET, seed
             if not V0:
                 continue
             for V in split_branches(V0, budget):
-                param = None if len(xvars) == 1 else _parametrize_fiber(V, context, xvars, budget, seed)
+                param = None if len(xvars) == 1 else _parametrize_fiber(V, context, xvars)
                 if param is None:
                     isolated.extend(_isolated_points(V, rest, context, xvars, budget, seed))
                     continue
@@ -241,10 +239,10 @@ def _filled_by_anchors(V, rest, f, uvar, enc, anchors):
     its points.  None when f(c, U) is zero or the count leaves points to
     find."""
     ctx = _ext_context_for(enc)
-    fc = utrim(ctx, _to_upoly(f.with_vars(ctx.tvars + (uvar,)), uvar, ctx))
-    if uis_zero(ctx, fc):
+    fc = trimmed(f.with_vars(ctx.tvars + (uvar,)), uvar, ctx)
+    if fc.is_zero():
         return None
-    n = tarski_query(ctx, fc, [ctx.one])
+    n = tarski_query_mpoly(fc, MPoly.const(fc.ring, fc.vars, 1), uvar, ctx)
     if n == 0:
         return []
     if len(anchors) < n:
@@ -272,7 +270,7 @@ def _isolated_points(V, signs_family, context, xvars, budget, seed):
     return [u for u in pts if all(rur_sign(u, q) >= 0 for q in signs_family)]
 
 
-def _parametrize_fiber(V, context, xvars, budget, seed):
+def _parametrize_fiber(V, context, xvars):
     """Shape parametrization of the fiber over the function field of the
     parameter: f(x, U) plus rational coordinate functions for the fiber
     variables, and U as a form in them (the fiber variable itself, or
@@ -372,7 +370,7 @@ def _critical_parameters(f, coords, must_vanish, signs_family, context,
     elif not den.is_const() and den.degree(x) > 0:
         crit_polys.append(den)
     for s in list(signs_family) + list(must_vanish):
-        sb = _along_curve(s, coords, xvars, uvar)
+        sb = _along_curve(s, coords, xvars)
         if sb is None:
             continue
         # a member in the parameter alone comes back without uvar
@@ -395,7 +393,7 @@ def _budgeted_resultant(a, b, var, budget):
     return resultant(a, b, var)
 
 
-def _along_curve(s, coords, xvars, uvar):
+def _along_curve(s, coords, xvars):
     """Numerator of s composed with the fiber parametrization."""
     fibers = list(xvars[1:])
     block = [v for v in fibers if v in s.vars and s.degree(v) > 0]
@@ -420,12 +418,12 @@ def _segments_on_interval(f, coords, must_vanish, signs_family, lo_enc, hi_enc,
     fam = []
     fam_kind = []
     for s in signs_family:
-        sb = _along_curve(s, coords, xvars, uvar)
+        sb = _along_curve(s, coords, xvars)
         if sb is not None:
             fam.append(sb.subst({x: sample}) if x in sb.vars else sb)
             fam_kind.append(_KIND_GEQ)
     for p in must_vanish:
-        pb = _along_curve(p, coords, xvars, uvar)
+        pb = _along_curve(p, coords, xvars)
         if pb is not None:
             fam.append(pb.subst({x: sample}) if x in pb.vars else pb)
             fam_kind.append(_KIND_ZERO)

@@ -109,7 +109,7 @@ def sylvester_resultant_interp(p, q, var, budget_nodes=400000):
             coeffs = _newton_scalar(xs, ys)
             return ("poly", w, coeffs)
         # ys are ("poly", ...) trees; interpolate coefficientwise via dicts
-        dicts = [_tree_to_dict(y, ()) for y in ys]
+        dicts = [_tree_to_dict(y) for y in ys]
         keys = set()
         for d in dicts:
             keys |= set(d)
@@ -129,7 +129,7 @@ def sylvester_resultant_interp(p, q, var, budget_nodes=400000):
         if val != 0:
             out_terms[tuple(0 for _ in pf.vars)] = val
     else:
-        d = _tree_to_dict(tree, ())
+        d = _tree_to_dict(tree)
         for key, c in d.items():
             if c == 0:
                 continue
@@ -161,7 +161,7 @@ def _newton_scalar(xs, ys):
     return poly
 
 
-def _tree_to_dict(tree, prefix):
+def _tree_to_dict(tree):
     kind = tree[0]
     if kind == "poly":
         _k, w, coeffs = tree
@@ -231,7 +231,7 @@ def subresultant1_interp(p, q, var, budget_nodes=400000):
             del assign[w]
             if not rest:
                 return ("poly", w, _newton_scalar(xs, ys))
-            dicts = [_tree_to_dict(y, ()) for y in ys]
+            dicts = [_tree_to_dict(y) for y in ys]
             keys = set()
             for d in dicts:
                 keys |= set(d)
@@ -250,7 +250,7 @@ def subresultant1_interp(p, q, var, budget_nodes=400000):
             if tree != 0:
                 terms[tuple(0 for _ in pf.vars)] = tree
         else:
-            for key, c in _tree_to_dict(tree, ()).items():
+            for key, c in _tree_to_dict(tree).items():
                 if c == 0:
                     continue
                 exps = [0] * len(pf.vars)

@@ -223,18 +223,6 @@ class MPoly:
         d = self.degree(var)
         return [self.coeff_of(var, e) for e in range(d + 1)]
 
-    @staticmethod
-    def from_univariate(coeffs, var):
-        if not coeffs:
-            raise ValueError("empty coefficient list")
-        ring = coeffs[0].ring
-        variables = coeffs[0].vars
-        out = MPoly.zero(ring, variables)
-        xv = MPoly.var(ring, variables, var)
-        for e in range(len(coeffs) - 1, -1, -1):
-            out = out * xv + coeffs[e].with_vars(variables)
-        return out
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

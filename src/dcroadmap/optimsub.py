@@ -18,7 +18,7 @@ from .points import (
     rur_sign,
     sample_components,
 )
-from .realroots import TriangularContext, _sorted_unique_encodings, thom_encodings
+from .realroots import TriangularContext, _sorted_unique_positions, thom_encodings
 from .solve import DEFAULT_BUDGET, eliminate_to, factor_mpoly, solve_system, split_branches
 
 
@@ -82,7 +82,7 @@ def pseudo_critical_values(family, G, xvars, base=None, B=None, budget=DEFAULT_B
                         lim = limit_thom(enc, gamma)
                         if lim is not None:
                             values.append(lim)
-    return _sorted_unique_encodings(values)
+    return _sorted_unique_positions(values)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .critloci import crit_minor_system
+from .critloci import crit_minor_system, deform_single
 from .errors import NotZeroDimensionalError, SeparationError
 from .infring import QQ, InfElem
 from .mpoly import ERING, QRING, MPoly, der_list, fresh_var, merge_vars, resultant, subst_rational
@@ -24,11 +24,9 @@ from .realroots import (
     ThomEncoding,
     TriangularContext,
     _ext_context_for,
-    _from_upoly,
-    _to_upoly,
     per_input_caches,
     thom_encodings,
-    utrim,
+    trimmed,
 )
 from .solve import DEFAULT_BUDGET, RealUnivRep, solve_system, split_branches
 
@@ -256,7 +254,7 @@ def limit_thom(enc: ThomEncoding, drop_from: int):
     f0 = drop_symbols(f, drop_from)
     if f0.is_zero():
         raise ValueError("order not factorable")
-    f0 = _ctx_trim_poly(f0, enc.var, ctx)
+    f0 = trimmed(f0, enc.var, ctx)
     if f0.degree(enc.var) == 0:
         return None
     cands = thom_encodings(f0, enc.var, ctx)
@@ -280,11 +278,6 @@ def limit_thom(enc: ThomEncoding, drop_from: int):
     return cands[lo]
 
 
-def _ctx_trim_poly(poly, var, ctx):
-    up = utrim(ctx, _to_upoly(poly, var, ctx))
-    return _from_upoly(up, var, ctx)
-
-
 def limit_point(u: RealUnivRep, drop_from: int):
     """Limit of a bounded point: a RealUnivRep over the reduced ring whose
     associated point is the limit of u's.  Returns None when unbounded.  A
@@ -303,7 +296,7 @@ def limit_point(u: RealUnivRep, drop_from: int):
     h0 = drop_symbols(h, drop_from)
     if h0.is_zero():
         raise ValueError("order not factorable")
-    h0 = _ctx_trim_poly(h0, u.uvar, ectx)
+    h0 = trimmed(h0, u.uvar, ectx)
     if h0.degree(u.uvar) == 0:
         return None
     enc = ThomEncoding(ectx, u.uvar, h, u.sigma)
@@ -488,16 +481,10 @@ def sample_components(system, context=None, xvars=None, budget=DEFAULT_BUDGET, s
     e_system = [p.to_ering() for p in system]
     e_context = context.to_ering()
     zeta = fresh_infinitesimal(e_context, e_system)
-    zq = MPoly.const(ERING, (), InfElem.sym(zeta))
     Q = None
     for p in e_system:
         Q = p * p if Q is None else Q + p * p
-    d = 2 * Q.total_degree_in(xvars) + 2
-    tail = MPoly.const(ERING, Q.vars, 1)
-    for v in xvars:
-        tail = tail + MPoly.var(ERING, Q.vars, v, d)
-    one = MPoly.const(ERING, Q.vars, 1)
-    Def = (one - zq.with_vars(Q.vars)) * Q * Q - zq.with_vars(Q.vars) * tail
+    Def = deform_single(Q, xvars, zeta)
     G = MPoly.var(ERING, merge_vars(Def.vars, xvars), xvars[0])
     crit = crit_minor_system([Def], G, 0, xvars)
     sols = solve_system(crit, xvars, context=e_context, budget=budget, seed=seed)
@@ -624,7 +611,7 @@ def rur_coordinate_encoding(u: RealUnivRep, i: int):
     y = MPoly.var(ring, variables, yvar)
     rel = y * u.F[0].with_vars(variables) - u.F[i].with_vars(variables)
     g = resultant(u.f.with_vars(variables), rel, u.uvar)
-    g = _ctx_trim_poly(g, yvar, ctx)
+    g = trimmed(g, yvar, ctx)
     if g.degree(yvar) == 0:
         raise ArithmeticError("the coordinate's eliminant is constant")
     alone = u.project(u.xvars[i - 1:i], (yvar,))

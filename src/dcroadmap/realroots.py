@@ -6,7 +6,16 @@ coefficient ring.  Univariate polynomials are dense coefficient lists over a
 TriangularContext: with no levels the coefficients are rationals or
 infinitesimal polynomials, otherwise MPolys in the context's triangular
 variables.  They are combined with Python's number operators, and only the
-context's sign at its fixed point (ctx.sign) is consulted.
+context's sign at its fixed point (ctx.sign) is consulted.  One
+pseudo-division loop, _pos_pdiv, serves the chains, the reductions modulo
+P and the squarefree part.
+This module is the only one that holds coefficient lists: every other
+module passes MPolys in a variable and a context to its MPoly-level
+entries, tarski_query_mpoly, thom_encodings, signs_at_encodings,
+compare_roots, trimmed (the leading coefficients that vanish at the point
+dropped), squarefree (the squarefree part at the point) and reduce_mod
+(the remainder modulo a polynomial over the rationals), or asks a
+TriangularContext for a sign (sign_mpoly).
 Signs at the real roots of P come from sign determination (BPR ch. 10):
 Der(P) is pushed once through the basis-growing method (never the full 3^s
 matrix), which leaves one root per sign condition; from then on the signs
@@ -192,26 +201,27 @@ def umul(ctx, a, b):
     return utrim_literal(out)
 
 
-def _pos_prem(ctx, A, B):
-    """R = positive_constant * rem(A, B) computed with pseudo-divisions whose
-    accumulated multiplier lc(B)^e has e even, so R is a positive multiple of
-    the true remainder at the context point.  A and B must be ctx-trimmed."""
+def _pos_pdiv(ctx, A, B):
+    """(Q, R) with c*A = Q*B + R, deg R < deg B, for c = lc(B)^e with e
+    even, so Q and R are positive multiples of the true quotient and
+    remainder at the context point; a monic B gives them exactly.  A and B
+    must be ctx-trimmed, and deg A >= deg B."""
     n, m = len(A) - 1, len(B) - 1
     lc = B[-1]
     r = list(A)
-    steps = 0
+    q = []  # highest degree first
     for i in range(n, m - 1, -1):
+        # lc * r[i] - r[i] * lc is 0, so the leading term leaves r
         coef = r[i]
-        r = [lc * x for x in r]
-        steps += 1
+        r = [lc * x for x in r[:i]]
+        q = [lc * x for x in q] + [coef]
         if coef:
-            for j in range(m + 1):
+            for j in range(m):
                 r[i - m + j] = r[i - m + j] - coef * B[j]
-        r[i] = ctx.zero
-    if steps % 2 == 1:
+    if len(q) % 2 == 1:
         r = [lc * x for x in r]
-    r = r[:m] if m > 0 else [ctx.zero]
-    return utrim_literal(r)
+        q = [lc * x for x in q]
+    return q[::-1], utrim_literal(r or [ctx.zero])
 
 
 def sturm_chain(ctx, P, Q):
@@ -226,7 +236,7 @@ def sturm_chain(ctx, P, Q):
         A, B = chain[-2], chain[-1]
         if len(B) == 1:
             break
-        R = _pos_prem(ctx, A, B)
+        _Q, R = _pos_pdiv(ctx, A, B)
         R = [-c for c in R]
         R = content_strip(ctx, R)
         R = utrim(ctx, R)
@@ -289,7 +299,7 @@ def pos_reduce(ctx, A, P):
     P = utrim(ctx, P)
     if len(A) < len(P):
         return A
-    r = _pos_prem(ctx, A, P)
+    _q, r = _pos_pdiv(ctx, A, P)
     r = content_strip(ctx, r)
     return utrim(ctx, r)
 
@@ -709,30 +719,24 @@ def _ext_context_for(enc: ThomEncoding):
     return hit
 
 
-def _to_upoly(p, var, parent_context):
+def _to_upoly(p, var, ctx):
     """MPoly -> dense coefficient list in var; coefficients become scalars
-    when the parent context has no triangular variables."""
+    when the context has no triangular variables."""
     cs = p.as_univariate(var)
-    if parent_context.nlevels == 0:
-        out = []
-        for c in cs:
-            c2 = c.coeff_of(var, 0) if var in c.vars else c
-            out.append(c2.const_value() if not c2.is_zero() else parent_context.ring.zero)
-        return out
-    return [c.with_vars(parent_context.tvars) for c in cs]
+    if ctx.nlevels == 0:
+        return [c.const_value() if not c.is_zero() else ctx.zero for c in cs]
+    return [c.with_vars(ctx.tvars) for c in cs]
 
 
-def _from_upoly(cs, var, context, extra_vars=()):
-    ring = context.ring
-    variables = tuple(context.tvars) + tuple(v for v in extra_vars if v not in context.tvars)
-    if var not in variables:
-        variables = variables + (var,)
-    out = MPoly.zero(ring, variables)
-    xv = MPoly.var(ring, variables, var)
-    for e in range(len(cs) - 1, -1, -1):
-        c = cs[e]
+def _from_upoly(cs, var, ctx):
+    """Dense coefficient list in var -> MPoly in the context's variables and
+    var."""
+    variables = ctx.tvars if var in ctx.tvars else ctx.tvars + (var,)
+    out = MPoly.zero(ctx.ring, variables)
+    xv = MPoly.var(ctx.ring, variables, var)
+    for c in reversed(cs):
         if not isinstance(c, MPoly):
-            c = MPoly.const(ring, variables, c)
+            c = MPoly.const(ctx.ring, variables, c)
         out = out * xv + c.with_vars(variables)
     return out
 
@@ -745,6 +749,43 @@ def tarski_query_mpoly(P, Q, var, context=None):
     """Tarski query of univariate MPolys over an optional triangular context."""
     context = context or TriangularContext(P.ring)
     return tarski_query(context, _to_upoly(P, var, context), _to_upoly(Q, var, context))
+
+
+def trimmed(poly, var, ctx):
+    """poly in var without the leading coefficients that vanish at the point
+    ctx fixes, over ctx's variables and var; the zero polynomial when every
+    coefficient vanishes there."""
+    return _from_upoly(utrim(ctx, _to_upoly(poly, var, ctx)), var, ctx)
+
+
+def squarefree(poly, var, ctx):
+    """A positive multiple of the squarefree part of poly in var at the
+    point ctx fixes: poly pseudo-divided by the last element of its Sturm
+    chain with its derivative, their gcd there.  None when it is a
+    constant."""
+    A = utrim(ctx, _to_upoly(poly, var, ctx))
+    if len(A) > 2:
+        g = sturm_chain(ctx, A, uderiv(ctx, A))[-1]
+        if len(g) > 1:
+            q, _r = _pos_pdiv(ctx, A, g)
+            A = utrim(ctx, content_strip(ctx, q))
+    return None if len(A) == 1 else _from_upoly(A, var, ctx)
+
+
+def reduce_mod(p, f, var, ctx):
+    """p reduced modulo f in var, so its values at the roots of f are kept.
+
+    Over a level-free rational context, where p and f are polynomials in
+    var alone and f is not constant, this is the exact remainder: the
+    pseudo-division by the monic f, whose leading coefficient 1 scales
+    nothing.  Over any other context p is returned unreduced."""
+    if ctx.nlevels > 0 or any(r is not QRING for r in (ctx.ring, p.ring, f.ring)):
+        return p
+    if p.degree(var) < f.degree(var):
+        return p
+    fc = _to_upoly(f, var, ctx)
+    _q, r = _pos_pdiv(ctx, _to_upoly(p, var, ctx), [c / fc[-1] for c in fc])
+    return _from_upoly(r, var, ctx).with_vars(p.vars)
 
 
 def thom_encodings(P, var, context=None):
@@ -789,15 +830,11 @@ def compare_roots(a, b):
     return _thom_compare(av, bv)
 
 
-def _sorted_unique_encodings(encs):
-    """The encoded values in increasing order, one encoding per value: the
-    first of each value's encodings in encs (the sort is stable)."""
-    return _sorted_unique_positions(encs)[0]
-
-
 def _sorted_unique_positions(encs):
-    """(_sorted_unique_encodings(encs), the index in it of the value of each
-    of encs, in encs' order): both from the one sort."""
+    """(the encoded values in increasing order, one encoding per value: the
+    first of each value's encodings in encs, since the sort is stable; the
+    index in it of the value of each of encs, in encs' order): both from
+    the one sort."""
     order = sorted(range(len(encs)),
                    key=functools.cmp_to_key(lambda i, j: compare_roots(encs[i], encs[j])))
     out, at = [], [0] * len(encs)

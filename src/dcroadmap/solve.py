@@ -10,9 +10,10 @@ Pipeline per system:
   a lex Groebner shape basis of the system with its context levels, which
   certifies the form (the shape lemma, BPR ch. 12); a form whose basis is
   not in shape position is rejected and the next one tried;
-- make the eliminant squarefree at the context point, split it into its
-  irreducible factors (factor_mpoly, cached per input), and Thom-encode
-  each factor's real roots, so each point is built over its own factor and
+- make the eliminant squarefree at the context point (realroots.squarefree),
+  split it into its irreducible factors (factor_mpoly, cached per input),
+  and Thom-encode each factor's real roots, so each point is built over its
+  own factor, its coordinates reduced modulo it (realroots.reduce_mod), and
   a rational point has an eliminant of degree 1, on which every later sign
   read works over a linear level; budget.max_candidates bounds the roots
   over all factors together;
@@ -41,13 +42,9 @@ from .realroots import (
     ThomEncoding,
     TriangularContext,
     _ext_context_for,
-    _from_upoly,
-    _to_upoly,
-    content_strip,
-    sturm_chain,
+    reduce_mod,
+    squarefree,
     thom_encodings,
-    uderiv,
-    utrim,
 )
 from .symbridge import UNIT, factor, gcd, shape_basis
 
@@ -325,41 +322,6 @@ def eliminate_to(system, keep, xvars, budget=DEFAULT_BUDGET, what="eliminate"):
 
 
 # ---------------------------------------------------------------------------
-# squarefree part over a context
-
-
-def squarefree_upoly(ctx, A):
-    """Positive multiple of the squarefree part of A at the context point."""
-    A = utrim(ctx, A)
-    if len(A) <= 2:
-        return A
-    chain = sturm_chain(ctx, A, uderiv(ctx, A))
-    g = chain[-1]
-    if len(g) == 1:
-        return A
-    # positive-scaled pseudo-quotient of A by g
-    n, m = len(A) - 1, len(g) - 1
-    lc = g[-1]
-    r = list(A)
-    q = [ctx.zero] * (n - m + 1)
-    steps = 0
-    for i in range(n, m - 1, -1):
-        coef = r[i]
-        r = [lc * x for x in r]
-        q = [lc * x for x in q]
-        steps += 1
-        q[i - m] = q[i - m] + coef
-        if coef:
-            for j in range(m + 1):
-                r[i - m + j] = r[i - m + j] - coef * g[j]
-        r[i] = ctx.zero
-    if steps % 2 == 1:
-        q = [lc * x for x in q]
-    q = content_strip(ctx, q)
-    return utrim(ctx, q)
-
-
-# ---------------------------------------------------------------------------
 # the solver
 
 
@@ -491,13 +453,6 @@ def _solve_branch_with_form(system, xvars, context, budget, c, uvar):
     return _assemble_from_relations(system, xvars, context, budget, uvar, eliminant, relations)
 
 
-def _squarefree_eliminant(A, uvar, context):
-    f_up = squarefree_upoly(context, _to_upoly(A, uvar, context))
-    if len(f_up) == 1:
-        return None
-    return _from_upoly(f_up, uvar, context)
-
-
 def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations):
     """Verified solutions read at the real roots of the squarefree part of
     the eliminant A: each v in xvars is -b_v/a_v there, from its relation
@@ -506,7 +461,7 @@ def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations)
     so a rational solution has an f of degree 1.  Past budget.max_candidates
     real roots over all factors, ResourceBudgetError is raised."""
     ring = context.ring
-    f = _squarefree_eliminant(A, uvar, context)
+    f = squarefree(A, uvar, context)
     if f is None:
         return []
     roots = [enc for g, _m in factor_mpoly(f) if g.degree(uvar) > 0
@@ -522,70 +477,29 @@ def _assemble_from_relations(system, xvars, context, budget, uvar, A, relations)
         assignment = {}
         for v in xvars:
             rel = relations[v]
-            a = reduce_mod_f(rel.coeff_of(v, 1), g, uvar, context)
-            b = reduce_mod_f(rel.coeff_of(v, 0), g, uvar, context)
+            a = reduce_mod(rel.coeff_of(v, 1), g, uvar, context)
+            b = reduce_mod(rel.coeff_of(v, 0), g, uvar, context)
             if ctx_plus.sign_mpoly(a.with_vars(ctx_plus.tvars)) == 0:
                 raise ArithmeticError("no usable coordinate relation at a candidate root")
             assignment[v] = (a, b)
         denom = MPoly.const(ring, (uvar,), 1).with_vars(tuple(context.tvars) + (uvar,))
         for v in xvars:
             denom = denom * assignment[v][0].with_vars(ctx_plus.tvars)
-        denom = reduce_mod_f(denom, g, uvar, context)
+        denom = reduce_mod(denom, g, uvar, context)
         coords = []
         for v in xvars:
             num = -assignment[v][1].with_vars(ctx_plus.tvars)
             for w in xvars:
                 if w != v:
                     num = num * assignment[w][0].with_vars(ctx_plus.tvars)
-            coords.append(reduce_mod_f(num, g, uvar, context))
+            coords.append(reduce_mod(num, g, uvar, context))
         # verify membership exactly
-        if _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
+        if _verify_point(system, xvars, denom, coords, ctx_plus):
             out.append(RealUnivRep(context, uvar, g, enc.signs, (denom,) + tuple(coords), tuple(xvars)))
     return out
 
 
-def _dense_in(p, var):
-    """Dense rational coefficient list of a univariate rational MPoly."""
-    d = p.degree(var)
-    out = []
-    for e in range(d + 1):
-        c = p.coeff_of(var, e)
-        out.append(c.const_value() if not c.is_zero() else QQ(0))
-    return out
-
-
-def _mod_dense(num, den):
-    """num mod den over QQ (dense lists, den trimmed, lc != 0)."""
-    num = list(num)
-    dn = len(den) - 1
-    lc = den[-1]
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lc
-        if c != 0:
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-        num[i] = QQ(0)
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
-
-
-def reduce_mod_f(p, f, uvar, context):
-    """p reduced modulo f in uvar.
-
-    Over a level-free rational context, where p and f are polynomials in
-    uvar alone and f is not constant, this is exact field reduction (values
-    at roots of f unchanged); over towers p is returned unreduced (the
-    scaling bookkeeping is not worth it at current scales)."""
-    if context.nlevels > 0 or p.ring is not QRING or f.ring is not QRING:
-        return p
-    if p.degree(uvar) < f.degree(uvar):
-        return p
-    rem = _mod_dense(_dense_in(p, uvar), _dense_in(f, uvar))
-    return MPoly.from_univariate([MPoly.const(QRING, p.vars, c) for c in rem], uvar).with_vars(p.vars)
-
-
-def _verify_point(system, xvars, denom, coords, ctx_plus, uvar):
+def _verify_point(system, xvars, denom, coords, ctx_plus):
     """Whether the point coords/denom at the root ctx_plus fixes is a common
     zero of system.  Each substituted equation is multiplied by a power of
     denom, so it also reads 0 where denom vanishes; such a 0/0 candidate is

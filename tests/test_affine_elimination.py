@@ -83,7 +83,7 @@ def test_lifted_segments_keep_the_parameter_first(plane, order):
         assert seg.xvars == order and len(seg.coords) == 3
         assert seg.lo_point == graph.vertices[lo] and seg.hi_point == graph.vertices[hi]
         # the plane, composed with the segment's coordinates, is zero
-        assert _along_curve(polys[1], seg.coords, seg.xvars, seg.uvar).is_zero()
+        assert _along_curve(polys[1], seg.coords, seg.xvars).is_zero()
 
 
 def test_a_dimension_bound_of_two_is_capped_on_the_plane():

@@ -79,7 +79,10 @@ def test_connect_on_two_disjoint_circles(tmp_path, capsys, x1, x2, code, out, er
     '{"uvar": "t", "f": "t - 1", "signs": [0, 1], "F": ["1", "t"]}',
     '{"uvar": "t", "f": "t - 1", "signs": [0, -1], "F": ["1", "t", "0"]}',
     '{"uvar": "t", "f": "t^2 + 1", "signs": [0, 1, 1], "F": ["1", "t", "0"]}',
-], ids=["F shorter than k + 1", "signs of no root", "f with no real root"])
+    '{"uvar": "t", "f": "t - 1", "signs": [0, 1], "F": ["0", "0", "t"]}',
+    '{"uvar": "t", "f": "t - 1", "signs": [0, 1], "F": ["t - 1", "0", "t"]}',
+], ids=["F shorter than k + 1", "signs of no root", "f with no real root",
+        "a zero denominator", "a denominator that vanishes at the root"])
 def test_a_malformed_point_is_a_point_parse_error(tmp_path, capsys, record):
     path = _write(tmp_path, "circle.txt", "vars: x y\nx^2 + y^2 - 1\n")
     good = _point(tmp_path, "good.json", 1)

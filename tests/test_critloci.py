@@ -41,19 +41,19 @@ def test_good_rank_matrix_entries_and_rank():
 
 
 def test_deform_single_examples():
-    Q = parse_poly("X1", X2)
-    d4 = deform_single(Q, [1, 1, 0], 4, level=1)
+    # tail over xvars only: Q = X1 in (X1, X2) with xvars (X1,) gives d = 4
+    d4 = deform_single(parse_poly("X1", X2), ("X1",), zeta(1))
     z = InfElem.sym(zeta(1))
     one = InfElem.const(1)
     expect = (MPoly.const(ERING, X2, one - z) * parse_poly("X1^2", X2).to_ering()
               - MPoly.const(ERING, X2, z) * parse_poly("1 + X1^4", X2).to_ering())
     assert d4 == expect
-    # Q = 0 -> -zeta*(b0 + sum bi Xi^d)
-    z0 = deform_single(MPoly.zero(QRING, X2), [1, 1, 1], 2, level=1)
+    # Q = 0 -> -zeta*(1 + sum Xi^2)
+    z0 = deform_single(MPoly.zero(QRING, X2), X2, zeta(1))
     tail = parse_poly("1 + X1^2 + X2^2", X2).to_ering()
     assert z0 == -MPoly.const(ERING, X2, z) * tail
-    # special form: d = 2 deg + 2
-    sp = deform_single(parse_poly("X1^2 - 1", X2), None, None, level=1, special=True)
+    # d = 2 deg + 2
+    sp = deform_single(parse_poly("X1^2 - 1", X2), X2, zeta(1))
     assert sp.degree("X1") == 6
 
 

@@ -2,7 +2,11 @@
 never reads: such a store is work whose result is thrown away.  Names that
 start with an underscore, unpacking targets and loop targets are exempt,
 and so are the names a function declares global or nonlocal.  A read in a
-nested function or comprehension counts, and so does `name += ...`.  This
+nested function or comprehension counts, and so does `name += ...`.
+Likewise no underscore-named function, a module's own helper whose every
+caller is in the package, takes a parameter it never reads: its callers
+pass a value that nothing uses.  Dunder methods keep the signature Python
+gives them, and parameters that start with an underscore are exempt.  This
 is an AST check, so it also covers the modules that no other test runs.
 (No pyflakes here.)"""
 
@@ -43,6 +47,12 @@ def _dead_stores(source, name):
                   and isinstance(node.targets[0], ast.Name)
                   and not node.targets[0].id.startswith("_")
                   and node.targets[0].id not in read]
+        if fn.name.startswith("_") and not fn.name.endswith("__"):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            found += [f"{name}:{fn.lineno}: {fn.name}({a.arg})" for a in params
+                      if not a.arg.startswith("_") and a.arg not in read]
     return found
 
 
@@ -70,6 +80,16 @@ def f(xs):
     other = lambda: dead_too
     dead_too = 5
     return inner
+def _helper(used, unused, _spare, *rest, flag=None, **extra):
+    return used + len(rest) + extra["k"]
+def public(unused):
+    return 1
+class C:
+    def __init__(self, unused):
+        pass
+    def _method(self, unused):
+        return self
 """
     hits = [hit.split(": ")[1] for hit in _dead_stores(source, "m")]
-    assert sorted(hits) == ["dead", "late", "other"]
+    assert sorted(hits) == ["_helper(flag)", "_helper(unused)", "_method(unused)",
+                            "dead", "late", "other"]

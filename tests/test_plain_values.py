@@ -4,8 +4,9 @@ arguments, and the tests call the code behind the old forwarders.  So no
 wrapper that only carried its caller's values comes back: InfSymbol and
 extra_symbol, PseudoCriticalRequest, DivideInput and TreeNode.divide_output,
 JacobianSelector, realroots.triangular_sign and sign_determination,
-solve._strip_to_ctx and roadmap.load_components_from_json.  This is an AST
-check, so it also covers the modules that no other test runs."""
+solve._strip_to_ctx, roadmap.load_components_from_json and
+realroots._sorted_unique_encodings.  This is an AST check, so it also
+covers the modules that no other test runs."""
 
 import ast
 import pathlib
@@ -15,7 +16,7 @@ import dcroadmap.mpoly
 PACKAGE = pathlib.Path(dcroadmap.mpoly.__file__).parent
 GONE = {"InfSymbol", "extra_symbol", "global_index", "PseudoCriticalRequest", "DivideInput",
         "divide_output", "JacobianSelector", "triangular_sign", "sign_determination",
-        "_strip_to_ctx", "load_components_from_json"}
+        "_strip_to_ctx", "load_components_from_json", "_sorted_unique_encodings"}
 
 
 def _carriers(source, name):

@@ -312,7 +312,7 @@ def test_a_zero_over_zero_candidate_is_rejected():
     lo, hi = thom_encodings(parse_poly("U^2 - U - 2", u), "U")
     for enc, ok in ((lo, False), (hi, True)):
         ctx_plus = TriangularContext(QRING).extend("U", enc.poly, enc.signs)
-        assert solve._verify_point(system, XY, denom, (denom, denom), ctx_plus, "U") is ok
+        assert solve._verify_point(system, XY, denom, (denom, denom), ctx_plus) is ok
 
 
 def test_each_polynomial_is_factored_once_per_input(monkeypatch):
